@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos failover-smoke vibed-smoke check cover bench bench-smoke bench-sim quick clean
+.PHONY: all build vet test race chaos failover-smoke vibed-smoke hostbench check cover bench bench-smoke bench-sim quick clean
 
 all: check
 
@@ -58,6 +58,12 @@ vibed-smoke: build
 	mkdir -p artifacts
 	VIBED_SMOKE_ARTIFACTS=$(CURDIR)/artifacts \
 	  $(GO) test -run TestVibedSmoke -count=1 -v ./internal/serve/
+
+# Host-cost benchmark module: vet and unit-test hostbench/, a nested
+# module (replace vibe => ../) that the root `go test ./...` skips even
+# though it calls the runner, core, results and serve APIs directly.
+hostbench:
+	cd hostbench && $(GO) vet ./... && $(GO) test ./...
 
 check: vet build test race
 

@@ -30,21 +30,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
 
 	"vibe/internal/bench"
 	"vibe/internal/core"
-	"vibe/internal/fault"
-	"vibe/internal/metrics"
-	"vibe/internal/prof"
-	"vibe/internal/provider"
 	"vibe/internal/results"
 	"vibe/internal/runner"
 	"vibe/internal/table"
-	"vibe/internal/trace"
 )
 
 // repeatedFlag collects every occurrence of a repeatable string flag.
@@ -84,67 +78,40 @@ func main() {
 	flag.Var(&sweeps, "sweep", "sweep a parameter over values, e.g. -sweep TLBCapacity=8,32,128 (repeatable; cells form a grid)")
 	flag.Parse()
 
-	exps := core.Experiments()
 	if *list {
-		for _, e := range exps {
+		for _, e := range core.Experiments() {
 			fmt.Printf("%-6s %s\n", e.ID, e.Title)
 		}
 		return
 	}
+
+	req := runner.Request{
+		ScenarioPath: *scenarioPath,
+		Set:          sets,
+		FaultPath:    *faultPath,
+		Sweeps:       sweeps,
+		Quick:        *quick,
+		Label:        *label,
+		Metrics:      *metricsOn,
+		MetricsJSON:  *metricsOut != "",
+		Trace:        *traceOut != "",
+		Profile:      *profileOut != "",
+		SpanSample:   *spanSample,
+		Workers:      *parallel,
+	}
 	if *exp != "" {
-		e, err := core.ExperimentByID(strings.ToUpper(*exp))
-		if err != nil {
-			fatal(err)
-		}
-		exps = []*core.Experiment{e}
+		req.Experiments = []string{*exp}
 	}
-
-	spec, err := buildSpec(*scenarioPath, sets, *faultPath)
+	plan, err := runner.Compile(req)
 	if err != nil {
 		fatal(err)
-	}
-	specs, err := core.ExpandSweeps(spec, sweeps)
-	if err != nil {
-		fatal(err)
-	}
-	scs, err := core.CompileScenarios(specs, *quick)
-	if err != nil {
-		fatal(err)
-	}
-
-	// Instrumentation: a per-scenario metrics collector (safe to share
-	// across the runner's workers) and, for tracing, one recorder — a
-	// single-writer structure, so tracing pins the run to one worker.
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = &trace.Recorder{Limit: 1 << 20}
-		*parallel = 1
-	}
-	collectMetrics := *metricsOn || *metricsOut != ""
-	collectors := make([]*metrics.Collector, len(scs))
-	if collectMetrics || rec != nil {
-		for i, sc := range scs {
-			in := &core.Instr{Trace: rec, SpanSample: *spanSample}
-			if collectMetrics {
-				in.Metrics = metrics.NewCollector()
-				collectors[i] = in.Metrics
-			}
-			sc.Instr = in
-		}
-	}
-	// The profile is shared across workers; ProfiledExperiments scopes
-	// each experiment's attribution under its ID.
-	var profile *prof.Profile
-	if *profileOut != "" {
-		profile = prof.New()
-		exps = core.ProfiledExperiments(exps, profile)
 	}
 
 	if *benchOut != "" {
-		if len(scs) > 1 {
+		if len(plan.Scenarios) > 1 {
 			fatal(fmt.Errorf("-bench times one scenario; drop -sweep"))
 		}
-		b, err := runner.BenchSuite(exps, runner.Options{Quick: *quick, Workers: *parallel, Scenario: scs[0]}, *label)
+		b, err := runner.BenchSuite(plan.Experiments, runner.Options{Quick: *quick, Workers: plan.Workers, Scenario: plan.Scenarios[0]}, *label)
 		if err != nil {
 			fatal(err)
 		}
@@ -189,21 +156,23 @@ func main() {
 		return
 	}
 
-	grid := runner.RunGrid(exps, scs, runner.Options{Workers: *parallel})
-	if err := runner.FirstGridError(grid); err != nil {
+	out, err := plan.Run(nil)
+	if err != nil {
 		fatal(err)
+	}
+	save := func(name, path string) {
+		if err := plan.Save(out, os.Stdout, name, path); err != nil {
+			fatal(err)
+		}
 	}
 
 	exitCode := 0
-	for si, row := range grid {
-		if len(scs) > 1 {
-			fmt.Printf("########## scenario: %s ##########\n\n", scs[si].Label())
+	cells := len(plan.Scenarios)
+	for si, row := range out.Grid {
+		if cells > 1 {
+			fmt.Printf("########## scenario: %s ##########\n\n", plan.Scenarios[si].Label())
 		}
-		set := &results.Set{Label: *label, Scenario: results.ProvenanceOf(scs[si])}
-		if collectors[si] != nil {
-			set.Metrics = collectors[si].Snapshot().Map()
-		}
-		for i, e := range exps {
+		for i, e := range plan.Experiments {
 			fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
 			fmt.Printf("paper: %s\n\n", e.PaperClaim)
 			rep := row[i].Report
@@ -235,27 +204,21 @@ func main() {
 				fmt.Printf("note: %s\n", n)
 			}
 			fmt.Println()
-			set.Experiments = append(set.Experiments, results.FromReport(e.ID, rep))
 		}
 
-		if c := collectors[si]; c != nil && *metricsOn {
-			fmt.Printf("--- metrics: %s (%d simulated systems) ---\n", scs[si].Label(), c.Systems())
-			c.Snapshot().Render(os.Stdout)
+		if out.CellMetrics != nil {
+			os.Stdout.Write(out.CellMetrics[si])
 			fmt.Println()
 		}
 		if *jsonOut != "" {
-			path := cellPath(*jsonOut, si, len(scs))
-			if err := results.Save(path, set); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("results saved to %s\n", path)
+			save(runner.CellName(runner.ResultsArtifact, si, cells), runner.CellName(*jsonOut, si, cells))
 		}
 		if *compare != "" {
 			base, err := results.Load(*compare)
 			if err != nil {
 				fatal(err)
 			}
-			diffs, err := results.CompareChecked(base, set, *tol, *force)
+			diffs, err := results.CompareChecked(base, out.Sets[si], *tol, *force)
 			if err != nil {
 				fatal(err)
 			}
@@ -266,94 +229,18 @@ func main() {
 		}
 	}
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := metrics.MergedSnapshot(collectors...).WriteJSON(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics written to %s\n", *metricsOut)
+		save(runner.MetricsJSONArtifact, *metricsOut)
 	}
-	if rec != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rec.WriteChrome(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace written to %s (%d events, %d dropped)\n", *traceOut, rec.Len(), rec.Dropped())
+	if *traceOut != "" {
+		save(runner.TraceArtifact, *traceOut)
 	}
-	if profile != nil {
-		for _, e := range exps {
-			profile.RenderTop(os.Stdout, e.ID, *profileTop)
+	if *profileOut != "" {
+		for _, e := range plan.Experiments {
+			plan.Profile.RenderTop(os.Stdout, e.ID, *profileTop)
 		}
-		f, err := os.Create(*profileOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := profile.WriteFolded(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("profile written to %s (%d stacks)\n", *profileOut, profile.Len())
+		save(runner.ProfileArtifact, *profileOut)
 	}
 	os.Exit(exitCode)
-}
-
-// buildSpec assembles the scenario spec from -scenario, -set and -fault
-// flags; -set entries and the -fault plan win over the file's.
-func buildSpec(path string, sets []string, faultPath string) (core.ScenarioSpec, error) {
-	var spec core.ScenarioSpec
-	if path != "" {
-		s, err := core.LoadScenarioSpec(path)
-		if err != nil {
-			return spec, err
-		}
-		spec = s
-	}
-	if len(sets) > 0 {
-		kv, err := provider.ParseSet(sets)
-		if err != nil {
-			return spec, err
-		}
-		if spec.Set == nil {
-			spec.Set = map[string]string{}
-		}
-		for k, v := range kv {
-			spec.Set[k] = v
-		}
-	}
-	if faultPath != "" {
-		p, err := fault.Load(faultPath)
-		if err != nil {
-			return spec, err
-		}
-		spec.Fault = p
-	}
-	return spec, nil
-}
-
-// cellPath derives a per-cell output path for sweep grids: out.json of a
-// three-cell sweep becomes out.cell0.json, out.cell1.json, out.cell2.json.
-func cellPath(path string, i, n int) string {
-	if n == 1 {
-		return path
-	}
-	ext := filepath.Ext(path)
-	return fmt.Sprintf("%s.cell%d%s", strings.TrimSuffix(path, ext), i, ext)
 }
 
 // groupTable renders a series group as a wide table: the x column plus one

@@ -25,15 +25,11 @@ import (
 
 	"vibe/internal/bench"
 	"vibe/internal/core"
-	"vibe/internal/fault"
 	"vibe/internal/logp"
-	"vibe/internal/metrics"
 	"vibe/internal/mp"
-	"vibe/internal/prof"
 	"vibe/internal/provider"
 	"vibe/internal/runner"
 	"vibe/internal/table"
-	"vibe/internal/trace"
 	"vibe/internal/via"
 )
 
@@ -242,186 +238,139 @@ func main() {
 		return
 	}
 
-	spec, err := buildSpec(*scenarioPath, sets, *faultPath)
-	if err != nil {
-		fatal(err)
-	}
+	// -topo and -route are -set shorthands, applied after the -set flags.
+	overrides := []string(sets)
 	if *topo != "" {
-		if spec.Set == nil {
-			spec.Set = map[string]string{}
-		}
-		spec.Set["NetTopology"] = *topo
+		overrides = append(overrides, "NetTopology="+*topo)
 	}
 	if *route != "" {
-		if spec.Set == nil {
-			spec.Set = map[string]string{}
-		}
-		spec.Set["NetRoutePolicy"] = *route
+		overrides = append(overrides, "NetRoutePolicy="+*route)
 	}
-	specs, err := core.ExpandSweeps(spec, sweeps)
+	run := runner.Request{
+		ScenarioPath: *scenarioPath,
+		Set:          overrides,
+		FaultPath:    *faultPath,
+		Sweeps:       sweeps,
+		Quick:        *quick,
+		Metrics:      *metricsOn,
+		MetricsJSON:  *metricsOut != "",
+		Trace:        *traceOut != "",
+		Profile:      *profileOut != "",
+		SpanSample:   *spanSample,
+		Workers:      *parallel,
+	}
+	// The single benchmark's model, resolved once the plan has merged the
+	// scenario spec and before any cell runs.
+	var m *provider.Model
+	if *benchSel != "suite" {
+		b, ok := benchByName(*benchSel)
+		if !ok {
+			fatal(fmt.Errorf("unknown benchmark %q (have: %s)", *benchSel, benchHelp()))
+		}
+
+		o := core.XferOpts{
+			RecvViaCQ: *useCQ,
+			ActiveVIs: *vis,
+			Segments:  *segs,
+			RDMA:      *rdma,
+			Notify:    *notify,
+			Window:    *window,
+		}
+		if *mode == "block" {
+			o.Mode = core.Blocking
+		}
+		if *reuse >= 0 {
+			o.VaryBuffers = true
+			o.ReusePct = *reuse
+		}
+		switch *rel {
+		case "unreliable":
+		case "delivery":
+			o.Reliability = via.ReliableDelivery
+		case "reception":
+			o.Reliability = via.ReliableReception
+		default:
+			fatal(fmt.Errorf("unknown reliability %q", *rel))
+		}
+
+		sizes := bench.SizeLadder()
+		if *sizesArg != "" {
+			sizes = nil
+			for _, s := range strings.Split(*sizesArg, ",") {
+				n, err := strconv.Atoi(strings.TrimSpace(s))
+				if err != nil {
+					fatal(fmt.Errorf("bad size %q: %v", s, err))
+				}
+				sizes = append(sizes, n)
+			}
+		}
+
+		// Each (benchmark, scenario) cell runs as a synthetic experiment on
+		// the runner's pool, so sweep grids parallelize exactly like the
+		// suite.
+		run.Custom = []*core.Experiment{{
+			ID:    b.name,
+			Title: b.name,
+			Run: func(sc *core.Scenario) (*core.Report, error) {
+				cfg := sc.Config(m)
+				if *iters > 0 {
+					cfg.Iters = *iters
+				}
+				return b.run(benchArgs{cfg: cfg, o: o, sizes: sizes, req: *req})
+			},
+		}}
+	}
+	plan, err := runner.Compile(run)
 	if err != nil {
 		fatal(err)
 	}
-	scs, err := core.CompileScenarios(specs, *quick)
-	if err != nil {
-		fatal(err)
-	}
-
-	// Instrumentation: a per-scenario metrics collector (safe to share
-	// across the runner's workers) and, for tracing, one recorder — a
-	// single-writer structure, so tracing pins the run to one worker.
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = &trace.Recorder{Limit: 1 << 20}
-		*parallel = 1
-	}
-	var profile *prof.Profile
-	if *profileOut != "" {
-		profile = prof.New()
-	}
-	collectMetrics := *metricsOn || *metricsOut != ""
-	collectors := make([]*metrics.Collector, len(scs))
-	if collectMetrics || rec != nil || profile != nil {
-		for i, sc := range scs {
-			in := &core.Instr{Trace: rec, SpanSample: *spanSample}
-			if collectMetrics {
-				in.Metrics = metrics.NewCollector()
-				collectors[i] = in.Metrics
-			}
-			sc.Instr = in
-		}
-	}
-	finishInstr := func() {
-		for i, c := range collectors {
-			if c == nil || !*metricsOn {
-				continue
-			}
-			fmt.Printf("\n--- metrics: %s (%d simulated systems) ---\n", scs[i].Label(), c.Systems())
-			c.Snapshot().Render(os.Stdout)
-		}
-		if *metricsOut != "" {
-			if err := writeMetricsOut(*metricsOut, collectors); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("metrics written to %s\n", *metricsOut)
-		}
-		if rec != nil {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fatal(err)
-			}
-			if err := rec.WriteChrome(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("trace written to %s (%d events, %d dropped)\n", *traceOut, rec.Len(), rec.Dropped())
-		}
-		if profile != nil {
-			f, err := os.Create(*profileOut)
-			if err != nil {
-				fatal(err)
-			}
-			if err := profile.WriteFolded(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("profile written to %s (%d stacks)\n", *profileOut, profile.Len())
-		}
-	}
-
+	var out *runner.Output
 	if *benchSel == "suite" {
-		exps := core.Experiments()
-		if profile != nil {
-			exps = core.ProfiledExperiments(exps, profile)
+		out, err = runSuite(plan, *progress)
+	} else {
+		// The scenario file's base model is the default provider; an
+		// explicit -provider flag wins over it.
+		baseName := *prov
+		if base := plan.Scenarios[0].Spec.Base; base != "" && !flagWasSet("provider") {
+			baseName = base
 		}
-		err := runSuite(exps, scs, *parallel, *progress)
-		finishInstr()
-		if err != nil {
+		if m, err = provider.ByNameExtended(baseName); err != nil {
 			fatal(err)
 		}
-		return
+		out, err = runBench(plan, *csv)
 	}
 
-	b, ok := benchByName(*benchSel)
-	if !ok {
-		fatal(fmt.Errorf("unknown benchmark %q (have: %s)", *benchSel, benchHelp()))
+	for _, block := range out.CellMetrics {
+		fmt.Println()
+		os.Stdout.Write(block)
 	}
-
-	// The scenario file's base model is the default provider; an explicit
-	// -provider flag wins over it.
-	baseName := *prov
-	if spec.Base != "" && !flagWasSet("provider") {
-		baseName = spec.Base
+	save := func(name, path string) {
+		if err := plan.Save(out, os.Stdout, name, path); err != nil {
+			fatal(err)
+		}
 	}
-	m, err := provider.ByNameExtended(baseName)
+	if *metricsOut != "" {
+		save(runner.MetricsJSONArtifact, *metricsOut)
+	}
+	if *traceOut != "" {
+		save(runner.TraceArtifact, *traceOut)
+	}
+	if *profileOut != "" {
+		save(runner.ProfileArtifact, *profileOut)
+	}
 	if err != nil {
 		fatal(err)
 	}
+}
 
-	o := core.XferOpts{
-		RecvViaCQ: *useCQ,
-		ActiveVIs: *vis,
-		Segments:  *segs,
-		RDMA:      *rdma,
-		Notify:    *notify,
-		Window:    *window,
-	}
-	if *mode == "block" {
-		o.Mode = core.Blocking
-	}
-	if *reuse >= 0 {
-		o.VaryBuffers = true
-		o.ReusePct = *reuse
-	}
-	switch *rel {
-	case "unreliable":
-	case "delivery":
-		o.Reliability = via.ReliableDelivery
-	case "reception":
-		o.Reliability = via.ReliableReception
-	default:
-		fatal(fmt.Errorf("unknown reliability %q", *rel))
-	}
-
-	sizes := bench.SizeLadder()
-	if *sizesArg != "" {
-		sizes = nil
-		for _, s := range strings.Split(*sizesArg, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatal(fmt.Errorf("bad size %q: %v", s, err))
-			}
-			sizes = append(sizes, n)
-		}
-	}
-
-	// Each (benchmark, scenario) cell runs as a synthetic experiment on the
-	// runner's pool, so sweep grids parallelize exactly like the suite.
-	exp := &core.Experiment{
-		ID:    b.name,
-		Title: b.name,
-		Run: func(sc *core.Scenario) (*core.Report, error) {
-			cfg := sc.Config(m)
-			if *iters > 0 {
-				cfg.Iters = *iters
-			}
-			return b.run(benchArgs{cfg: cfg, o: o, sizes: sizes, req: *req})
-		},
-	}
-	exps := []*core.Experiment{exp}
-	if profile != nil {
-		exps = core.ProfiledExperiments(exps, profile)
-	}
-	grid := runner.RunGrid(exps, scs, runner.Options{Workers: *parallel})
-	for si, row := range grid {
-		if len(scs) > 1 {
-			fmt.Printf("--- scenario: %s ---\n", scs[si].Label())
+// runBench runs a single benchmark's plan and prints each scenario cell's
+// tables, exiting at the first failed cell.
+func runBench(plan *runner.Plan, csv bool) (*runner.Output, error) {
+	out, err := plan.Run(nil)
+	cells := len(plan.Scenarios)
+	for si, row := range out.Grid {
+		if cells > 1 {
+			fmt.Printf("--- scenario: %s ---\n", plan.Scenarios[si].Label())
 		}
 		c := &row[0]
 		if c.Err != nil {
@@ -431,7 +380,7 @@ func main() {
 			fatal(c.Err)
 		}
 		for _, t := range c.Report.Tables {
-			if *csv {
+			if csv {
 				t.RenderCSV(os.Stdout)
 			} else {
 				t.Render(os.Stdout)
@@ -440,47 +389,11 @@ func main() {
 		for _, n := range c.Report.Notes {
 			fmt.Println(n)
 		}
-		if len(scs) > 1 {
+		if cells > 1 {
 			fmt.Println()
 		}
 	}
-	finishInstr()
-	if err := runner.FirstGridError(grid); err != nil {
-		os.Exit(1)
-	}
-}
-
-// buildSpec assembles the scenario spec from -scenario, -set and -fault
-// flags; -set entries and the -fault plan win over the file's.
-func buildSpec(path string, sets []string, faultPath string) (core.ScenarioSpec, error) {
-	var spec core.ScenarioSpec
-	if path != "" {
-		s, err := core.LoadScenarioSpec(path)
-		if err != nil {
-			return spec, err
-		}
-		spec = s
-	}
-	if len(sets) > 0 {
-		kv, err := provider.ParseSet(sets)
-		if err != nil {
-			return spec, err
-		}
-		if spec.Set == nil {
-			spec.Set = map[string]string{}
-		}
-		for k, v := range kv {
-			spec.Set[k] = v
-		}
-	}
-	if faultPath != "" {
-		p, err := fault.Load(faultPath)
-		if err != nil {
-			return spec, err
-		}
-		spec.Fault = p
-	}
-	return spec, nil
+	return out, err
 }
 
 func flagWasSet(name string) bool {
@@ -493,14 +406,14 @@ func flagWasSet(name string) bool {
 	return set
 }
 
-// runSuite executes the given experiments (times each scenario in the
-// grid) across the runner's worker pool, printing a one-line status per
-// cell in registry order. With progress enabled, a live per-cell line
-// goes to stderr as cells complete, in dispatch order.
-func runSuite(exps []*core.Experiment, scs []*core.Scenario, workers int, progress bool) error {
-	opt := runner.Options{Workers: workers}
+// runSuite executes the plan (every registry experiment, times each
+// scenario in the grid) across the runner's worker pool, printing a
+// one-line status per cell in registry order. With progress enabled, a
+// live per-cell line goes to stderr as cells complete, in dispatch order.
+func runSuite(plan *runner.Plan, progress bool) (*runner.Output, error) {
+	var onCell func(runner.ProgressEvent)
 	if progress {
-		opt.Progress = func(ev runner.ProgressEvent) {
+		onCell = func(ev runner.ProgressEvent) {
 			status := "ok"
 			switch {
 			case ev.Skipped:
@@ -511,10 +424,10 @@ func runSuite(exps []*core.Experiment, scs []*core.Scenario, workers int, progre
 			fmt.Fprintf(os.Stderr, "[%d/%d] %-8s %-7s %s\n", ev.Done, ev.Total, ev.Experiment, status, ev.Scenario)
 		}
 	}
-	grid := runner.RunGrid(exps, scs, opt)
-	for si, row := range grid {
-		if len(scs) > 1 {
-			fmt.Printf("=== scenario: %s ===\n", scs[si].Label())
+	out, err := plan.Run(onCell)
+	for si, row := range out.Grid {
+		if len(plan.Scenarios) > 1 {
+			fmt.Printf("=== scenario: %s ===\n", plan.Scenarios[si].Label())
 		}
 		for i := range row {
 			c := &row[i]
@@ -524,25 +437,11 @@ func runSuite(exps []*core.Experiment, scs []*core.Scenario, workers int, progre
 			case c.Err != nil:
 				fmt.Printf("%-8s FAILED: %v\n", c.ID, c.Err)
 			default:
-				fmt.Printf("%-8s ok  %8.1f ms  %s\n", c.ID, float64(c.Wall.Microseconds())/1000, exps[i].Title)
+				fmt.Printf("%-8s ok  %8.1f ms  %s\n", c.ID, float64(c.Wall.Microseconds())/1000, plan.Experiments[i].Title)
 			}
 		}
 	}
-	return runner.FirstGridError(grid)
-}
-
-// writeMetricsOut writes the cross-scenario merged snapshot as key-sorted
-// JSON, the machine-readable sibling of the rendered -metrics tables.
-func writeMetricsOut(path string, collectors []*metrics.Collector) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := metrics.MergedSnapshot(collectors...).WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return out, err
 }
 
 func fatal(err error) {

@@ -28,9 +28,14 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
+	"time"
 
 	"vibe/internal/serve"
 )
+
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle or slow connections cannot pin the server.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	var (
@@ -50,7 +55,7 @@ func main() {
 	}
 	log.Printf("vibed: listening on %s (%d workers, queue %d)", ln.Addr(), *workers, *queue)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

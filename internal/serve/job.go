@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"sync"
 	"time"
 
@@ -100,9 +99,8 @@ type Job struct {
 	notify    chan struct{}
 	artifacts map[string][]byte
 
-	// compiled at submission time
-	exps       []*core.Experiment
-	scs        []*core.Scenario
+	// compiled at submission time; nil for a cache hit
+	plan       *runner.Plan
 	collectors []*metrics.Collector
 }
 
@@ -217,14 +215,4 @@ func progressEvent(ev runner.ProgressEvent) Event {
 		e.Error = ev.Err.Error()
 	}
 	return e
-}
-
-// cellName derives a per-cell artifact name: results.json for a single
-// scenario, results.cell<i>.json for sweep grids — mirroring the CLI's
-// cellPath convention.
-func cellName(i, n int) string {
-	if n == 1 {
-		return "results.json"
-	}
-	return fmt.Sprintf("results.cell%d.json", i)
 }

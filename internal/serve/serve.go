@@ -3,27 +3,23 @@
 // one at a time onto the shared runner pool, with live per-cell progress
 // over SSE, a Prometheus /metrics endpoint, downloadable artifacts, and a
 // provenance-keyed cache that replays completed result sets byte for
-// byte. The daemon reuses the CLIs' exact pipeline — ExpandSweeps,
-// CompileScenarios, RunGrid, results.Encode — so a set downloaded from a
-// job is byte-identical to the same scenario run with vibe-report.
+// byte. A submission compiles to the same runner.Plan the CLIs build from
+// their flags, and a job stores that plan's artifacts, so a set
+// downloaded from a job is byte-identical to the same scenario run with
+// vibe-report.
 package serve
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"vibe/internal/core"
 	"vibe/internal/metrics"
-	"vibe/internal/prof"
-	"vibe/internal/provider"
 	"vibe/internal/results"
 	"vibe/internal/runner"
-	"vibe/internal/trace"
 )
 
 // Options configures a Server.
@@ -55,7 +51,6 @@ type Server struct {
 	submits  int
 
 	queue chan *Job
-	store *results.Store
 	stop  chan struct{}
 	// inflight is held by Run for its entire lifetime, so Close can wait
 	// for the dispatcher — including any in-flight execute — by acquiring
@@ -78,7 +73,6 @@ func New(opt Options) *Server {
 		jobs:     map[string]*Job{},
 		byCache:  map[string]string{},
 		queue:    make(chan *Job, opt.QueueCap),
-		store:    results.NewStore(),
 		stop:     make(chan struct{}),
 	}
 }
@@ -122,40 +116,24 @@ func (s *Server) Close() {
 // returns a new job that is already done, sharing the original's
 // artifacts and result bytes.
 func (s *Server) Submit(req Submission) (*Job, error) {
-	spec := req.Scenario
-	if len(req.Set) > 0 {
-		kv, err := provider.ParseSet(setPairs(req.Set))
-		if err != nil {
-			return nil, err
-		}
-		if spec.Set == nil {
-			spec.Set = map[string]string{}
-		}
-		for k, v := range kv {
-			spec.Set[k] = v
-		}
-	}
-	specs, err := core.ExpandSweeps(spec, req.Sweeps)
+	plan, err := runner.Compile(runner.Request{
+		Scenario:    req.Scenario,
+		Set:         setPairs(req.Set),
+		Sweeps:      req.Sweeps,
+		Quick:       req.Quick,
+		Experiments: req.Experiments,
+		Label:       req.Label,
+		Metrics:     true,
+		Trace:       req.Trace,
+		Profile:     req.Profile,
+		SpanSample:  1,
+		Workers:     s.workers,
+	})
 	if err != nil {
 		return nil, err
-	}
-	scs, err := core.CompileScenarios(specs, req.Quick)
-	if err != nil {
-		return nil, err
-	}
-	exps := core.Experiments()
-	if len(req.Experiments) > 0 {
-		exps = exps[:0:0]
-		for _, id := range req.Experiments {
-			e, err := core.ExperimentByID(strings.ToUpper(id))
-			if err != nil {
-				return nil, err
-			}
-			exps = append(exps, e)
-		}
 	}
 
-	key := cacheKeyFor(req, scs, exps)
+	key := cacheKeyFor(req, plan.Scenarios, plan.Experiments)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -173,9 +151,7 @@ func (s *Server) Submit(req Submission) (*Job, error) {
 	s.nextID++
 	j := newJob(fmt.Sprintf("job-%d", s.nextID), req)
 	j.CacheKey = key
-	j.Cells = len(exps) * len(scs)
-	j.exps = exps
-	j.scs = scs
+	j.Cells = len(plan.Experiments) * len(plan.Scenarios)
 
 	if hit {
 		src := s.jobs[srcID]
@@ -190,14 +166,12 @@ func (s *Server) Submit(req Submission) (*Job, error) {
 		return j, nil
 	}
 
-	// Allocate the per-scenario collectors before the job is published:
-	// simSnapshot reads j.collectors under s.mu only and execute reads it
-	// with no lock, so the field must never mutate once the job is
-	// visible. A queued job's empty collectors merge as nothing.
-	j.collectors = make([]*metrics.Collector, len(scs))
-	for i := range scs {
-		j.collectors[i] = metrics.NewCollector()
-	}
+	// The plan's collectors exist before the job is published: simSnapshot
+	// reads j.collectors under s.mu only, so the field must never mutate
+	// once the job is visible. A queued job's empty collectors merge as
+	// nothing.
+	j.plan = plan
+	j.collectors = plan.Collectors
 
 	s.queue <- j
 	s.jobs[j.ID] = j
@@ -218,77 +192,19 @@ func (s *Server) execute(j *Job) {
 	j.setStatus(StatusRunning, "")
 	j.append(Event{Type: EventStart, Total: j.Cells})
 
-	workers := s.workers
-	var rec *trace.Recorder
-	if j.Req.Trace {
-		rec = &trace.Recorder{Limit: 1 << 20}
-		workers = 1 // the recorder is single-writer, like -trace-out
-	}
-	var profile *prof.Profile
-	exps := j.exps
-	if j.Req.Profile {
-		profile = prof.New()
-		exps = core.ProfiledExperiments(exps, profile)
-	}
-	for i, sc := range j.scs {
-		sc.Instr = &core.Instr{Metrics: j.collectors[i], Trace: rec, SpanSample: 1}
-	}
-
-	grid := runner.RunGrid(exps, j.scs, runner.Options{
-		Workers: workers,
-		Progress: func(ev runner.ProgressEvent) {
-			j.append(progressEvent(ev))
-		},
+	// Only the dispatcher reads the plan once the job is queued; dropping
+	// it frees the trace and profile once they are encoded.
+	plan := j.plan
+	j.plan = nil
+	out, err := plan.Run(func(ev runner.ProgressEvent) {
+		j.append(progressEvent(ev))
 	})
-
-	if err := runner.FirstGridError(grid); err != nil {
-		s.finish(j, StatusFailed, err.Error())
-		return
-	}
-
-	// Assemble per-cell result sets exactly the way vibe-report does, and
-	// encode them through results.Encode so the artifact bytes match a CLI
-	// -json file for the same scenario.
-	sets := make([]*results.Set, len(j.scs))
-	for si := range j.scs {
-		set := &results.Set{Label: j.Req.Label, Scenario: results.ProvenanceOf(j.scs[si])}
-		set.Metrics = j.collectors[si].Snapshot().Map()
-		for ei, e := range j.exps {
-			set.Experiments = append(set.Experiments, results.FromReport(e.ID, grid[si][ei].Report))
-		}
-		sets[si] = set
-	}
-	encs, err := s.store.Put(j.CacheKey, sets...)
 	if err != nil {
 		s.finish(j, StatusFailed, err.Error())
 		return
 	}
-	for i, enc := range encs {
-		j.putArtifact(cellName(i, len(encs)), enc)
-	}
-
-	var mtxt bytes.Buffer
-	for si, c := range j.collectors {
-		fmt.Fprintf(&mtxt, "--- metrics: %s (%d simulated systems) ---\n", j.scs[si].Label(), c.Systems())
-		c.Snapshot().Render(&mtxt)
-	}
-	j.putArtifact("metrics.txt", mtxt.Bytes())
-
-	if rec != nil {
-		var b bytes.Buffer
-		if err := rec.WriteChrome(&b); err != nil {
-			s.finish(j, StatusFailed, err.Error())
-			return
-		}
-		j.putArtifact("trace.json", b.Bytes())
-	}
-	if profile != nil {
-		var b bytes.Buffer
-		if err := profile.WriteFolded(&b); err != nil {
-			s.finish(j, StatusFailed, err.Error())
-			return
-		}
-		j.putArtifact("profile.folded", b.Bytes())
+	for _, a := range out.Artifacts {
+		j.putArtifact(a.Name, a.Data)
 	}
 
 	s.mu.Lock()
@@ -353,7 +269,7 @@ func (s *Server) daemonSnapshot() metrics.Snapshot {
 	r.Gauge("jobs.failed", float64(s.failed))
 	r.Gauge("queue.capacity", float64(s.queueCap))
 	r.Gauge("pool.workers", float64(s.workers))
-	r.Gauge("cache.entries", float64(s.store.Len()))
+	r.Gauge("cache.entries", float64(len(s.byCache)))
 	return r.Snapshot()
 }
 
@@ -392,8 +308,8 @@ func cacheKeyFor(req Submission, scs []*core.Scenario, exps []*core.Experiment) 
 	return hex.EncodeToString(sum[:])
 }
 
-// setPairs renders a -set style map back into k=v pairs for ParseSet, in
-// sorted order so validation errors are deterministic.
+// setPairs renders a -set style map back into k=v pairs for the runner,
+// in sorted order so validation errors are deterministic.
 func setPairs(m map[string]string) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

@@ -6,15 +6,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"vibe/internal/core"
 	"vibe/internal/results"
+	"vibe/internal/runner"
 )
 
 // startServer boots a server with its dispatcher and tears both down with
@@ -384,5 +388,119 @@ func TestTraceAndProfileArtifacts(t *testing.T) {
 	}
 	if p, ok := j.artifact("profile.folded"); !ok || len(p) == 0 {
 		t.Fatal("no profile.folded artifact")
+	}
+}
+
+// TestSubmitDoesNotAliasScenarioSet checks that merging a submission's
+// set overrides leaves the caller's scenario map, and so the job's
+// reported request, exactly as submitted, while the compiled scenario
+// carries both.
+func TestSubmitDoesNotAliasScenarioSet(t *testing.T) {
+	s := New(Options{}) // dispatcher not started: the job stays queued
+	var spec core.ScenarioSpec
+	spec.Set = map[string]string{"DoorbellCost": "2us"}
+	j, err := s.Submit(Submission{
+		Scenario: spec, Set: map[string]string{"TLBCapacity": "8"},
+		Quick: true, Experiments: []string{"T1"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"DoorbellCost": "2us"}
+	if !maps.Equal(spec.Set, want) {
+		t.Errorf("caller's scenario set = %v, want %v", spec.Set, want)
+	}
+	data, err := j.statusJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Request struct {
+			Scenario struct {
+				Set map[string]string `json:"set"`
+			} `json:"scenario"`
+		} `json:"request"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.Request.Scenario.Set; !maps.Equal(got, want) {
+		t.Errorf("job's request.scenario.set = %v, want %v", got, want)
+	}
+	if got := j.plan.Scenarios[0].Spec.Set; got["DoorbellCost"] != "2us" || got["TLBCapacity"] != "8" {
+		t.Errorf("compiled scenario set = %v, want both overrides", got)
+	}
+}
+
+// TestSubmitBodyLimit checks an oversize POST /api/jobs body is refused
+// with 413 before it is parsed: no job ID is minted and nothing counts.
+func TestSubmitBodyLimit(t *testing.T) {
+	s := New(Options{})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	body := `{"quick": true, "label": "` + strings.Repeat("x", maxSubmitBytes) + `"}`
+	resp, err := http.Post(hs.URL+"/api/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize submission -> %d, want 413", resp.StatusCode)
+	}
+	s.mu.Lock()
+	submits, nextID := s.submits, s.nextID
+	s.mu.Unlock()
+	if submits != 0 || nextID != 0 {
+		t.Errorf("after oversize body: submits=%d nextID=%d, want 0 and 0", submits, nextID)
+	}
+}
+
+// TestSweepArtifactsMatchCLI runs a two-cell sweep with trace and profile
+// on the daemon and requires every artifact to be byte-identical to what
+// the shared pipeline gives vibe-report for the same run
+// (-quick -exp ATLB -sweep TLBCapacity=8,32 -label sweep -metrics
+// -trace-out -profile-out).
+func TestSweepArtifactsMatchCLI(t *testing.T) {
+	s := startServer(t, Options{Workers: 2})
+	sub := Submission{
+		Quick: true, Experiments: []string{"ATLB"}, Sweeps: []string{"TLBCapacity=8,32"},
+		Label: "sweep", Trace: true, Profile: true,
+	}
+	j, err := s.Submit(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st != StatusDone {
+		t.Fatalf("job failed: %s", j.Error)
+	}
+
+	plan, err := runner.Compile(runner.Request{
+		Sweeps: sub.Sweeps, Quick: true, Experiments: sub.Experiments, Label: sub.Label,
+		Metrics: true, Trace: true, Profile: true, SpanSample: 1, Workers: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := plan.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cliNames []string
+	for _, a := range cli.Artifacts {
+		cliNames = append(cliNames, a.Name)
+	}
+	if !slices.Equal(j.Artifacts, cliNames) {
+		t.Fatalf("daemon artifacts %v, CLI artifacts %v", j.Artifacts, cliNames)
+	}
+	for _, name := range []string{"results.cell0.json", "results.cell1.json"} {
+		if !slices.Contains(j.Artifacts, name) {
+			t.Errorf("no %s artifact", name)
+		}
+	}
+	for _, name := range j.Artifacts {
+		got, _ := j.artifact(name)
+		if !bytes.Equal(got, cli.Artifact(name)) {
+			t.Errorf("%s differs between daemon and CLI", name)
+		}
 	}
 }
