@@ -81,13 +81,14 @@ bench: build
 # CI bench smoke: rerun the quick bench to bench_smoke.json and fail if
 # the dispatch speedup (actor vs goroutine process model — a same-machine
 # ratio, so comparable across hosts) regressed more than 20% against the
-# committed BENCH_suite.json. Also runs the engine microbenchmarks in
-# short mode (yield, actor step, schedule) so their ns/op ride along in
-# the uploaded artifact; absolute times are machine-dependent and are
+# committed BENCH_suite.json. Also runs the engine microbenchmarks (yield,
+# actor step, schedule) and the simulated-memory ones (Alloc, Resolve,
+# Check) in short mode so their ns/op and allocs/op ride along in the
+# uploaded artifact; absolute times are machine-dependent and are
 # reported, not gated.
 bench-smoke: build
 	$(GO) run ./cmd/vibe-report -quick -bench bench_smoke.json -bench-gate BENCH_suite.json
-	$(GO) test -bench . -benchmem -benchtime 1000x -run '^$$' ./internal/sim/ | tee bench_sim.txt
+	$(GO) test -bench . -benchmem -benchtime 1000x -run '^$$' ./internal/sim/ ./internal/vmem/ | tee bench_sim.txt
 
 # Microbenchmarks for the simulation engine hot paths.
 bench-sim:

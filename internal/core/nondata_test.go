@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"vibe/internal/provider"
@@ -171,5 +172,26 @@ func TestNonDataDeterminism(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("non-deterministic NonData: %+v vs %+v", a, b)
+	}
+}
+
+// The Figure 2 sweep registers buffers it never reads, so its host heap
+// cost must not scale with buffer length: one 32 MiB buffer's worth of
+// allocation would mean simulated memory is being materialized eagerly.
+// Deterministic on any machine, unlike a wall-time gate.
+func TestMemDeregisterDoesNotMaterializeBuffers(t *testing.T) {
+	cfg := DefaultConfig(provider.CLAN())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := MemDeregister(cfg, []int{1 << 20, 32 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	d := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %d KiB", d>>10)
+	if d >= 32<<20 {
+		t.Errorf("MemDeregister over {1 MiB, 32 MiB} x %d reps allocated %d MiB, want < 32 MiB",
+			cfg.NonDataReps, d>>20)
 	}
 }

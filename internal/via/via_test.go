@@ -2,6 +2,7 @@ package via
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"vibe/internal/provider"
@@ -277,6 +278,55 @@ func TestPostValidation(t *testing.T) {
 		},
 		func(ctx *Ctx, vi *Vi, nic *Nic) {})
 	env.run()
+}
+
+func TestRegisterRangeProtection(t *testing.T) {
+	sys := NewSystem(provider.CLAN(), 1, 1)
+	sys.Go(0, "p", func(ctx *Ctx) {
+		nic := ctx.OpenNic()
+		buf := ctx.Malloc(1000)
+		if _, err := nic.RegisterRange(ctx, buf.AddrAt(500), 501); !errors.Is(err, ErrProtection) {
+			t.Errorf("range past buffer end: %v", err)
+		}
+		if _, err := nic.RegisterRange(ctx, buf.AddrAt(1000), 1); !errors.Is(err, ErrProtection) {
+			t.Errorf("range in guard page: %v", err)
+		}
+		if _, err := nic.RegisterRange(ctx, 8, 16); !errors.Is(err, ErrProtection) {
+			t.Errorf("unmapped range: %v", err)
+		}
+		if _, err := nic.RegisterRange(ctx, buf.AddrAt(500), 500); err != nil {
+			t.Errorf("valid range: %v", err)
+		}
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Registration pins and translates pages but never reads them, so it must
+// not make the simulated buffer allocate its storage.
+func TestRegisterMemLeavesBufferUntouched(t *testing.T) {
+	sys := NewSystem(provider.CLAN(), 1, 1)
+	sys.Go(0, "p", func(ctx *Ctx) {
+		nic := ctx.OpenNic()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		buf := ctx.Malloc(32 << 20)
+		h, err := nic.RegisterMem(ctx, buf)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("allocating and registering 32 MiB took %d heap bytes, want < 1 MiB", d)
+		}
+		if err := nic.DeregisterMem(ctx, h); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestPostSendRequiresConnection(t *testing.T) {

@@ -2,6 +2,7 @@ package vmem
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -52,18 +53,41 @@ func TestResolve(t *testing.T) {
 	if _, err := as.Resolve(b.AddrAt(8190), 4); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("overrun resolve: err = %v", err)
 	}
+	// A negative length is out of range, not a slice-bounds panic.
+	if _, err := as.Resolve(b.AddrAt(100), -1); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("negative-length resolve: err = %v", err)
+	}
 }
 
 func TestOwner(t *testing.T) {
 	as := NewAddressSpace()
+	a := as.Alloc(100)
 	b := as.Alloc(64)
-	if as.Owner(b.AddrAt(63)) != b {
-		t.Error("Owner missed last byte")
+	c := as.Alloc(PageSize)
+	cases := []struct {
+		name string
+		addr Addr
+		want *Buffer
+	}{
+		{"null page", 0, nil},
+		{"first byte of first buffer", a.Addr(), a},
+		{"last byte of first buffer", a.AddrAt(99), a},
+		{"one past first buffer", a.AddrAt(100), nil},
+		{"first byte", b.Addr(), b},
+		{"last byte", b.AddrAt(63), b},
+		{"one past the end", b.AddrAt(64), nil},
+		{"inside guard page", b.Addr().Advance(PageSize + 1), nil},
+		{"last byte of guard page", c.Addr() - 1, nil},
+		{"first byte of last buffer", c.Addr(), c},
+		{"last byte of last buffer", c.AddrAt(PageSize - 1), c},
+		{"past last buffer", c.AddrAt(PageSize), nil},
 	}
-	if as.Owner(b.AddrAt(63).Advance(1)) != nil {
-		t.Error("Owner matched past end")
+	for _, tc := range cases {
+		if got := as.Owner(tc.addr); got != tc.want {
+			t.Errorf("%s: Owner(%v) = %p, want %p", tc.name, tc.addr, got, tc.want)
+		}
 	}
-	if len(as.Buffers()) != 1 {
+	if len(as.Buffers()) != 3 {
 		t.Error("Buffers() wrong length")
 	}
 }
@@ -191,5 +215,141 @@ func TestNumPagesMatchesEnumeration(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestAllocIsLazy(t *testing.T) {
+	as := NewAddressSpace()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := as.Alloc(32 << 20)
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1024 {
+		t.Errorf("Alloc(32 MiB) allocated %d heap bytes, want < 1 KiB", d)
+	}
+	if n := testing.AllocsPerRun(10, func() { as.Alloc(32 << 20) }); n > 2 {
+		t.Errorf("Alloc(32 MiB) made %.0f allocations, want at most 2", n)
+	}
+
+	// Metadata and bounds checks never materialize storage.
+	if b.Len() != 32<<20 || b.Addr() == 0 || b.AddrAt(10) != b.Addr().Advance(10) {
+		t.Errorf("Len/Addr/AddrAt wrong: %d %v %v", b.Len(), b.Addr(), b.AddrAt(10))
+	}
+	if err := as.Check(b.AddrAt(1<<20), 1<<20); err != nil {
+		t.Errorf("Check: %v", err)
+	}
+	if as.Owner(b.AddrAt(b.Len()-1)) != b {
+		t.Error("Owner missed last byte of untouched buffer")
+	}
+	if b.data != nil {
+		t.Fatal("metadata accessors materialized the buffer")
+	}
+
+	// First touch reads as zeros and is stable across calls.
+	small := as.Alloc(300)
+	data := small.Bytes()
+	for i, v := range data {
+		if v != 0 {
+			t.Fatalf("untouched byte %d = %#x, want 0", i, v)
+		}
+	}
+	if len(data) != 300 || &small.Bytes()[0] != &data[0] {
+		t.Error("Bytes not stable across calls")
+	}
+	data[7] = 9
+	got, err := as.Resolve(small.AddrAt(7), 1)
+	if err != nil || got[0] != 9 {
+		t.Errorf("write through Bytes not seen by Resolve: %v %v", got, err)
+	}
+
+	// Resolve on an untouched buffer materializes zeroed storage.
+	fresh := as.Alloc(64)
+	got, err = as.Resolve(fresh.AddrAt(8), 8)
+	if err != nil || len(got) != 8 || got[0] != 0 {
+		t.Errorf("Resolve of untouched buffer: %v %v", got, err)
+	}
+	if fresh.data == nil {
+		t.Error("Resolve did not materialize the buffer")
+	}
+}
+
+func TestCheckMatchesResolve(t *testing.T) {
+	as := NewAddressSpace()
+	b := as.Alloc(8192)
+	cases := []struct {
+		addr Addr
+		n    int
+	}{
+		{b.Addr(), 8192},
+		{b.AddrAt(100), 4},
+		{b.AddrAt(8190), 4},
+		{b.AddrAt(100), -1},
+		{b.AddrAt(8192), 1},
+		{Addr(8), 1},
+		{0, 0},
+	}
+	for _, c := range cases {
+		checkErr := as.Check(c.addr, c.n)
+		_, resolveErr := as.Resolve(c.addr, c.n)
+		if (checkErr == nil) != (resolveErr == nil) ||
+			checkErr != nil && checkErr.Error() != resolveErr.Error() {
+			t.Errorf("[%v,+%d): Check = %v, Resolve = %v", c.addr, c.n, checkErr, resolveErr)
+		}
+	}
+}
+
+func benchmarkAlloc(b *testing.B, n int) {
+	as := NewAddressSpace()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%4096 == 4095 {
+			as = NewAddressSpace() // bound the buffer list
+		}
+		as.Alloc(n)
+	}
+}
+
+// BenchmarkAlloc times the allocation sizes hostbench reports as
+// vmem.alloc_ns.28k and vmem.alloc_ns.32m.
+func BenchmarkAlloc(b *testing.B) {
+	b.Run("28KiB", func(b *testing.B) { benchmarkAlloc(b, 28<<10) })
+	b.Run("32MiB", func(b *testing.B) { benchmarkAlloc(b, 32<<20) })
+}
+
+// liveSpace returns an address space holding 1000 live buffers, as
+// hostbench's vmem.resolve_ns does, and the address of a byte in the
+// middle one.
+func liveSpace() (*AddressSpace, Addr) {
+	as := NewAddressSpace()
+	var mid Addr
+	for i := 0; i < 1000; i++ {
+		buf := as.Alloc(4096)
+		if i == 500 {
+			buf.Bytes() // time Resolve on materialized storage
+			mid = buf.AddrAt(100)
+		}
+	}
+	return as, mid
+}
+
+func BenchmarkResolve(b *testing.B) {
+	as, addr := liveSpace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := as.Resolve(addr, 64); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCheck(b *testing.B) {
+	as, addr := liveSpace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := as.Check(addr, 64); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
