@@ -66,7 +66,6 @@ func main() {
 		benchOut     = flag.String("bench", "", "time sequential vs parallel and write the report to this JSON file (use with -quick for a fast pass)")
 		baseMs       = flag.Float64("bench-baseline-ms", 0, "earlier revision's sequential wall time in ms; with -bench, speedup is computed against it")
 		baseLabel    = flag.String("bench-baseline-label", "", "label describing the -bench-baseline-ms revision")
-		benchGate    = flag.String("bench-gate", "", "with -bench: fail if the dispatch speedup regresses >20% vs this committed bench report")
 		metricsOn    = flag.Bool("metrics", false, "print per-component simulation counters and embed them in -json output")
 		metricsOut   = flag.String("metrics-out", "", "write the final merged metrics snapshot as key-sorted JSON (implies metric collection)")
 		traceOut     = flag.String("trace-out", "", "write a Chrome trace-event JSON file (chrome://tracing, Perfetto); forces -parallel 1")
@@ -118,16 +117,6 @@ func main() {
 		if *baseMs > 0 {
 			b.SetBaseline(*baseLabel, *baseMs)
 		}
-		d, err := runner.BenchDispatch()
-		if err != nil {
-			fatal(err)
-		}
-		b.Dispatch = d
-		dr, err := runner.BenchDispatchRouted()
-		if err != nil {
-			fatal(err)
-		}
-		b.DispatchRouted = dr
 		if err := b.Save(*benchOut); err != nil {
 			fatal(err)
 		}
@@ -138,21 +127,7 @@ func main() {
 		} else {
 			fmt.Printf("parallel speedup: %.2fx\n", b.Speedup)
 		}
-		fmt.Printf("dispatch (%s): goroutine %.0f ev/s, actor %.0f ev/s, speedup %.2fx\n",
-			d.Scenario, d.GoroutineEvPerSec, d.ActorEvPerSec, d.Speedup)
-		fmt.Printf("dispatch (%s): goroutine %.0f ev/s, actor %.0f ev/s, speedup %.2fx\n",
-			dr.Scenario, dr.GoroutineEvPerSec, dr.ActorEvPerSec, dr.Speedup)
 		fmt.Printf("bench report saved to %s\n", *benchOut)
-		if *benchGate != "" {
-			base, err := runner.LoadSuiteBench(*benchGate)
-			if err != nil {
-				fatal(err)
-			}
-			if err := b.GateDispatch(base, 0.20); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("dispatch gate passed: %.2fx vs committed %.2fx\n", d.Speedup, base.Dispatch.Speedup)
-		}
 		return
 	}
 

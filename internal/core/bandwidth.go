@@ -14,7 +14,7 @@ import (
 // additionally bounds the sender pipeline (BWpipe).
 func bandwidth(cfg Config, size int, o XferOpts) (XferResult, error) {
 	o = o.normalized()
-	sys := via.NewSystemProc(cfg.Model, 2, cfg.Seed, cfg.ProcModel)
+	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
 	defer sys.Close()
 	cfg.instrument(sys)
 	res := XferResult{Size: size}

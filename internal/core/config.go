@@ -59,11 +59,6 @@ type Config struct {
 	// Timeout bounds every blocking call in the harness.
 	Timeout sim.Duration
 
-	// ProcModel selects how the simulated NIC engines execute (event-loop
-	// actors by default, goroutine processes for equivalence testing).
-	// Observationally invisible: results are byte-identical either way.
-	ProcModel via.ProcModel
-
 	// Instr, when non-nil, attaches instrumentation (metrics collection,
 	// tracing) to every system the experiments build. See Instr.
 	Instr *Instr

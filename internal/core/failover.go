@@ -54,7 +54,7 @@ func FailoverRun(cfg Config, senders, msgs, size int, outageStart sim.Time) (Fai
 		TopoResult:       TopoResult{Hosts: senders + 1, Messages: senders * msgs, Size: size},
 		RerouteLatencyUs: -1,
 	}
-	sys := via.NewSystemProc(cfg.Model, senders+1, cfg.Seed, cfg.ProcModel)
+	sys := via.NewSystem(cfg.Model, senders+1, cfg.Seed)
 	defer sys.Close()
 	cfg.instrument(sys)
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"vibe/internal/fault"
@@ -27,8 +28,7 @@ func spinePlan(start, end string) *fault.Plan {
 }
 
 // TestOutageVsRTOLadder pins the end-to-end survival semantics of fabric
-// outages against the retransmission ladder, for every reliable provider
-// under both process models:
+// outages against the retransmission ladder, for every reliable provider:
 //
 //   - an outage shorter than retransmission exhaustion is absorbed by
 //     go-back-N — every send and receive completes, no error callback, no
@@ -36,8 +36,9 @@ func spinePlan(start, end string) *fault.Plan {
 //   - an outage outlasting the full ladder severs the connection — exactly
 //     one error callback fires and the remaining sends flush with errors.
 //
-// The two process models must also agree on the exact outcome counts,
-// since everything here is deterministic.
+// Each case runs twice on fresh systems with the same seed, and the two
+// runs must agree on the exact outcome counts, since everything here is
+// deterministic.
 func TestOutageVsRTOLadder(t *testing.T) {
 	const msgs, size = 40, 2048
 	short := spinePlan("11ms", "12.5ms") // inside every provider's ladder
@@ -48,15 +49,15 @@ func TestOutageVsRTOLadder(t *testing.T) {
 			continue
 		}
 		t.Run(mk.Name, func(t *testing.T) {
-			var got [2][2]FaultOutcome // [short,long][actor,goroutine]
-			for pi, pm := range []via.ProcModel{via.ModelActor, via.ModelGoroutine} {
+			var got [2][2]FaultOutcome // [short,long][first,second run]
+			for pi := range got[0] {
+				label := fmt.Sprintf("run %d", pi+1)
 				run := func(plan *fault.Plan) FaultOutcome {
 					cfg := DefaultConfig(rtoFabric(mk.Clone()))
-					cfg.ProcModel = pm
 					cfg.Fault = plan
 					out, err := FaultRun(cfg, size, msgs, via.ReliableDelivery)
 					if err != nil {
-						t.Fatalf("%v: %v", pm, err)
+						t.Fatalf("%v: %v", label, err)
 					}
 					return out
 				}
@@ -64,32 +65,32 @@ func TestOutageVsRTOLadder(t *testing.T) {
 				s := run(short)
 				got[0][pi] = s
 				if s.Callbacks != 0 || s.ConnBroken {
-					t.Errorf("%v short outage: %d callbacks, broken=%v — want none", pm, s.Callbacks, s.ConnBroken)
+					t.Errorf("%v short outage: %d callbacks, broken=%v — want none", label, s.Callbacks, s.ConnBroken)
 				}
 				if s.SendFailed != 0 || s.PostRejected != 0 || s.RecvFailed != 0 {
 					t.Errorf("%v short outage: failures visible (sends %d, posts %d, recvs %d)",
-						pm, s.SendFailed, s.PostRejected, s.RecvFailed)
+						label, s.SendFailed, s.PostRejected, s.RecvFailed)
 				}
 				if s.SendOK != msgs || s.RecvOK != msgs {
 					t.Errorf("%v short outage: %d/%d sends, %d/%d recvs completed",
-						pm, s.SendOK, msgs, s.RecvOK, msgs)
+						label, s.SendOK, msgs, s.RecvOK, msgs)
 				}
 
 				l := run(long)
 				got[1][pi] = l
 				if l.Callbacks != 1 || !l.ConnBroken {
-					t.Errorf("%v long outage: %d callbacks, broken=%v — want exactly 1, broken", pm, l.Callbacks, l.ConnBroken)
+					t.Errorf("%v long outage: %d callbacks, broken=%v — want exactly 1, broken", label, l.Callbacks, l.ConnBroken)
 				}
 				if l.SendFailed == 0 {
-					t.Errorf("%v long outage: no sends flushed with errors", pm)
+					t.Errorf("%v long outage: no sends flushed with errors", label)
 				}
 				if l.SendOK >= msgs {
-					t.Errorf("%v long outage: all %d sends succeeded through a severed connection", pm, l.SendOK)
+					t.Errorf("%v long outage: all %d sends succeeded through a severed connection", label, l.SendOK)
 				}
 			}
 			for i, name := range []string{"short", "long"} {
 				if got[i][0] != got[i][1] {
-					t.Errorf("%s outage: process models disagree: actor=%+v goroutine=%+v",
+					t.Errorf("%s outage: same-seed runs disagree: %+v vs %+v",
 						name, got[i][0], got[i][1])
 				}
 			}

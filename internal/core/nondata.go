@@ -25,7 +25,7 @@ type NonDataCosts struct {
 // ConnectRequest and it returning; teardown is the client's Disconnect
 // call.
 func NonData(cfg Config) (NonDataCosts, error) {
-	sys := via.NewSystemProc(cfg.Model, 2, cfg.Seed, cfg.ProcModel)
+	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
 	defer sys.Close()
 	cfg.instrument(sys)
 	var out NonDataCosts
@@ -180,7 +180,7 @@ func memRegDereg(cfg Config, sizes []int, name string, dereg bool) (*bench.Serie
 	if reps < 1 {
 		reps = 1
 	}
-	sys := via.NewSystemProc(cfg.Model, 1, cfg.Seed, cfg.ProcModel)
+	sys := via.NewSystem(cfg.Model, 1, cfg.Seed)
 	defer sys.Close()
 	cfg.instrument(sys)
 	var runErr error

@@ -7,7 +7,6 @@ import (
 
 	"vibe/internal/fault"
 	"vibe/internal/provider"
-	"vibe/internal/via"
 )
 
 // RunOverrides adjusts the run configuration of a scenario. Zero fields
@@ -60,12 +59,6 @@ type Scenario struct {
 	// all experiments run against it report into the same sinks. It is not
 	// part of the serialized spec.
 	Instr *Instr
-
-	// ProcModel is copied into every Config the scenario builds, selecting
-	// how the simulated NIC engines execute. Not part of the serialized
-	// spec: both models are byte-identical, so the choice is a harness
-	// concern (equivalence testing), never a scenario design point.
-	ProcModel via.ProcModel
 
 	ovs []provider.Override
 }
@@ -167,7 +160,6 @@ func (sc *Scenario) Config(m *provider.Model) Config {
 	}
 	cfg.Instr = sc.Instr
 	cfg.Fault = sc.Spec.Fault
-	cfg.ProcModel = sc.ProcModel
 	return cfg
 }
 

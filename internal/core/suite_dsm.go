@@ -16,7 +16,7 @@ import (
 // combining lock-manager round trips, cache invalidation, page refetch,
 // and dirty-page flush.
 func DSMLockContention(cfg Config, nodes, incsPerNode int) (usPerOp float64, fetches uint64, err error) {
-	sys := via.NewSystemProc(cfg.Model, nodes, cfg.Seed, cfg.ProcModel)
+	sys := via.NewSystem(cfg.Model, nodes, cfg.Seed)
 	defer sys.Close()
 	cfg.instrument(sys)
 	w := dsm.New(sys, dsm.DefaultConfig())

@@ -39,7 +39,7 @@ const xfaultGap = 250 * sim.Microsecond
 // terminates no matter what the plan drops, stalls or severs.
 func FaultRun(cfg Config, size, msgs int, rel via.ReliabilityLevel) (FaultOutcome, error) {
 	o := XferOpts{Reliability: rel}.normalized()
-	sys := via.NewSystemProc(cfg.Model, 2, cfg.Seed, cfg.ProcModel)
+	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
 	defer sys.Close()
 	cfg.instrument(sys)
 	var out FaultOutcome

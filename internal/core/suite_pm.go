@@ -33,7 +33,7 @@ func MPLatency(cfg Config, sizes []int, mpCfg mp.Config) (*bench.Series, error) 
 
 // mpPingPong runs one ping-pong measurement over the mp layer.
 func mpPingPong(cfg Config, size int, mpCfg mp.Config) (float64, error) {
-	sys := via.NewSystemProc(cfg.Model, 2, cfg.Seed, cfg.ProcModel)
+	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
 	defer sys.Close()
 	cfg.instrument(sys)
 	w := mp.NewWorld(sys, mpCfg)
@@ -80,7 +80,7 @@ func mpPingPong(cfg Config, size int, mpCfg mp.Config) (float64, error) {
 
 // GPLatency measures put and get latency over the get/put layer.
 func GPLatency(cfg Config, size int) (putUs, getUs float64, err error) {
-	sys := via.NewSystemProc(cfg.Model, 2, cfg.Seed, cfg.ProcModel)
+	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
 	defer sys.Close()
 	cfg.instrument(sys)
 	f := getput.NewFabric(sys, getput.DefaultConfig())

@@ -15,7 +15,7 @@ import (
 // the writer pushes totalBytes as fast as the window allows and the
 // reader drains continuously; MB/s is measured at the reader.
 func StreamThroughput(cfg Config, totalBytes int, scfg stream.Config) (float64, error) {
-	sys := via.NewSystemProc(cfg.Model, 2, cfg.Seed, cfg.ProcModel)
+	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
 	defer sys.Close()
 	cfg.instrument(sys)
 	var mbps float64
@@ -88,7 +88,7 @@ func StreamThroughput(cfg Config, totalBytes int, scfg stream.Config) (float64, 
 // StreamPingPong measures the layer's request/reply latency for n-byte
 // messages (one-way, RTT/2).
 func StreamPingPong(cfg Config, n int, scfg stream.Config) (float64, error) {
-	sys := via.NewSystemProc(cfg.Model, 2, cfg.Seed, cfg.ProcModel)
+	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
 	defer sys.Close()
 	cfg.instrument(sys)
 	total := cfg.Warmup + cfg.Iters

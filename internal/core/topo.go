@@ -39,7 +39,7 @@ func (r *TopoResult) finish(t0, t1 sim.Time) {
 // downlink — the canonical congestion benchmark for a routed fabric.
 func IncastRun(cfg Config, senders, msgs, size int) (TopoResult, error) {
 	res := TopoResult{Hosts: senders + 1, Messages: senders * msgs, Size: size}
-	sys := via.NewSystemProc(cfg.Model, senders+1, cfg.Seed, cfg.ProcModel)
+	sys := via.NewSystem(cfg.Model, senders+1, cfg.Seed)
 	defer sys.Close()
 	cfg.instrument(sys)
 
@@ -155,7 +155,7 @@ func IncastRun(cfg Config, senders, msgs, size int) (TopoResult, error) {
 // actually extracts.
 func AllToAllRun(cfg Config, hosts, msgs, size int) (TopoResult, error) {
 	res := TopoResult{Hosts: hosts, Messages: hosts * (hosts - 1) * msgs, Size: size}
-	sys := via.NewSystemProc(cfg.Model, hosts, cfg.Seed, cfg.ProcModel)
+	sys := via.NewSystem(cfg.Model, hosts, cfg.Seed)
 	defer sys.Close()
 	cfg.instrument(sys)
 
@@ -286,7 +286,7 @@ func AllToAllRun(cfg Config, hosts, msgs, size int) (TopoResult, error) {
 // absorbs the excess.
 func HotspotRun(cfg Config, senders, msgs, size int, offered float64) (TopoResult, error) {
 	res := TopoResult{Hosts: senders + 1, Messages: senders * msgs, Size: size}
-	sys := via.NewSystemProc(cfg.Model, senders+1, cfg.Seed, cfg.ProcModel)
+	sys := via.NewSystem(cfg.Model, senders+1, cfg.Seed)
 	defer sys.Close()
 	cfg.instrument(sys)
 

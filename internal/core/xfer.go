@@ -240,7 +240,7 @@ func checkOK(d *via.Descriptor, err error) error {
 // client-server benchmark are all instances of it.
 func roundTrip(cfg Config, reqSize, replySize int, separateBufs bool, o XferOpts) (XferResult, error) {
 	o = o.normalized()
-	sys := via.NewSystemProc(cfg.Model, 2, cfg.Seed, cfg.ProcModel)
+	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
 	defer sys.Close()
 	cfg.instrument(sys)
 	total := cfg.Warmup + cfg.Iters

@@ -6,16 +6,14 @@ import (
 
 	"vibe/internal/core"
 	"vibe/internal/metrics"
-	"vibe/internal/via"
 )
 
-// runRegistry regenerates the entire quick registry under one process
-// model, with metrics collection and full span sampling attached, and
-// returns the result set plus the aggregated metrics snapshot.
-func runRegistry(t *testing.T, pm via.ProcModel) (*Set, map[string]float64) {
+// runRegistry regenerates the entire quick registry on fresh engines,
+// with metrics collection and full span sampling attached, and returns
+// the result set plus the aggregated metrics snapshot.
+func runRegistry(t *testing.T) (*Set, map[string]float64) {
 	t.Helper()
 	sc := core.DefaultScenario(true)
-	sc.ProcModel = pm
 	col := metrics.NewCollector()
 	sc.Instr = &core.Instr{Metrics: col, SpanSample: 1}
 	set := &Set{Label: "equivalence"}
@@ -29,35 +27,35 @@ func runRegistry(t *testing.T, pm via.ProcModel) (*Set, map[string]float64) {
 	return set, col.Snapshot().Map()
 }
 
-// TestProcModelRegistryEquivalence is the suite-level half of the
-// zero-handoff contract: every experiment in the quick registry, run
-// once under the goroutine reference model and once under the event-loop
-// actor model, must produce byte-identical results (tolerance zero, not
-// epsilon) and byte-identical aggregated metrics — including the
-// span-derived latency histograms, whose quantiles are compared
-// bit-for-bit. Any divergence means an actor state machine is not a
-// faithful decomposition of its goroutine original.
+// TestProcModelRegistryEquivalence is the suite-level replay check of
+// the process model: every experiment in the quick registry, run twice
+// from the same seeds on fresh engines, must produce byte-identical
+// results (tolerance zero, not epsilon) and byte-identical aggregated
+// metrics — including the span-derived latency histograms, whose
+// quantiles are compared bit-for-bit. Any divergence means some state
+// (a pooled coroutine, a recycled waiter, a free list) leaks between
+// simulations or the schedule depends on something other than the seed.
 func TestProcModelRegistryEquivalence(t *testing.T) {
-	gset, gmet := runRegistry(t, via.ModelGoroutine)
-	aset, amet := runRegistry(t, via.ModelActor)
+	gset, gmet := runRegistry(t)
+	aset, amet := runRegistry(t)
 
 	for _, d := range Compare(gset, aset, 0) {
-		t.Errorf("%s %s: goroutine %.17g != actor %.17g", d.Experiment, d.Where, d.Base, d.New)
+		t.Errorf("%s %s: first %.17g != second %.17g", d.Experiment, d.Where, d.Base, d.New)
 	}
 
 	for k, gv := range gmet {
 		av, ok := amet[k]
 		if !ok {
-			t.Errorf("metric %s only in goroutine model", k)
+			t.Errorf("metric %s only in first run", k)
 			continue
 		}
 		if math.Float64bits(gv) != math.Float64bits(av) {
-			t.Errorf("metric %s: goroutine %v != actor %v", k, gv, av)
+			t.Errorf("metric %s: first %v != second %v", k, gv, av)
 		}
 	}
 	for k := range amet {
 		if _, ok := gmet[k]; !ok {
-			t.Errorf("metric %s only in actor model", k)
+			t.Errorf("metric %s only in second run", k)
 		}
 	}
 }

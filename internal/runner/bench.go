@@ -35,15 +35,6 @@ type SuiteBench struct {
 	ParallelMs           float64     `json:"parallel_ms"`
 	Speedup              float64     `json:"speedup"`
 	Experiments          []CellBench `json:"experiments"`
-
-	// Dispatch is the event-dispatch throughput comparison of the two
-	// process models (see DispatchBench). Its Speedup field is the
-	// machine-independent ratio CI gates on.
-	Dispatch *DispatchBench `json:"dispatch,omitempty"`
-
-	// DispatchRouted is the same comparison on the routed fat-tree fabric
-	// (see BenchDispatchRouted), gated when both reports carry it.
-	DispatchRouted *DispatchBench `json:"dispatch_routed,omitempty"`
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
@@ -113,47 +104,4 @@ func (b *SuiteBench) Save(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadSuiteBench reads a bench report written by Save.
-func LoadSuiteBench(path string) (*SuiteBench, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b SuiteBench
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// GateDispatch compares this report's dispatch speedup against a committed
-// baseline report and errors if it regressed by more than the given
-// fraction (0.20 = 20%). The speedup is a ratio of the two process models
-// on the same machine, so the gate is machine-independent — absolute
-// events/sec are reported but never gated.
-func (b *SuiteBench) GateDispatch(base *SuiteBench, tolerance float64) error {
-	if b.Dispatch == nil {
-		return fmt.Errorf("bench gate: current report has no dispatch section")
-	}
-	if base.Dispatch == nil {
-		return fmt.Errorf("bench gate: baseline report has no dispatch section")
-	}
-	floor := base.Dispatch.Speedup * (1 - tolerance)
-	if b.Dispatch.Speedup < floor {
-		return fmt.Errorf("bench gate: dispatch speedup %.2fx below floor %.2fx (committed %.2fx - %.0f%%)",
-			b.Dispatch.Speedup, floor, base.Dispatch.Speedup, tolerance*100)
-	}
-	// The routed-fabric ratio gates only once both reports carry it, so
-	// baselines committed before the routed bench existed still gate the
-	// crossbar number.
-	if b.DispatchRouted != nil && base.DispatchRouted != nil {
-		floor := base.DispatchRouted.Speedup * (1 - tolerance)
-		if b.DispatchRouted.Speedup < floor {
-			return fmt.Errorf("bench gate: routed dispatch speedup %.2fx below floor %.2fx (committed %.2fx - %.0f%%)",
-				b.DispatchRouted.Speedup, floor, base.DispatchRouted.Speedup, tolerance*100)
-		}
-	}
-	return nil
 }

@@ -4,12 +4,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"vibe/internal/core"
 	"vibe/internal/metrics"
+	"vibe/internal/provider"
 	"vibe/internal/results"
+	"vibe/internal/sim"
+	"vibe/internal/via"
 )
 
 // setJSON serializes run results into the suite's results-repository
@@ -117,6 +122,59 @@ func TestPanickingCellIsContained(t *testing.T) {
 	}
 	if err := FirstError(rs); err == nil {
 		t.Fatal("FirstError missed the panic-derived error")
+	}
+}
+
+// TestProcessPanicIsCellError checks the simulated-process failure path
+// end to end: a panic inside a process comes out of the engine's Run, the
+// experiment's deferred System.Close tears the half-run system down
+// without hanging, and the runner reports the panic as the cell's Err
+// with the process named — instead of the process taking the whole
+// program down. No goroutine of the dead system survives.
+func TestProcessPanicIsCellError(t *testing.T) {
+	before := runtime.NumGoroutine()
+	exp := fakeExp("SIMPANIC", func(*core.Scenario) (*core.Report, error) {
+		sys := via.NewSystem(provider.CLAN(), 2, 1)
+		defer sys.Close()
+		q := sim.NewQueue[int](sys.Eng)
+		for i := 0; i < 3; i++ {
+			sys.Eng.Spawn("parked", func(p *sim.Proc) {
+				p.SetDaemon(true)
+				for {
+					q.Pop(p)
+				}
+			})
+		}
+		sys.Go(0, "oneshot", func(ctx *via.Ctx) {}) // leaves an idle pooled coroutine
+		sys.Go(1, "faulty", func(ctx *via.Ctx) {
+			ctx.Sleep(sim.Microsecond)
+			var m map[string]int
+			m["boom"]++ // nil-map write: a runtime panic
+		})
+		return &core.Report{}, sys.Run()
+	})
+	done := make(chan []Result)
+	go func() { done <- Run([]*core.Experiment{exp}, Options{Workers: 1}) }()
+	var rs []Result
+	select {
+	case rs = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("cell with a panicking process hung")
+	}
+	err := rs[0].Err
+	if err == nil {
+		t.Fatal("panicking process reported no error")
+	}
+	for _, want := range []string{"SIMPANIC", `"h1/faulty"`, "nil map"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("cell error %q does not mention %s", err, want)
+		}
+	}
+	for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines grew %d -> %d across the panicked cell", before, after)
 	}
 }
 

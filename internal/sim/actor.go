@@ -1,32 +1,34 @@
 package sim
 
 // This file is the continuation-actor API: a way to run a queue consumer
-// entirely on the event loop, with zero goroutine handoffs, while keeping
-// the goroutine Proc API available for the same logic.
+// entirely on the event loop, with no process and no coroutine switch.
 //
-// A Machine describes one consumer as an explicit state machine. The
-// machine's code is written once and driven two ways:
+// A Machine describes one consumer as an explicit state machine, and
+// Queue.Serve runs it as a service: every transition is a closure-free
+// continuation event dispatched inline, so a simulation dominated by hot
+// machines never leaves the dispatch loop.
 //
-//   - Queue.ServeProc runs it on a goroutine process — the reference
-//     model, one Sleep per transition, easiest to relate to ordinary
-//     process code.
-//   - Queue.Serve runs it as a service on the event loop — every
-//     transition is a closure-free continuation event, so a simulation
-//     dominated by hot machines never leaves the dispatch loop.
+// Event contract: a served machine allocates engine events at the (time,
+// seq) positions a process running the plain loop
 //
-// Determinism contract: both drivers allocate engine events at identical
-// (time, seq) positions. A Push wakes an idle consumer by scheduling
-// exactly one event at the current instant (the Signal wake in the Proc
-// driver, the pump event in the service); a transition returning (d, pc)
-// allocates exactly one event at now+d (the Sleep wake, the continuation
-// event); Begin and Step bodies run inside the dispatched event in both.
-// Since the engine orders all events by the (at, seq) total order, the
-// two drivers dispatch byte-identical event streams — results, metrics
-// and traces cannot tell them apart.
+//	for {
+//		d, pc := m.Begin(q.Pop(p))
+//		for pc != StepDone {
+//			p.Sleep(d)
+//			d, pc = m.Step(pc)
+//		}
+//	}
+//
+// would allocate. A Push wakes an idle consumer by scheduling exactly one
+// event at the current instant (the pump event, where the loop's Signal
+// wake would go); a transition returning (d, pc) allocates exactly one
+// event at now+d (the continuation, where the Sleep wake would go); Begin
+// and Step bodies run inside the dispatched event. Code can therefore move
+// between a process and a machine without changing any event's position.
 
 // StepDone is returned as the next state when the machine is finished
-// with the current item. The paired Duration must be zero: the drivers
-// do not sleep before popping the next item, exactly like a goroutine
+// with the current item. The paired Duration must be zero: the service
+// does not sleep before popping the next item, exactly like a process
 // loop that ends an iteration and re-enters Pop.
 const StepDone = -1
 
@@ -39,20 +41,21 @@ const pcPump = -2
 // Begin runs when an item is popped and executes up to the first sleep,
 // returning (d, pc): "sleep d of virtual time, then resume at state pc".
 // Step(pc) executes the segment after that sleep up to the next one.
-// Returning StepDone (with d == 0) ends the item; the driver pops the
+// Returning StepDone (with d == 0) ends the item; the service pops the
 // next item immediately, or goes idle when the queue is empty.
 //
 // A segment that reaches the next segment without sleeping should call
 // its own Step(pc) inline and return the result — the fall-through is a
-// plain function call, not a scheduling point, matching code that simply
-// runs on in the goroutine model.
+// plain function call, not a scheduling point, matching process code
+// that simply runs on.
 type Machine[T any] interface {
 	Begin(item T) (Duration, int)
 	Step(pc int) (Duration, int)
 }
 
-// stepper is the untyped hook continuation events dispatch through. It is
-// implemented by *service[T]; storing the interface in the event avoids
+// stepper is the untyped hook closure-free callback events dispatch
+// through. It is implemented by *service[T] (continuations) and *waiter
+// (WaitTimeout deadlines); storing the interface in the event avoids
 // making the event (and the engine) generic, and converting a pointer to
 // an interface does not allocate.
 type stepper interface {
@@ -69,7 +72,7 @@ type service[T any] struct {
 
 // notify is the service-side analogue of Signal: Push calls it and it
 // schedules the pump event only on the empty→non-empty transition, the
-// same single wake event the Proc driver's Signal would schedule.
+// same single wake event a popping process's Signal would schedule.
 func (s *service[T]) notify() {
 	if !s.idle {
 		return
@@ -106,7 +109,7 @@ func (e *Engine) atStep(t Time, s stepper, pc int) {
 }
 
 // Serve binds m to the queue as an event-loop service: from now on every
-// Push feeds the machine without any goroutine involvement. A queue is
+// Push feeds the machine without any process involvement. A queue is
 // served by exactly one consumer; Serve panics on a second binding.
 func (q *Queue[T]) Serve(m Machine[T]) {
 	if q.svc != nil {
@@ -115,18 +118,5 @@ func (q *Queue[T]) Serve(m Machine[T]) {
 	q.svc = &service[T]{eng: q.eng, q: q, m: m, idle: true}
 	if q.Len() > 0 {
 		q.svc.notify()
-	}
-}
-
-// ServeProc drives m from the queue on the calling goroutine process,
-// forever: the reference implementation of Serve. The loop below is the
-// executable definition of the Machine contract.
-func (q *Queue[T]) ServeProc(p *Proc, m Machine[T]) {
-	for {
-		d, pc := m.Begin(q.Pop(p))
-		for pc != StepDone {
-			p.Sleep(d)
-			d, pc = m.Step(pc)
-		}
 	}
 }

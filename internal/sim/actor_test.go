@@ -2,16 +2,14 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 )
 
 // traceMachine is a Machine that logs every segment it runs with the
 // virtual instant it ran at: Begin sleeps item%3, an odd item sleeps 2
 // more before finishing, an even item falls through inline. The log is a
 // complete observation of the machine's schedule, so equal logs mean the
-// two drivers are observationally identical.
+// service and the process loop are observationally identical.
 type traceMachine struct {
 	e    *Engine
 	item int
@@ -44,9 +42,21 @@ func (m *traceMachine) Step(pc int) (Duration, int) {
 	panic("unexpected state")
 }
 
-// driveTraceMachine runs 50 pushes through the machine under one driver
-// and returns the observation log, the final virtual time, and the
-// dispatched-event count.
+// serveProc drives m from q on process p, forever: the process loop that
+// the Machine event contract (see actor.go) is stated against.
+func serveProc[T any](q *Queue[T], p *Proc, m Machine[T]) {
+	for {
+		d, pc := m.Begin(q.Pop(p))
+		for pc != StepDone {
+			p.Sleep(d)
+			d, pc = m.Step(pc)
+		}
+	}
+}
+
+// driveTraceMachine runs 50 pushes through the machine, served or driven
+// by serveProc, and returns the observation log, the final virtual time,
+// and the dispatched-event count.
 func driveTraceMachine(proc bool) ([]string, Time, uint64) {
 	e := NewEngine(1)
 	q := NewQueue[int](e)
@@ -54,7 +64,7 @@ func driveTraceMachine(proc bool) ([]string, Time, uint64) {
 	if proc {
 		e.Spawn("svc", func(p *Proc) {
 			p.SetDaemon(true)
-			q.ServeProc(p, m)
+			serveProc(q, p, m)
 		})
 	} else {
 		// One inert anchor event sits exactly where the Spawn's start
@@ -71,11 +81,11 @@ func driveTraceMachine(proc bool) ([]string, Time, uint64) {
 	return m.log, e.Now(), e.EventsDispatched()
 }
 
-// TestServeMatchesServeProc is the determinism contract of actor.go in
-// miniature: the same machine, fed the same pushes, driven once as a
-// goroutine process and once as an event-loop service, must produce the
-// same observation log, finish at the same virtual instant, and dispatch
-// the same number of engine events.
+// TestServeMatchesServeProc is the event contract of actor.go in
+// miniature: the same machine, fed the same pushes, driven once by the
+// serveProc process loop and once as an event-loop service, must produce
+// the same observation log, finish at the same virtual instant, and
+// dispatch the same number of engine events.
 func TestServeMatchesServeProc(t *testing.T) {
 	plog, pend, pev := driveTraceMachine(true)
 	slog, send, sev := driveTraceMachine(false)
@@ -171,23 +181,11 @@ func TestCheckLeaksParkedDaemon(t *testing.T) {
 }
 
 // TestShutdownUnwindsGoroutines checks the teardown guarantee: after
-// Shutdown, every process goroutine — parked daemons, pooled idle
-// workers, and processes whose start event was discarded by Stop — is
+// Shutdown, every process coroutine — parked daemons, pooled idle
+// coroutines, and processes whose start event was discarded by Stop — is
 // gone, so a long test run never accumulates dead simulations.
 func TestShutdownUnwindsGoroutines(t *testing.T) {
-	settle := func() int {
-		n := runtime.NumGoroutine()
-		for i := 0; i < 200; i++ {
-			time.Sleep(time.Millisecond)
-			if m := runtime.NumGoroutine(); m >= n {
-				return m
-			} else {
-				n = m
-			}
-		}
-		return n
-	}
-	before := settle()
+	before := settledGoroutines()
 
 	e := NewEngine(1)
 	q := NewQueue[int](e)
@@ -199,7 +197,7 @@ func TestShutdownUnwindsGoroutines(t *testing.T) {
 			}
 		})
 	}
-	// A finished process parks its goroutine in the idle-worker pool.
+	// A finished process parks its coroutine in the idle pool.
 	e.Spawn("oneshot", func(p *Proc) { p.Sleep(1) })
 	for i := 0; i < 4; i++ {
 		q.Push(i)
@@ -211,7 +209,7 @@ func TestShutdownUnwindsGoroutines(t *testing.T) {
 	e.Shutdown()
 	e.Shutdown() // idempotent
 
-	after := settle()
+	after := settledGoroutines()
 	if after > before {
 		t.Errorf("goroutines grew %d -> %d across engine lifecycle", before, after)
 	}

@@ -34,8 +34,8 @@ func BenchmarkEventQueueDeep(b *testing.B) {
 }
 
 // BenchmarkProcYield measures the Sleep cycle of a single process: one
-// scheduled wake plus one transfer of control out of and back into the
-// process per iteration.
+// scheduled wake that the yielding process dispatches itself, so control
+// never leaves its coroutine.
 func BenchmarkProcYield(b *testing.B) {
 	e := NewEngine(1)
 	b.ReportAllocs()
@@ -49,8 +49,8 @@ func BenchmarkProcYield(b *testing.B) {
 }
 
 // BenchmarkPingPongHotPath measures two processes handing a queue item back
-// and forth: the signal/wake/handoff sequence every simulated protocol
-// exchange sits on.
+// and forth: the signal/wake/coroutine-switch sequence every simulated
+// protocol exchange sits on. TestPingPongZeroAlloc gates its allocations.
 func BenchmarkPingPongHotPath(b *testing.B) {
 	e := NewEngine(1)
 	ping := NewQueue[int](e)
@@ -82,8 +82,7 @@ func (benchMachine) Step(int) (Duration, int)  { return 0, StepDone }
 
 // BenchmarkActorStep measures one served-machine item cycle — pump or
 // continuation event, Begin, continuation event, Step — entirely on the
-// event loop. Compare with BenchmarkServeProcStep: the delta is the cost
-// of the goroutine handoffs the actor model eliminates.
+// event loop.
 func BenchmarkActorStep(b *testing.B) {
 	e := NewEngine(1)
 	q := NewQueue[int](e)
@@ -97,27 +96,4 @@ func BenchmarkActorStep(b *testing.B) {
 		}
 	}
 	e.MustRun()
-}
-
-// BenchmarkServeProcStep is BenchmarkActorStep with the same machine
-// driven by a goroutine process: each transition is a real Sleep, each
-// wake a control transfer into and out of the consumer goroutine.
-func BenchmarkServeProcStep(b *testing.B) {
-	e := NewEngine(1)
-	q := NewQueue[int](e)
-	e.Spawn("svc", func(p *Proc) {
-		p.SetDaemon(true)
-		q.ServeProc(p, benchMachine{})
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Push(i)
-		if i%64 == 63 {
-			e.MustRun()
-		}
-	}
-	e.MustRun()
-	b.StopTimer()
-	e.Shutdown()
 }

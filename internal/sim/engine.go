@@ -7,19 +7,15 @@ import (
 
 // Engine is a discrete-event simulation engine. It owns the virtual clock,
 // the event queue, and the set of live processes. An Engine is not safe for
-// use from multiple goroutines except through the process-handshake
-// mechanism it manages itself; run independent simulations on independent
-// engines (they share nothing, so engines may run in parallel with each
-// other).
+// concurrent use; its processes are coroutines that run strictly one at a
+// time under the engine's control. Run independent simulations on
+// independent engines (they share nothing, so engines may run in parallel
+// with each other).
 type Engine struct {
 	now    Time
 	events eventQueue
 	seq    uint64
 	rng    *rand.Rand
-
-	// toMain receives a token when the event queue drains (or Stop fires)
-	// while a process goroutine holds control, returning control to Run.
-	toMain chan struct{}
 
 	live    int // number of spawned processes that have not finished
 	blocked int // processes parked on a Signal/Queue/Resource (no wake event pending)
@@ -30,15 +26,13 @@ type Engine struct {
 	// compacted amortizedly on registration.
 	procs []*Proc
 
-	// idleWorkers holds goroutines whose process function has returned,
-	// parked for reuse by a later Spawn: spawn-heavy paths (completion
-	// notify handlers) stop paying goroutine creation. Invisible to the
-	// simulation — reuse changes no event, time, or sequence number.
-	idleWorkers []*worker
+	// idle holds coroutines whose process has finished, for reuse by a
+	// later Spawn (see coro).
+	idle []*coro
 
-	// killAck serializes Shutdown: each killed goroutine sends one token
-	// as it exits, so teardown is synchronous and leak-free.
-	killAck chan struct{}
+	// next is the process a yielding coroutine popped a wake for and
+	// hands to Run to resume; nil when the yielder drained the queue.
+	next *Proc
 
 	// dispatched counts events popped and executed, for the metrics layer.
 	dispatched uint64
@@ -59,10 +53,8 @@ type Tracer interface {
 // injection); runs with equal seeds are identical.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		rng:     rand.New(rand.NewSource(seed)),
-		toMain:  make(chan struct{}, 1),
-		killAck: make(chan struct{}),
-		events:  eventQueue{a: make([]event, 0, 256)},
+		rng:    rand.New(rand.NewSource(seed)),
+		events: eventQueue{a: make([]event, 0, 256)},
 	}
 }
 
@@ -129,17 +121,18 @@ func (e *Engine) After(d Duration, fn func()) {
 // heap's sifts; -1 means fired, cancelled, or never scheduled.
 type timer struct{ i int }
 
-// atTimer schedules fn at instant t as a cancellable event: cancelTimer
-// removes it from the heap before it fires. Timeout waits use this so an
-// abandoned deadline (the common case — most waits are woken, not timed
-// out) does not linger in the heap until its instant arrives, deepening
-// every sift and stretching the simulated run out to the last deadline.
-func (e *Engine) atTimer(t Time, fn func(), tm *timer) {
+// atTimeout schedules the deadline of waiter w at instant t as a
+// cancellable, closure-free event: cancelTimer removes it from the heap
+// before it fires. Timeout waits use this so an abandoned deadline (the
+// common case — most waits are woken, not timed out) does not linger in
+// the heap until its instant arrives, deepening every sift and stretching
+// the simulated run out to the last deadline.
+func (e *Engine) atTimeout(t Time, w *waiter) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling timer at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn, tm: tm})
+	e.events.push(event{at: t, seq: e.seq, svc: w, tm: &w.tm})
 }
 
 // cancelTimer removes a pending timer event. Cancelling an already fired
@@ -151,41 +144,24 @@ func (e *Engine) cancelTimer(tm *timer) {
 	}
 }
 
-// atWake schedules process p to resume at instant t. It is the closure-free
-// equivalent of At(t, p.wake).
+// atWake schedules process p to resume (or, if it has not started, to
+// start) at instant t. It is the closure-free equivalent of At(t, wake).
 func (e *Engine) atWake(t Time, p *Proc) {
 	e.seq++
 	e.events.push(event{at: t, seq: e.seq, p: p})
-}
-
-// atStart schedules process p to begin running fn at instant t.
-func (e *Engine) atStart(t Time, p *Proc, fn func(*Proc)) {
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, p: p, begin: fn})
 }
 
 // Stop makes Run return after the current event completes. Pending events
 // are discarded.
 func (e *Engine) Stop() { e.stopped = true }
 
-// dispatch advances the event loop in the calling goroutine until control
-// leaves it: it runs plain events inline and, on a wake or start event,
-// hands control directly to the target process. self is the process whose
-// goroutine is executing dispatch (nil for the main goroutine and for dying
-// processes).
-//
-// It returns true if the caller keeps control (a wake event targeted self,
-// or — from main — the queue drained) and false if control was handed to
-// another goroutine, in which case the caller must block (or, for a dying
-// process, exit).
-//
-// This direct handoff is the engine's scheduling hot path: the old design
-// parked every yielding process into a central loop (two channel
-// rendezvous per control transfer); here the yielding goroutine runs the
-// dispatcher itself, so a transfer costs one buffered-channel token, and a
-// process that is the next runnable one (the single-process Sleep loop)
-// costs none at all.
-func (e *Engine) dispatch(self *Proc, fromMain bool) bool {
+// dispatch advances the event loop until control must pass to a process:
+// it runs plain events and machine steps inline and returns the process
+// whose wake or start event it popped, or nil once the queue drains or
+// Stop fires. It runs wherever control is — in Run, or in a yielding
+// process (see Proc.yield), which keeps running when the returned process
+// is itself.
+func (e *Engine) dispatch() *Proc {
 	for !e.stopped && len(e.events.a) > 0 {
 		ev := e.events.pop()
 		e.dispatched++
@@ -195,42 +171,34 @@ func (e *Engine) dispatch(self *Proc, fromMain bool) bool {
 		}
 		if ev.svc != nil {
 			// Continuation event: the machine segment runs inline, control
-			// never leaves this goroutine (see actor.go).
+			// never leaves the caller (see actor.go).
 			ev.svc.step(ev.pc)
 			continue
 		}
-		if ev.p != nil {
-			p := ev.p
-			if ev.begin != nil {
-				p.started = true
-				e.startProc(p, ev.begin)
-				return false
-			}
+		if p := ev.p; p != nil {
 			if p.dead {
 				panic(fmt.Sprintf("sim: waking dead process %q", p.name))
 			}
-			if p == self {
-				return true
-			}
-			p.resume <- struct{}{}
-			return false
+			return p
 		}
 		ev.fn()
 	}
-	if fromMain {
-		return true
-	}
-	e.toMain <- struct{}{}
-	return false
+	return nil
 }
 
 // Run drives the event loop until no events remain, Stop is called, or a
 // deadlock is detected. It returns an error if live processes remain
 // blocked with an empty event queue (a deadlock: nobody can ever wake
-// them), which is almost always a bug in the simulated protocol.
+// them), which is almost always a bug in the simulated protocol. A panic
+// inside a process propagates out of Run with the process named; the
+// engine can then only be shut down.
 func (e *Engine) Run() error {
-	if !e.dispatch(nil, true) {
-		<-e.toMain
+	for p := e.dispatch(); p != nil; {
+		e.next = nil
+		e.resume(p)
+		if p = e.next; p == nil {
+			p = e.dispatch()
+		}
 	}
 	if !e.stopped && e.blocked > 0 {
 		return fmt.Errorf("sim: deadlock at %v: %d process(es) blocked with no pending events", e.now, e.blocked)
@@ -255,7 +223,7 @@ func (e *Engine) MustRun() {
 // CheckLeaks verifies that the simulation wound down cleanly after Run:
 // no events pending and every live process parked on a Signal/Queue (a
 // daemon loop or a blocked waiter) rather than runnable. A live process
-// that is neither parked nor waiting on a scheduled wake is a goroutine
+// that is neither parked nor waiting on a scheduled wake is a process
 // the simulation lost track of. After Stop the check is vacuous (pending
 // events and mid-sleep processes were deliberately abandoned), so it
 // reports nil.
@@ -276,41 +244,4 @@ func (e *Engine) CheckLeaks() error {
 		}
 	}
 	return fmt.Errorf("sim: %d live process(es) not parked after Run: %v", e.live-e.parked, stray)
-}
-
-// Shutdown terminates the engine: every parked process goroutine and
-// every pooled idle worker is unwound synchronously, so no goroutine
-// outlives the simulation. The engine must be idle (between Runs); after
-// Shutdown it must not be used again.
-func (e *Engine) Shutdown() {
-	if e.shutdown {
-		return
-	}
-	e.shutdown = true
-	e.stopped = true
-	for _, p := range e.procs {
-		if p == nil || p.dead {
-			continue
-		}
-		if !p.started {
-			// The begin event never dispatched (Stop discarded it): there
-			// is no goroutine to unwind.
-			p.dead = true
-			e.live--
-			continue
-		}
-		// The goroutine is blocked in <-p.resume (parked, or mid-sleep with
-		// its wake event discarded by Stop). Wake it into the kill path and
-		// wait for the goroutine to acknowledge its exit.
-		p.killed = true
-		p.resume <- struct{}{}
-		<-e.killAck
-	}
-	e.procs = nil
-	for _, w := range e.idleWorkers {
-		w.killed = true
-		w.wake <- struct{}{}
-		<-e.killAck
-	}
-	e.idleWorkers = nil
 }

@@ -5,31 +5,25 @@ package sim
 //
 // Exactly one behaviour applies, discriminated without interface boxing:
 //
-//   - begin != nil: start process p (its goroutine is launched lazily at
-//     dispatch, and control transfers to it)
-//   - p != nil:     resume process p (a wake scheduled by Sleep or by a
-//     Signal/Queue/Resource waker)
-//   - otherwise:    run the plain callback fn
+//   - svc != nil: run a closure-free callback — a queue-bound Machine's
+//     continuation at state pc (see actor.go) or a Signal wait's deadline
+//   - p != nil:   resume process p (a wake scheduled by Sleep or by a
+//     Signal/Queue/Resource waker), or start it if it has not started
+//   - otherwise:  run the plain callback fn
 //
-// Wake and start events carry the target process directly instead of a
-// closure, which removes the per-yield allocation the old
-// `After(0, p.wake)` pattern paid on every blocking primitive.
-//
-// Continuation events (svc != nil) are the state-machine analogue of a
-// wake: they resume a queue-bound Machine at state pc without any
-// goroutine handoff (see actor.go). Like wakes, they are closure-free.
+// Wake, start and continuation events carry their target directly instead
+// of a closure, so no blocking primitive allocates per yield.
 type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	p     *Proc
-	begin func(*Proc)
-	svc   stepper
-	pc    int
+	at  Time
+	seq uint64
+	fn  func()
+	p   *Proc
+	svc stepper
+	pc  int
 
 	// tm, when non-nil, makes the event cancellable: the heap keeps tm.i
 	// pointing at the event's current slot so cancelTimer can remove it
-	// outright (see Engine.atTimer). Removal beats tombstoning here
+	// outright (see Engine.atTimeout). Removal beats tombstoning here
 	// because abandoned timeouts otherwise pile up for their full
 	// duration and deepen every sift in the meantime.
 	tm *timer

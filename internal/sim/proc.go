@@ -2,19 +2,22 @@ package sim
 
 import "fmt"
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
+// Proc is a simulated process: a coroutine whose execution is interleaved
 // with all other processes by the engine, one at a time. Inside a process
 // function, time passes only through the blocking primitives (Sleep, Wait,
 // queue operations); ordinary Go code executes in zero virtual time.
 type Proc struct {
-	eng     *Engine
-	name    string
-	resume  chan struct{}
-	dead    bool
-	daemon  bool
-	started bool // begin event dispatched: a goroutine is executing fn
-	parked  bool // blocked with no wake event pending (see parkBlocked)
-	killed  bool // Shutdown marked it for unwinding
+	eng    *Engine
+	name   string
+	fn     func(*Proc)
+	co     *coro // the coroutine executing fn; nil until the start event dispatches
+	dead   bool
+	daemon bool
+	parked bool // blocked with no wake event pending (see parkBlocked)
+
+	// w is the process's one Signal waiter: a process waits on at most one
+	// Signal at a time, so parking reuses it instead of allocating.
+	w waiter
 }
 
 // SetDaemon marks the process as a daemon: an engine loop that blocks
@@ -31,13 +34,6 @@ func (p *Proc) Name() string { return p.name }
 
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
-
-func newProc(e *Engine, name string) *Proc {
-	// resume is buffered: at most one wake token is ever outstanding per
-	// process (a process must yield before anything can wake it again), so
-	// the waking goroutine never blocks on the handoff.
-	return &Proc{eng: e, name: name, resume: make(chan struct{}, 1)}
-}
 
 // register adds p to the engine's process registry, compacting dead
 // entries in place when the slice is about to grow so the registry stays
@@ -62,11 +58,7 @@ func (e *Engine) register(p *Proc) {
 // current virtual time. fn runs concurrently with the caller in virtual
 // time but never in parallel in real time.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := newProc(e, name)
-	e.live++
-	e.register(p)
-	e.atStart(e.now, p, fn)
-	return p
+	return e.spawnAt(e.now, name, fn)
 }
 
 // SpawnAfter is Spawn with the start delayed by d.
@@ -74,71 +66,27 @@ func (e *Engine) SpawnAfter(d Duration, name string, fn func(p *Proc)) *Proc {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	p := newProc(e, name)
+	return e.spawnAt(e.now.Add(d), name, fn)
+}
+
+func (e *Engine) spawnAt(t Time, name string, fn func(p *Proc)) *Proc {
+	p := &Proc{eng: e, name: name, fn: fn}
+	p.w.p = p
 	e.live++
 	e.register(p)
-	e.atStart(e.now.Add(d), p, fn)
+	e.atWake(t, p) // the first wake of an unstarted process starts it
 	return p
 }
 
 // killSignal is the panic value yield raises when Shutdown unwinds a
-// parked process; exec recognizes it and exits the goroutine quietly.
+// parked process; exec recognizes it and ends the coroutine quietly.
 type killSignal struct{}
-
-// worker is one pooled process goroutine. After its process function
-// returns it parks on wake, ready to adopt the next spawned process
-// without a fresh `go` statement.
-type worker struct {
-	eng    *Engine
-	wake   chan struct{}
-	p      *Proc
-	fn     func(*Proc)
-	killed bool
-}
-
-// startProc hands the begin event's process to a pooled worker goroutine,
-// creating one on pool miss. Called from dispatch with control in hand;
-// the worker takes over the engine immediately.
-func (e *Engine) startProc(p *Proc, fn func(*Proc)) {
-	if n := len(e.idleWorkers); n > 0 {
-		w := e.idleWorkers[n-1]
-		e.idleWorkers[n-1] = nil
-		e.idleWorkers = e.idleWorkers[:n-1]
-		w.p, w.fn = p, fn
-		w.wake <- struct{}{}
-		return
-	}
-	w := &worker{eng: e, wake: make(chan struct{}, 1), p: p, fn: fn}
-	go w.loop()
-}
-
-// loop runs process bodies until the engine shuts the worker down.
-func (w *worker) loop() {
-	for {
-		p, fn := w.p, w.fn
-		w.p, w.fn = nil, nil
-		if p.exec(fn) {
-			w.eng.killAck <- struct{}{}
-			return
-		}
-		// Park this goroutine for reuse BEFORE dispatching onward: after
-		// the handoff another goroutine owns the engine and may pop the
-		// idle-worker list to start the next spawn.
-		w.eng.idleWorkers = append(w.eng.idleWorkers, w)
-		w.eng.dispatch(nil, false)
-		<-w.wake
-		if w.killed {
-			w.eng.killAck <- struct{}{}
-			return
-		}
-	}
-}
 
 // exec is the body of one process execution: it runs fn and performs the
 // death bookkeeping. It reports whether the process was unwound by
-// Shutdown (in which case the caller exits without dispatching — the
-// shutdown caller holds control).
-func (p *Proc) exec(fn func(*Proc)) (killed bool) {
+// Shutdown. Any other panic is re-raised with the process named; it
+// propagates out of Engine.Run to Run's caller.
+func (p *Proc) exec() (killed bool) {
 	defer func() {
 		p.dead = true
 		p.eng.live--
@@ -150,29 +98,30 @@ func (p *Proc) exec(fn func(*Proc)) (killed bool) {
 			killed = true
 			return
 		}
-		// Re-panic with the process identified; the unrecovered panic
-		// takes the program down, so tests see the failure with a
-		// coherent stack instead of a hung channel.
 		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 	}()
+	fn := p.fn
+	p.fn = nil // a finished process must not pin its closure
 	fn(p)
 	return false
 }
 
-// yield returns control to the event loop by dispatching in place. The
-// process must already have arranged for something to wake it (directly or
-// via a scheduled event), otherwise it sleeps forever and Run reports a
-// deadlock. If the next runnable event is this process's own wake, control
-// never leaves the goroutine and no channel operation happens.
+// yield gives up control until something wakes the process. The process
+// must already have arranged for that (directly or via a scheduled event),
+// otherwise it sleeps forever and Run reports a deadlock.
+//
+// The yielding coroutine runs the dispatcher itself: plain events and
+// machine steps execute inline, and if the next runnable event is this
+// process's own wake, control never leaves the coroutine. Otherwise the
+// popped target is handed to Run, which resumes it.
 func (p *Proc) yield() {
-	if p.killed {
-		panic(killSignal{})
-	}
-	if p.eng.dispatch(p, false) {
+	e := p.eng
+	next := e.dispatch()
+	if next == p {
 		return
 	}
-	<-p.resume
-	if p.killed {
+	e.next = next
+	if !p.co.yield(struct{}{}) {
 		panic(killSignal{})
 	}
 }

@@ -10,16 +10,15 @@ import (
 )
 
 // The NIC engines are written as sim.Machine state machines: sendMachine
-// consumes doorbells, recvMachine consumes fabric deliveries. Each machine
-// is driven either by a goroutine process (Queue.ServeProc — the reference
-// model) or directly on the event loop (Queue.Serve — zero goroutine
-// handoffs); see ProcModel. The decomposition rule is mechanical: every
-// p.Sleep(d) of the old process code became `return d, <state>`, with the
-// code after the sleep in that state's segment, and every conditional
-// sleep (fault stalls, ack emission) falls through inline — a plain
-// Step call, not a scheduling point — when it would not have slept.
-// Nothing else moved, so both drivers replay the old engines' event
-// streams byte-identically.
+// consumes doorbells, recvMachine consumes fabric deliveries. Each runs
+// directly on the event loop (Queue.Serve), with no process switch per
+// transition. The decomposition from process code is mechanical: every
+// p.Sleep(d) became `return d, <state>`, with the code after the sleep in
+// that state's segment, and every conditional sleep (fault stalls, ack
+// emission) falls through inline — a plain Step call, not a scheduling
+// point — when it would not have slept. Nothing else moved, so the
+// machines replay the process engines' event streams byte-identically
+// (see the event contract in internal/sim/actor.go).
 
 // sendRef links an in-flight wire packet back to the descriptor it
 // belongs to. desc is non-nil only on the packet whose acknowledgment
@@ -105,7 +104,7 @@ const (
 
 // sendMachine is the NIC's transmit processor: it picks up doorbells and
 // moves descriptors onto the wire. The fields are exactly the locals the
-// goroutine form of this engine kept live across sleeps.
+// process form of this engine kept live across sleeps.
 type sendMachine struct {
 	n *Nic
 

@@ -24,12 +24,12 @@ type fingerprint struct {
 	opened, closed, doubles uint64
 }
 
-// runFingerprint drives the span workload under the given process model
-// and returns the run's fingerprint. It also closes the system, so every
-// equivalence run doubles as a goroutine-leak check for its model.
-func runFingerprint(t *testing.T, pm ProcModel, m *provider.Model, seed int64, plan *fault.Plan, msgs, size int) fingerprint {
+// runFingerprint drives the span workload on a fresh system and returns
+// the run's fingerprint. It also closes the system, so every run doubles
+// as a process-leak check.
+func runFingerprint(t *testing.T, m *provider.Model, seed int64, plan *fault.Plan, msgs, size int) fingerprint {
 	t.Helper()
-	sys := NewSystemProc(m, 2, seed, pm)
+	sys := NewSystem(m, 2, seed)
 	if plan != nil {
 		sys.InstallFaults(plan)
 	}
@@ -42,7 +42,7 @@ func runFingerprint(t *testing.T, pm ProcModel, m *provider.Model, seed int64, p
 	}
 	fp.opened, fp.closed, fp.doubles = sys.SpanStats()
 	if err := sys.Close(); err != nil {
-		t.Errorf("%v model leaked: %v", pm, err)
+		t.Errorf("run leaked: %v", err)
 	}
 	return fp
 }
@@ -53,56 +53,62 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-func diffFingerprints(t *testing.T, label string, g, a fingerprint) {
+// checkReplays runs a simulation twice on fresh systems and requires the
+// two fingerprints to match exactly: same final virtual time, dispatched
+// events, span accounting, and bit-exact metrics. run must build all of
+// its inputs afresh (fault plans carry per-run state).
+func checkReplays(t *testing.T, label string, run func() fingerprint) {
 	t.Helper()
+	g, a := run(), run()
 	if g.end != a.end {
-		t.Errorf("%s: end time goroutine=%v actor=%v", label, g.end, a.end)
+		t.Errorf("%s: end time first=%v second=%v", label, g.end, a.end)
 	}
 	if g.events != a.events {
-		t.Errorf("%s: events dispatched goroutine=%d actor=%d", label, g.events, a.events)
+		t.Errorf("%s: events dispatched first=%d second=%d", label, g.events, a.events)
 	}
 	if g.opened != a.opened || g.closed != a.closed || g.doubles != a.doubles {
-		t.Errorf("%s: spans goroutine=(%d,%d,%d) actor=(%d,%d,%d)",
+		t.Errorf("%s: spans first=(%d,%d,%d) second=(%d,%d,%d)",
 			label, g.opened, g.closed, g.doubles, a.opened, a.closed, a.doubles)
 	}
 	for k, gv := range g.metrics {
 		av, ok := a.metrics[k]
 		if !ok {
-			t.Errorf("%s: metric %s only in goroutine model", label, k)
+			t.Errorf("%s: metric %s only in first run", label, k)
 			continue
 		}
 		if !sameBits(gv, av) {
-			t.Errorf("%s: metric %s goroutine=%v actor=%v", label, k, gv, av)
+			t.Errorf("%s: metric %s first=%v second=%v", label, k, gv, av)
 		}
 	}
 	for k := range a.metrics {
 		if _, ok := g.metrics[k]; !ok {
-			t.Errorf("%s: metric %s only in actor model", label, k)
+			t.Errorf("%s: metric %s only in second run", label, k)
 		}
 	}
 }
 
-// TestProcModelEquivalenceClean checks the tentpole contract on the
-// fault-free path for every provider model: the zero-handoff actor core
-// and the goroutine reference produce byte-identical simulations — same
-// final virtual time, same dispatched-event count, same metrics, same
-// span accounting — and neither leaks processes at teardown.
+// The TestProcModelEquivalence* tests pin that the process model replays
+// exactly: every simulation below runs twice from the same seed on fresh
+// engines — coroutines, idle pools and event heaps rebuilt from nothing —
+// and the runs must be indistinguishable, with no process leaked at
+// teardown.
+
+// TestProcModelEquivalenceClean checks replay on the fault-free path for
+// every provider model.
 func TestProcModelEquivalenceClean(t *testing.T) {
 	for _, m := range provider.All() {
 		t.Run(m.Name, func(t *testing.T) {
-			g := runFingerprint(t, ModelGoroutine, m, 1, nil, 12, 4096)
-			a := runFingerprint(t, ModelActor, m, 1, nil, 12, 4096)
-			diffFingerprints(t, m.Name, g, a)
+			checkReplays(t, m.Name, func() fingerprint {
+				return runFingerprint(t, m, 1, nil, 12, 4096)
+			})
 		})
 	}
 }
 
-// TestProcModelEquivalenceTopologies re-checks the byte-identity contract
-// with the fabric routed over every multi-switch topology, with finite
-// switch buffers so the credit-backpressure path is exercised, both clean
-// and under seeded random fault plans. Routing and credit accounting are
-// synchronous pure functions inside Send, so they must not perturb
-// equivalence — this pins that.
+// TestProcModelEquivalenceTopologies re-checks replay with the fabric
+// routed over every multi-switch topology, with finite switch buffers so
+// the credit-backpressure path is exercised, both clean and under seeded
+// random fault plans.
 func TestProcModelEquivalenceTopologies(t *testing.T) {
 	for _, topo := range []string{"fattree", "dragonfly", "torus3d"} {
 		model := func() *provider.Model {
@@ -113,28 +119,27 @@ func TestProcModelEquivalenceTopologies(t *testing.T) {
 			return m
 		}
 		t.Run(topo+"/clean", func(t *testing.T) {
-			g := runFingerprint(t, ModelGoroutine, model(), 1, nil, 12, 4096)
-			a := runFingerprint(t, ModelActor, model(), 1, nil, 12, 4096)
-			diffFingerprints(t, topo, g, a)
+			checkReplays(t, topo, func() fingerprint {
+				return runFingerprint(t, model(), 1, nil, 12, 4096)
+			})
 		})
 		for seed := int64(0); seed < 4; seed++ {
 			seed := seed
 			t.Run(topo+"/faults-"+strconv.FormatInt(seed, 10), func(t *testing.T) {
-				g := runFingerprint(t, ModelGoroutine, model(), seed+1, fault.RandomPlan(seed), 12, 1200)
-				a := runFingerprint(t, ModelActor, model(), seed+1, fault.RandomPlan(seed), 12, 1200)
-				diffFingerprints(t, topo, g, a)
+				checkReplays(t, topo, func() fingerprint {
+					return runFingerprint(t, model(), seed+1, fault.RandomPlan(seed), 12, 1200)
+				})
 			})
 		}
 		// A deterministic switch outage followed by an inter-switch link
 		// outage, both shorter than the RTO ladder: with one host per
 		// switch every 0<->1 route dies during the windows, so the
-		// unroutable-drop and retransmission-recovery paths must stay
-		// byte-identical across process models too.
+		// unroutable-drop and retransmission-recovery paths must replay
+		// exactly too.
 		t.Run(topo+"/element-outage", func(t *testing.T) {
-			plan := elementOutagePlan(topo)
-			g := runFingerprint(t, ModelGoroutine, model(), 1, plan, 12, 1200)
-			a := runFingerprint(t, ModelActor, model(), 1, plan, 12, 1200)
-			diffFingerprints(t, topo, g, a)
+			checkReplays(t, topo, func() fingerprint {
+				return runFingerprint(t, model(), 1, elementOutagePlan(topo), 12, 1200)
+			})
 		})
 		// Seeded topology-aware random plans mix element outages with the
 		// legacy packet/stall kinds.
@@ -142,9 +147,9 @@ func TestProcModelEquivalenceTopologies(t *testing.T) {
 			seed := seed
 			t.Run(topo+"/topo-faults-"+strconv.FormatInt(seed, 10), func(t *testing.T) {
 				switches := fabric.BuildTopology(model().Network, 2).Switches()
-				g := runFingerprint(t, ModelGoroutine, model(), seed+1, fault.RandomTopoPlan(seed, 2, switches), 12, 1200)
-				a := runFingerprint(t, ModelActor, model(), seed+1, fault.RandomTopoPlan(seed, 2, switches), 12, 1200)
-				diffFingerprints(t, topo, g, a)
+				checkReplays(t, topo, func() fingerprint {
+					return runFingerprint(t, model(), seed+1, fault.RandomTopoPlan(seed, 2, switches), 12, 1200)
+				})
 			})
 		}
 	}
@@ -169,20 +174,17 @@ func elementOutagePlan(topo string) *fault.Plan {
 
 // TestProcModelEquivalenceFaults is the adversarial version: 24 seeded
 // random fault plans — drops, duplicates, corruption, delays, doorbell
-// and DMA stalls, broken connections, retransmission storms — each run
-// under both process models. Faults exercise every conditional branch of
-// the engine state machines (the stall fall-throughs, the duplicate and
-// gap paths, the error-ack chain), so surviving this sweep pins the
-// decomposition, not just the happy path.
+// and DMA stalls, broken connections, retransmission storms. Faults
+// exercise every conditional branch of the engine state machines (the
+// stall fall-throughs, the duplicate and gap paths, the error-ack chain)
+// and the process park/wake paths behind them.
 func TestProcModelEquivalenceFaults(t *testing.T) {
 	const plans = 24
 	for seed := 0; seed < plans; seed++ {
 		t.Run(strconv.Itoa(seed), func(t *testing.T) {
-			plan := fault.RandomPlan(int64(seed))
-			g := runFingerprint(t, ModelGoroutine, provider.CLAN(), int64(seed)+1, plan, 12, 1200)
-			plan = fault.RandomPlan(int64(seed)) // fresh plan state for the second run
-			a := runFingerprint(t, ModelActor, provider.CLAN(), int64(seed)+1, plan, 12, 1200)
-			diffFingerprints(t, "plan "+strconv.Itoa(seed), g, a)
+			checkReplays(t, "plan "+strconv.Itoa(seed), func() fingerprint {
+				return runFingerprint(t, provider.CLAN(), int64(seed)+1, fault.RandomPlan(int64(seed)), 12, 1200)
+			})
 		})
 	}
 }

@@ -160,24 +160,11 @@ func newNic(h *Host) *Nic {
 	}
 	eng := h.sys.Eng
 	inbox := h.sys.Net.Inbox(h.id)
-	if h.sys.pm == ModelGoroutine {
-		// Reference model: each engine is a daemon process driving its
-		// machine through blocking Pops and Sleeps.
-		eng.Spawn(procName(h, "nic-send"), func(p *sim.Proc) {
-			p.SetDaemon(true)
-			n.doorbells.ServeProc(p, &sendMachine{n: n})
-		})
-		eng.Spawn(procName(h, "nic-recv"), func(p *sim.Proc) {
-			p.SetDaemon(true)
-			inbox.ServeProc(p, &recvMachine{n: n})
-		})
-		return n
-	}
-	// Zero-handoff model: the same machines run as event-loop services.
-	// The two inert anchor events sit exactly where the goroutine model's
-	// two process-start events would, keeping the engines' event sequence
-	// numbers — and therefore every downstream (time, seq) tie-break —
-	// identical between the models.
+	// The NIC engines run as event-loop services. The two inert anchor
+	// events are a tie-break the committed baselines depend on: they
+	// consume the sequence numbers that two engine start events would, so
+	// every later (time, seq) position and the dispatched-event count in
+	// the metrics stay where the baselines recorded them.
 	eng.At(eng.Now(), func() {})
 	eng.At(eng.Now(), func() {})
 	n.doorbells.Serve(&sendMachine{n: n})

@@ -24,31 +24,12 @@ import (
 	"vibe/internal/vmem"
 )
 
-// ProcModel selects how the hot NIC/fabric actors execute. Both models
-// produce byte-identical simulations — same results, metrics, spans,
-// traces, event counts — because both drive the same sim.Machine state
-// machines through event streams with identical (time, seq) positions
-// (see internal/sim/actor.go for the argument).
-type ProcModel int
-
-const (
-	// ModelActor runs the NIC engines as event-loop services: every
-	// transition is a continuation event dispatched inline, with zero
-	// goroutine handoffs on the data path. The default.
-	ModelActor ProcModel = iota
-	// ModelGoroutine runs the NIC engines as daemon goroutine processes,
-	// one blocking Sleep per transition: the reference model, kept as the
-	// executable specification and equivalence-test oracle.
-	ModelGoroutine
-)
-
 // System is a simulated cluster: an engine, a fabric, and a set of hosts
 // each with one VIA NIC.
 type System struct {
 	Eng   *sim.Engine
 	Net   *fabric.Network
 	Model *provider.Model
-	pm    ProcModel
 	hosts []*Host
 
 	// bufs and pktFree are engine-local free lists for wire payload
@@ -129,17 +110,9 @@ func (s *System) recyclePkt(pkt *wirePacket) {
 // The seed drives all randomness (loss injection); equal seeds give
 // identical runs.
 func NewSystem(model *provider.Model, n int, seed int64) *System {
-	return NewSystemProc(model, n, seed, ModelActor)
-}
-
-// NewSystemProc is NewSystem with an explicit process model for the hot
-// NIC actors. The model is observationally invisible (see ProcModel);
-// ModelGoroutine exists for equivalence testing and as a readable
-// reference.
-func NewSystemProc(model *provider.Model, n int, seed int64, pm ProcModel) *System {
 	eng := sim.NewEngine(seed)
 	net := fabric.New(eng, n, model.Network)
-	sys := &System{Eng: eng, Net: net, Model: model, pm: pm, bufs: nicsim.NewBufPool()}
+	sys := &System{Eng: eng, Net: net, Model: model, bufs: nicsim.NewBufPool()}
 	for i := 0; i < n; i++ {
 		h := &Host{
 			sys: sys,
@@ -153,13 +126,11 @@ func NewSystemProc(model *provider.Model, n int, seed int64, pm ProcModel) *Syst
 	return sys
 }
 
-// ProcModel reports which process model the system's NIC actors use.
-func (s *System) ProcModel() ProcModel { return s.pm }
-
 // Close verifies the simulation wound down without leaking processes
 // (every daemon and callback process parked or finished — see
 // sim.Engine.CheckLeaks) and then tears the engine down so no goroutine
-// outlives the system. Safe to call more than once; the system must not
+// outlives the system. It is safe to call while a process panic is
+// unwinding out of Run (a deferred Close). Safe to call more than once; the system must not
 // be used afterwards.
 func (s *System) Close() error {
 	err := s.Eng.CheckLeaks()
