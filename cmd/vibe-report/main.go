@@ -16,7 +16,6 @@
 //	vibe-report -sweep TLBCapacity=8,32,128    # run the grid of scenarios
 //	vibe-report -compare base.json -tol 0.05   # diff against a saved set
 //	vibe-report -parallel 4     # run cells on 4 workers (default: NumCPU)
-//	vibe-report -bench BENCH_suite.json   # time sequential vs parallel passes
 //
 // Experiments are independent simulations, so they run concurrently across
 // a worker pool; output and saved results are assembled in registry order
@@ -63,9 +62,6 @@ func main() {
 		parallel     = flag.Int("parallel", runtime.NumCPU(), "number of experiment cells run concurrently")
 		scenarioPath = flag.String("scenario", "", "JSON scenario file: {\"base\":..., \"set\":{...}, \"run\":{...}}")
 		faultPath    = flag.String("fault", "", "JSON fault plan file installed into every simulated system (wins over the scenario file's plan)")
-		benchOut     = flag.String("bench", "", "time sequential vs parallel and write the report to this JSON file (use with -quick for a fast pass)")
-		baseMs       = flag.Float64("bench-baseline-ms", 0, "earlier revision's sequential wall time in ms; with -bench, speedup is computed against it")
-		baseLabel    = flag.String("bench-baseline-label", "", "label describing the -bench-baseline-ms revision")
 		metricsOn    = flag.Bool("metrics", false, "print per-component simulation counters and embed them in -json output")
 		metricsOut   = flag.String("metrics-out", "", "write the final merged metrics snapshot as key-sorted JSON (implies metric collection)")
 		traceOut     = flag.String("trace-out", "", "write a Chrome trace-event JSON file (chrome://tracing, Perfetto); forces -parallel 1")
@@ -104,31 +100,6 @@ func main() {
 	plan, err := runner.Compile(req)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *benchOut != "" {
-		if len(plan.Scenarios) > 1 {
-			fatal(fmt.Errorf("-bench times one scenario; drop -sweep"))
-		}
-		b, err := runner.BenchSuite(plan.Experiments, runner.Options{Quick: *quick, Workers: plan.Workers, Scenario: plan.Scenarios[0]}, *label)
-		if err != nil {
-			fatal(err)
-		}
-		if *baseMs > 0 {
-			b.SetBaseline(*baseLabel, *baseMs)
-		}
-		if err := b.Save(*benchOut); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%d experiments: sequential %.1f ms, parallel %.1f ms (%d workers)\n",
-			len(b.Experiments), b.SequentialMs, b.ParallelMs, b.Workers)
-		if b.BaselineSequentialMs > 0 {
-			fmt.Printf("speedup vs baseline %q (%.1f ms): %.2fx\n", b.BaselineLabel, b.BaselineSequentialMs, b.Speedup)
-		} else {
-			fmt.Printf("parallel speedup: %.2fx\n", b.Speedup)
-		}
-		fmt.Printf("bench report saved to %s\n", *benchOut)
-		return
 	}
 
 	out, err := plan.Run(nil)

@@ -13,11 +13,13 @@
 //	vibe -provider mvia -bench bandwidth -scenario tuned.json
 //	vibe -provider clan -bench bandwidth -reliability delivery -fault plan.json
 //	vibe -bench suite -quick -parallel 4
+//	vibe -params -provider bvia -set DoorbellCost=2us
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -197,27 +199,28 @@ func (r *repeatedFlag) Set(v string) error { *r = append(*r, v); return nil }
 
 func main() {
 	var sets, sweeps repeatedFlag
+	var xf xferFlags
+	flag.StringVar(&xf.mode, "mode", "poll", "completion mode: poll or block")
+	flag.BoolVar(&xf.cq, "cq", false, "check receive completions via a completion queue")
+	flag.IntVar(&xf.reuse, "reuse", -1, "buffer reuse percent 0..100 (-1 = base: one buffer)")
+	flag.IntVar(&xf.vis, "vis", 1, "number of open VIs")
+	flag.IntVar(&xf.segs, "segments", 1, "data segments per descriptor")
+	flag.BoolVar(&xf.rdma, "rdma", false, "use RDMA writes with immediate data")
+	flag.BoolVar(&xf.notify, "notify", false, "server handles receives via async handler")
+	flag.IntVar(&xf.window, "window", 0, "sender pipeline bound for bandwidth (0 = unbounded)")
+	flag.StringVar(&xf.rel, "reliability", "unreliable", "unreliable, delivery, reception")
 	var (
 		prov         = flag.String("provider", "clan", providerHelp())
 		benchSel     = flag.String("bench", "latency", benchHelp())
 		scenarioPath = flag.String("scenario", "", "JSON scenario file: {\"base\":..., \"set\":{...}, \"run\":{...}}")
 		faultPath    = flag.String("fault", "", "JSON fault plan file installed into every simulated system (wins over the scenario file's plan)")
 		sizesArg     = flag.String("sizes", "", "comma-separated message sizes (default: paper ladder)")
-		mode         = flag.String("mode", "poll", "completion mode: poll or block")
-		useCQ        = flag.Bool("cq", false, "check receive completions via a completion queue")
-		reuse        = flag.Int("reuse", -1, "buffer reuse percent 0..100 (-1 = base: one buffer)")
-		vis          = flag.Int("vis", 1, "number of open VIs")
-		segs         = flag.Int("segments", 1, "data segments per descriptor")
-		rdma         = flag.Bool("rdma", false, "use RDMA writes with immediate data")
-		notify       = flag.Bool("notify", false, "server handles receives via async handler")
-		window       = flag.Int("window", 0, "sender pipeline bound for bandwidth (0 = unbounded)")
-		rel          = flag.String("reliability", "unreliable", "unreliable, delivery, reception")
 		req          = flag.Int("req", 16, "request size for clientserver")
 		iters        = flag.Int("iters", 0, "override timed iterations")
 		csv          = flag.Bool("csv", false, "emit CSV")
 		parallel     = flag.Int("parallel", runtime.NumCPU(), "worker count for -bench suite and -sweep cells")
 		quick        = flag.Bool("quick", false, "smaller sweeps for -bench suite")
-		params       = flag.Bool("params", false, "list the model parameter catalog (-set/-sweep names) and exit")
+		params       = flag.Bool("params", false, "list the model parameter catalog (-set/-sweep names) with the values -provider, -scenario and -set resolve to, and exit")
 		metricsOn    = flag.Bool("metrics", false, "print per-component simulation counters after the run")
 		metricsOut   = flag.String("metrics-out", "", "write the final merged metrics snapshot as key-sorted JSON (implies metric collection)")
 		progress     = flag.Bool("progress", false, "with -bench suite, print a per-cell progress line to stderr as cells complete")
@@ -231,11 +234,9 @@ func main() {
 	flag.Var(&sweeps, "sweep", "sweep a parameter over values, e.g. -sweep TLBCapacity=8,32,128 (repeatable; cells form a grid)")
 	flag.Parse()
 
-	if *params {
-		for _, p := range provider.Params() {
-			fmt.Printf("%-19s %-8s %-22s %s\n", p.Name, p.Kind, p.Unit, p.Doc)
-		}
-		return
+	o, err := xferOpts(xf)
+	if err != nil {
+		fatal(err)
 	}
 
 	// -topo and -route are -set shorthands, applied after the -set flags.
@@ -259,38 +260,13 @@ func main() {
 		SpanSample:   *spanSample,
 		Workers:      *parallel,
 	}
-	// The single benchmark's model, resolved once the plan has merged the
-	// scenario spec and before any cell runs.
+	// The base model a single benchmark runs on and -params lists, resolved
+	// once the plan has merged the scenario spec and before any cell runs.
 	var m *provider.Model
 	if *benchSel != "suite" {
 		b, ok := benchByName(*benchSel)
 		if !ok {
 			fatal(fmt.Errorf("unknown benchmark %q (have: %s)", *benchSel, benchHelp()))
-		}
-
-		o := core.XferOpts{
-			RecvViaCQ: *useCQ,
-			ActiveVIs: *vis,
-			Segments:  *segs,
-			RDMA:      *rdma,
-			Notify:    *notify,
-			Window:    *window,
-		}
-		if *mode == "block" {
-			o.Mode = core.Blocking
-		}
-		if *reuse >= 0 {
-			o.VaryBuffers = true
-			o.ReusePct = *reuse
-		}
-		switch *rel {
-		case "unreliable":
-		case "delivery":
-			o.Reliability = via.ReliableDelivery
-		case "reception":
-			o.Reliability = via.ReliableReception
-		default:
-			fatal(fmt.Errorf("unknown reliability %q", *rel))
 		}
 
 		sizes := bench.SizeLadder()
@@ -324,19 +300,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if m, err = baseModel(plan.Scenarios[0], *prov, flagWasSet("provider")); err != nil {
+		fatal(err)
+	}
+	if *params {
+		writeParams(os.Stdout, plan.Scenarios[0], m)
+		return
+	}
 	var out *runner.Output
 	if *benchSel == "suite" {
 		out, err = runSuite(plan, *progress)
 	} else {
-		// The scenario file's base model is the default provider; an
-		// explicit -provider flag wins over it.
-		baseName := *prov
-		if base := plan.Scenarios[0].Spec.Base; base != "" && !flagWasSet("provider") {
-			baseName = base
-		}
-		if m, err = provider.ByNameExtended(baseName); err != nil {
-			fatal(err)
-		}
 		out, err = runBench(plan, *csv)
 	}
 
@@ -394,6 +368,68 @@ func runBench(plan *runner.Plan, csv bool) (*runner.Output, error) {
 		}
 	}
 	return out, err
+}
+
+// xferFlags holds the flags that shape a transfer benchmark.
+type xferFlags struct {
+	mode, rel                string
+	reuse, vis, segs, window int
+	cq, rdma, notify         bool
+}
+
+// xferOpts maps the transfer flags to the benchmark options, rejecting
+// a mode, reliability level or reuse percentage outside its set.
+func xferOpts(f xferFlags) (core.XferOpts, error) {
+	o := core.XferOpts{
+		RecvViaCQ: f.cq,
+		ActiveVIs: f.vis,
+		Segments:  f.segs,
+		RDMA:      f.rdma,
+		Notify:    f.notify,
+		Window:    f.window,
+	}
+	switch f.mode {
+	case "poll":
+	case "block":
+		o.Mode = core.Blocking
+	default:
+		return o, fmt.Errorf("unknown completion mode %q (have: poll, block)", f.mode)
+	}
+	switch {
+	case f.reuse < -1 || f.reuse > 100:
+		return o, fmt.Errorf("-reuse %d out of range -1..100", f.reuse)
+	case f.reuse >= 0:
+		o.VaryBuffers = true
+		o.ReusePct = f.reuse
+	}
+	switch f.rel {
+	case "unreliable":
+	case "delivery":
+		o.Reliability = via.ReliableDelivery
+	case "reception":
+		o.Reliability = via.ReliableReception
+	default:
+		return o, fmt.Errorf("unknown reliability %q", f.rel)
+	}
+	return o, nil
+}
+
+// baseModel picks the provider a single benchmark runs on: the scenario's
+// base model is the default, and an explicit -provider flag wins over it.
+func baseModel(sc *core.Scenario, prov string, provSet bool) (*provider.Model, error) {
+	if base := sc.Spec.Base; base != "" && !provSet {
+		prov = base
+	}
+	return provider.ByNameExtended(prov)
+}
+
+// writeParams lists the parameter catalog with each entry's value on the
+// scenario's variant of base.
+func writeParams(w io.Writer, sc *core.Scenario, base *provider.Model) {
+	m := sc.Model(base)
+	for _, p := range provider.Params() {
+		fmt.Fprintf(w, "%-19s %-12s %-8s %-22s %s\n", p.Name, p.Get(m), p.Kind, p.Unit, p.Doc)
+	}
 }
 
 func flagWasSet(name string) bool {

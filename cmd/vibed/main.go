@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -36,6 +37,11 @@ import (
 // readHeaderTimeout bounds how long a client may take to send request
 // headers, so idle or slow connections cannot pin the server.
 const readHeaderTimeout = 10 * time.Second
+
+// shutdownGrace bounds how long a stopping daemon waits for in-flight
+// requests (submissions, artifact downloads, SSE streams) to finish
+// before it closes their connections.
+const shutdownGrace = 10 * time.Second
 
 func main() {
 	var (
@@ -56,16 +62,26 @@ func main() {
 	log.Printf("vibed: listening on %s (%d workers, queue %d)", ln.Addr(), *workers, *queue)
 
 	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	stopped := make(chan struct{})
 	go func() {
+		defer close(stopped)
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		log.Printf("vibed: shutting down")
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		defer cancel()
+		if err := hs.Shutdown(ctx); err != nil {
+			log.Printf("vibed: %v; closing open connections", err)
+		}
 		hs.Close()
 	}()
 	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "vibed:", err)
 		os.Exit(1)
 	}
+	// Serve returns as soon as shutdown begins; wait for in-flight
+	// requests to drain before stopping the job pool.
+	<-stopped
 	srv.Close()
 }

@@ -17,23 +17,39 @@ import (
 //	go run ./cmd/vibe-report -quick -label baseline-quick \
 //	    -json internal/results/testdata/baseline-quick.json
 func TestQuickBaselineUnchanged(t *testing.T) {
-	base, err := Load("testdata/baseline-quick.json")
+	checkBaseline(t, "testdata/baseline-quick.json", true)
+}
+
+// TestFullBaselineUnchanged pins the full-mode registry, the mode the
+// EXPERIMENTS.md numbers come from. Regenerate it with:
+//
+//	go run ./cmd/vibe-report -label baseline-full \
+//	    -json internal/results/testdata/baseline-full.json
+func TestFullBaselineUnchanged(t *testing.T) {
+	checkBaseline(t, "testdata/baseline-full.json", false)
+}
+
+// checkBaseline reruns the registry in the given mode and requires every
+// value to match the saved set exactly (tolerance 0).
+func checkBaseline(t *testing.T, path string, quick bool) {
+	t.Helper()
+	base, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cur := &Set{Label: "regenerated"}
 	for _, e := range core.Experiments() {
-		rep, err := e.Run(core.DefaultScenario(true))
+		rep, err := e.Run(core.DefaultScenario(quick))
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
 		cur.Experiments = append(cur.Experiments, FromReport(e.ID, rep))
 	}
-	diffs := Compare(base, cur, 1e-9)
+	diffs := Compare(base, cur, 0)
 	for _, d := range diffs {
 		t.Errorf("%s %s: %.6g -> %.6g", d.Experiment, d.Where, d.Base, d.New)
 	}
 	if len(diffs) > 0 {
-		t.Log("intentional change? regenerate the baseline (see test comment)")
+		t.Log("intentional change? regenerate the baseline (see the test's comment)")
 	}
 }

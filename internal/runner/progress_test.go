@@ -86,7 +86,7 @@ func TestProgressCoversSkippedCells(t *testing.T) {
 		}))
 	}
 	var events []ProgressEvent
-	rs := Run(exps, Options{Workers: 4, Progress: func(ev ProgressEvent) {
+	rs := runDefault(exps, false, Options{Workers: 4, Progress: func(ev ProgressEvent) {
 		events = append(events, ev)
 	}})
 	if err := FirstError(rs); !errors.Is(err, boom) {
@@ -127,7 +127,7 @@ func TestProgressNilIsFree(t *testing.T) {
 		ran.Store(true)
 		return &core.Report{}, nil
 	})}
-	if err := FirstError(Run(exps, Options{Workers: 1})); err != nil || !ran.Load() {
+	if err := FirstError(runDefault(exps, false, Options{Workers: 1})); err != nil || !ran.Load() {
 		t.Fatalf("run without progress broke: err=%v ran=%v", err, ran.Load())
 	}
 }

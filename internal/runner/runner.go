@@ -6,9 +6,9 @@
 // parallel run assembles the exact same report sequence as a sequential
 // one regardless of completion order.
 //
-// A cell is an (experiment, scenario) pair. Single-scenario runs use Run;
-// parameter sweeps use RunGrid, which fans every sweep cell out across the
-// same pool, so sweeps parallelize exactly like the base registry.
+// A cell is an (experiment, scenario) pair. RunGrid fans every cell of
+// the experiments × scenarios grid out across one pool, so parameter
+// sweeps parallelize exactly like the base registry.
 package runner
 
 import (
@@ -42,17 +42,9 @@ func (r *Result) Skipped() bool { return r.Err == errSkipped }
 
 // Options configures a suite run.
 type Options struct {
-	// Quick selects the experiments' reduced sweeps (smoke-test mode).
-	Quick bool
-
 	// Workers is the number of cells run concurrently. Zero or negative
 	// means runtime.NumCPU(). One gives a fully sequential run.
 	Workers int
-
-	// Scenario is the design point every cell runs under; nil means the
-	// unmodified default scenario at Quick. Ignored by RunGrid, which
-	// takes its scenarios explicitly.
-	Scenario *core.Scenario
 
 	// Progress, when set, receives one event per cell, delivered in
 	// dispatch order (cell 0, 1, 2, ...) regardless of completion order:
@@ -77,25 +69,13 @@ func (o Options) workers(cells int) int {
 	return w
 }
 
-// Run executes every experiment under opt.Scenario (or the default
-// scenario) and returns one Result per experiment, in submission order. A
-// failing cell stops new cells from starting (cells already in flight
-// finish) and its error is preserved in its slot; Run itself never blocks
-// indefinitely on a failure. Panics inside a cell's Run function are
-// converted to errors so one bad experiment cannot take down the pool.
-func Run(exps []*core.Experiment, opt Options) []Result {
-	sc := opt.Scenario
-	if sc == nil {
-		sc = core.DefaultScenario(opt.Quick)
-	}
-	grid := RunGrid(exps, []*core.Scenario{sc}, opt)
-	return grid[0]
-}
-
 // RunGrid executes the experiments × scenarios grid on one shared worker
 // pool and returns results as grid[scenario][experiment], each row in
-// experiment submission order. Fail-fast spans the whole grid: once any
-// cell fails, unstarted cells in every scenario are skipped.
+// experiment submission order. A failing cell stops new cells from
+// starting (cells already in flight finish) and its error is preserved in
+// its slot; fail-fast spans the whole grid, so unstarted cells in every
+// scenario are skipped. Panics inside a cell's Run function are converted
+// to errors so one bad experiment cannot take down the pool.
 func RunGrid(exps []*core.Experiment, scs []*core.Scenario, opt Options) [][]Result {
 	grid := make([][]Result, len(scs))
 	for i := range grid {

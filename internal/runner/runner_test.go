@@ -35,14 +35,19 @@ func setJSON(t *testing.T, rs []Result) []byte {
 	return data
 }
 
+// runDefault runs exps as one RunGrid row under the default scenario.
+func runDefault(exps []*core.Experiment, quick bool, opt Options) []Result {
+	return RunGrid(exps, []*core.Scenario{core.DefaultScenario(quick)}, opt)[0]
+}
+
 // TestParallelMatchesSequential runs the full quick registry sequentially
 // and with 8 workers and requires byte-identical serialized reports: the
 // parallel runner must not perturb any experiment's virtual-time results
 // or the assembly order.
 func TestParallelMatchesSequential(t *testing.T) {
 	exps := core.Experiments()
-	seq := Run(exps, Options{Quick: true, Workers: 1})
-	par := Run(exps, Options{Quick: true, Workers: 8})
+	seq := runDefault(exps, true, Options{Workers: 1})
+	par := runDefault(exps, true, Options{Workers: 8})
 	a, b := setJSON(t, seq), setJSON(t, par)
 	if string(a) != string(b) {
 		t.Fatalf("parallel run diverged from sequential run:\nseq %d bytes, par %d bytes", len(a), len(b))
@@ -78,12 +83,12 @@ func TestFailingCellPropagates(t *testing.T) {
 		}))
 	}
 	done := make(chan []Result, 1)
-	go func() { done <- Run(exps, Options{Workers: 4}) }()
+	go func() { done <- runDefault(exps, false, Options{Workers: 4}) }()
 	var rs []Result
 	select {
 	case rs = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Run deadlocked after a cell failure")
+		t.Fatal("RunGrid deadlocked after a cell failure")
 	}
 	err := FirstError(rs)
 	if !errors.Is(err, boom) {
@@ -113,7 +118,7 @@ func TestPanickingCellIsContained(t *testing.T) {
 		fakeExp("OK", func(*core.Scenario) (*core.Report, error) { return &core.Report{}, nil }),
 		fakeExp("PANIC", func(*core.Scenario) (*core.Report, error) { panic("kaboom") }),
 	}
-	rs := Run(exps, Options{Workers: 2})
+	rs := runDefault(exps, false, Options{Workers: 2})
 	if rs[0].Err != nil && !rs[0].Skipped() {
 		t.Fatalf("healthy cell errored: %v", rs[0].Err)
 	}
@@ -154,7 +159,7 @@ func TestProcessPanicIsCellError(t *testing.T) {
 		return &core.Report{}, sys.Run()
 	})
 	done := make(chan []Result)
-	go func() { done <- Run([]*core.Experiment{exp}, Options{Workers: 1}) }()
+	go func() { done <- runDefault([]*core.Experiment{exp}, false, Options{Workers: 1}) }()
 	var rs []Result
 	select {
 	case rs = <-done:
@@ -268,7 +273,7 @@ func TestSharedCollectorUnderParallelRun(t *testing.T) {
 
 // TestEmptyRun checks the degenerate empty registry.
 func TestEmptyRun(t *testing.T) {
-	rs := Run(nil, Options{})
+	rs := runDefault(nil, false, Options{})
 	if len(rs) != 0 {
 		t.Fatalf("got %d results for empty input", len(rs))
 	}

@@ -1,13 +1,9 @@
 // Package trace records simulation events for debugging and inspection.
 // It implements sim.Tracer, buffering lines in memory with an optional
-// cap, and can replay them to a writer, filter by substring, or export
-// them in the Chrome trace-event format (see chrome.go).
+// cap, and exports them in the Chrome trace-event format (see chrome.go).
 package trace
 
 import (
-	"fmt"
-	"io"
-	"strings"
 	"sync/atomic"
 
 	"vibe/internal/sim"
@@ -116,25 +112,4 @@ func (r *Recorder) Reset() {
 	r.buf = r.buf[:0]
 	r.head = 0
 	r.dropped = 0
-}
-
-// Filter returns the entries whose text contains substr, oldest first.
-func (r *Recorder) Filter(substr string) []Entry {
-	var out []Entry
-	r.each(func(e Entry) {
-		if strings.Contains(e.What, substr) {
-			out = append(out, e)
-		}
-	})
-	return out
-}
-
-// Dump writes all entries to w, one per line, oldest first.
-func (r *Recorder) Dump(w io.Writer) {
-	r.each(func(e Entry) {
-		fmt.Fprintf(w, "%12v  %s\n", e.At, e.What)
-	})
-	if r.dropped > 0 {
-		fmt.Fprintf(w, "(%d earlier entries dropped)\n", r.dropped)
-	}
 }
