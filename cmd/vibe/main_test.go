@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -122,4 +125,37 @@ func TestParamsResolveScenarioBase(t *testing.T) {
 	wantModel(t, paramValues(t, req, "clan", false), provider.MVIA(), map[string]string{"TLBCapacity": "7"})
 	// An explicit -provider wins over the base; the overrides still apply.
 	wantModel(t, paramValues(t, req, "clan", true), provider.CLAN(), map[string]string{"TLBCapacity": "7"})
+}
+
+// TestBadSetExitsBeforeAnyCell runs the command in a child process with
+// -set values that used to pass parsing and only fail deep inside the
+// simulation. Each must exit 1 naming the parameter, with nothing on
+// stdout: no benchmark cell ran.
+func TestBadSetExitsBeforeAnyCell(t *testing.T) {
+	if set := os.Getenv("VIBE_TEST_SET"); set != "" {
+		os.Args = []string{"vibe", "-provider", "clan", "-bench", "latency", "-sizes", "4", "-set", set}
+		main()
+		return
+	}
+	for _, set := range []string{
+		"LinkLatency=-5us", "LinkLatency=NaN", "LinkLatency=Inf", "LinkLatency=1e300s",
+		"BandwidthBps=0", "BandwidthBps=-1", "FrameOverhead=-100", "DropRate=NaN", "DropRate=-1",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadSetExitsBeforeAnyCell$")
+		cmd.Env = append(os.Environ(), "VIBE_TEST_SET="+set)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		param := strings.SplitN(set, "=", 2)[0]
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("-set %s: err = %v, want exit status 1", set, err)
+		}
+		if !strings.Contains(stderr.String(), "param "+param+":") {
+			t.Errorf("-set %s: stderr %q does not name %s", set, stderr.String(), param)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-set %s: a cell ran and printed %q", set, stdout.String())
+		}
+	}
 }

@@ -590,6 +590,13 @@ func (nw *Network) Recycle(d *Delivery) {
 	nw.delFree = append(nw.delFree, d)
 }
 
+// The fabric's trace records: link tx/rx instants and per-hop switch spans.
+var (
+	traceLinkTx    = sim.NewTraceKind(sim.TrackLink, "tx dst=%d %dB")
+	traceLinkRx    = sim.NewTraceKind(sim.TrackLink, "rx src=%d %dB")
+	traceSwitchFwd = sim.NewTraceKind(sim.TrackSwitch, "fwd dst=%d %dB hop=%d/%d")
+)
+
 // Send injects a packet from src toward dst. It does not block the
 // caller: link occupancy is modeled with pipes and the delivery is
 // scheduled as an engine event. Send returns the instant the packet
@@ -618,7 +625,7 @@ func (nw *Network) Send(src, dst NodeID, size int, payload interface{}) sim.Time
 	// Tracing() guard: argument materialization must stay off the
 	// uninstrumented hot path, and emission never touches virtual time.
 	if nw.eng.Tracing() {
-		nw.eng.Tracef("link%d: tx dst=%d %dB", src, dst, size)
+		nw.eng.Trace(nw.eng.Now(), 0, traceLinkTx, int(src), int(dst), size)
 	}
 
 	// Fault chain first: an injected drop models a deliberate outage and
@@ -741,8 +748,7 @@ func (nw *Network) sendRouted(sp *port, d *Delivery, ser, delay sim.Duration, co
 			if nw.eng.Tracing() {
 				// The forward span covers the hop's serialization window
 				// [out-ser, out), placed on the switch's own track.
-				nw.eng.TraceSpanf(out.Add(-ser), ser, "switch%d: fwd dst=%d %dB hop=%d/%d",
-					route[i], d.Dst, d.Size, i+1, hops)
+				nw.eng.Trace(out.Add(-ser), ser, traceSwitchFwd, int(route[i]), int(d.Dst), d.Size, i+1, hops)
 			}
 			if heldQ != nil {
 				heldQ.release(heldSlot, out)
@@ -885,7 +891,7 @@ func (nw *Network) deliverNow(p *port, d *Delivery) {
 	p.rxPkts++
 	p.rxBytes += uint64(d.Size)
 	if nw.eng.Tracing() {
-		nw.eng.Tracef("link%d: rx src=%d %dB", d.Dst, d.Src, d.Size)
+		nw.eng.Trace(nw.eng.Now(), 0, traceLinkRx, int(d.Dst), int(d.Src), d.Size)
 	}
 	if d.Corrupted {
 		p.rxCorrupt++

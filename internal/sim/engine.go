@@ -42,12 +42,6 @@ type Engine struct {
 	tracer   Tracer
 }
 
-// Tracer receives a line for every traced simulation event. A nil tracer
-// disables tracing.
-type Tracer interface {
-	Trace(at Time, what string)
-}
-
 // NewEngine returns an engine with the virtual clock at zero. The seed
 // drives every source of randomness in the simulation (e.g. packet-loss
 // injection); runs with equal seeds are identical.
@@ -63,41 +57,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// SetTracer installs tr as the engine's tracer. Pass nil to disable.
-func (e *Engine) SetTracer(tr Tracer) { e.tracer = tr }
-
-// Tracing reports whether a tracer is installed. Hot paths with expensive
-// trace arguments should check it before building them, since Tracef's
-// variadic arguments are materialized at the call site even when tracing
-// is off.
-func (e *Engine) Tracing() bool { return e.tracer != nil }
-
-// Tracef emits a formatted trace line if a tracer is installed. The format
-// is not evaluated when tracing is off.
-func (e *Engine) Tracef(format string, args ...interface{}) {
-	if e.tracer != nil {
-		e.tracer.Trace(e.now, fmt.Sprintf(format, args...))
-	}
-}
-
-// SpanTracer is a Tracer that additionally accepts duration-carrying
-// events — completed spans that started at `at` and ran for `dur` of
-// virtual time, as opposed to the instantaneous events Trace records.
-type SpanTracer interface {
-	Tracer
-	TraceSpan(at Time, dur Duration, what string)
-}
-
-// TraceSpanf emits a completed span if the installed tracer understands
-// durations; otherwise it is dropped (a plain Tracer has no place to put
-// one). Like Tracef, the format is only evaluated when a tracer is
-// installed, so callers should still guard with Tracing().
-func (e *Engine) TraceSpanf(at Time, dur Duration, format string, args ...interface{}) {
-	if st, ok := e.tracer.(SpanTracer); ok {
-		st.TraceSpan(at, dur, fmt.Sprintf(format, args...))
-	}
-}
 
 // At schedules fn to run at instant t. Scheduling in the past panics: it
 // would silently reorder causality.

@@ -439,45 +439,58 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 }
 
-type sliceTracer struct{ lines []string }
+type sliceTracer struct{ recs []TraceRecord }
 
-func (s *sliceTracer) Trace(at Time, what string) {
-	s.lines = append(s.lines, fmt.Sprintf("%v %s", at, what))
-}
+func (s *sliceTracer) Trace(rec TraceRecord) { s.recs = append(s.recs, rec) }
+
+var testKind = NewTraceKind(TrackNIC, "hello %d at %d")
 
 func TestTracer(t *testing.T) {
 	e := NewEngine(1)
 	tr := &sliceTracer{}
 	e.SetTracer(tr)
-	e.At(10, func() { e.Tracef("hello %d", 7) })
+	e.At(10, func() { e.Trace(e.Now(), 0, testKind, 3, 7, -2) })
 	e.MustRun()
-	if len(tr.lines) != 1 || tr.lines[0] != "10ns hello 7" {
-		t.Fatalf("trace lines = %v", tr.lines)
+	if len(tr.recs) != 1 {
+		t.Fatalf("records = %v", tr.recs)
+	}
+	rec := tr.recs[0]
+	if rec.At != 10 || rec.Dur != 0 || rec.Kind != testKind || rec.Inst != 3 || rec.Kind.Track.String() != "nic" {
+		t.Fatalf("record = %+v", rec)
+	}
+	if name := string(rec.Kind.AppendName(nil, &rec.Args)); name != "hello 7 at -2" {
+		t.Fatalf("name = %q", name)
 	}
 	e.SetTracer(nil)
-	e.Tracef("dropped") // must not panic
+	e.Trace(e.Now(), 0, testKind, 0) // must not panic
 }
 
-// panicStringer panics if it is ever formatted: it proves Tracef does not
-// evaluate its format when no tracer is installed.
-type panicStringer struct{}
-
-func (panicStringer) String() string { panic("formatted with tracing off") }
-
-func TestTracefDoesNotFormatWhenOff(t *testing.T) {
-	e := NewEngine(1)
-	e.Tracef("%v", panicStringer{})
+// TestTraceKindRejectsUnsafeLayouts checks the layout guard: a name is
+// written into JSON verbatim, so characters it would escape, and more
+// arguments than a record holds, panic at construction.
+func TestTraceKindRejectsUnsafeLayouts(t *testing.T) {
+	for _, layout := range []string{`a "b"`, `a\b`, "a<b", "a&b", "tab\t", "caf\u00e9", "%d %d %d %d %d %d %d"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewTraceKind(%q) did not panic", layout)
+				}
+			}()
+			NewTraceKind(TrackLink, layout)
+		}()
+	}
+	NewTraceKind(TrackLink, "%d %d %d %d %d %d") // six arguments fit
 }
 
-// TestTracingGuardZeroAlloc pins the hot-path contract: call sites that
-// check Tracing() first pay nothing — not even the variadic argument
-// slice — when tracing is off.
+// TestTracingGuardZeroAlloc pins the hot-path contract: with tracing off,
+// a guarded trace call, and an unguarded one too, allocates nothing.
 func TestTracingGuardZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
 	n := testing.AllocsPerRun(200, func() {
 		if e.Tracing() {
-			e.Tracef("pkt %d -> %d at %v", 1, 2, e.Now())
+			e.Trace(e.Now(), 0, testKind, 0, 1, 2)
 		}
+		e.Trace(e.Now(), 0, testKind, 0, 1, 2)
 	})
 	if n != 0 {
 		t.Fatalf("guarded trace call allocated %.1f per run with tracing off", n)

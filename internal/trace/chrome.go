@@ -1,136 +1,89 @@
 package trace
 
 import (
-	"encoding/json"
+	"bufio"
+	"fmt"
 	"io"
-	"strings"
+	"strconv"
+
+	"vibe/internal/sim"
 )
 
-// chromeEvent is one record in the Chrome trace-event format, the JSON
-// schema chrome://tracing and Perfetto (ui.perfetto.dev) load directly.
-type chromeEvent struct {
-	Name string                 `json:"name"`
-	Ph   string                 `json:"ph"`
-	Ts   float64                `json:"ts"`            // microseconds
-	Dur  float64                `json:"dur,omitempty"` // microseconds, complete events only
-	Pid  int                    `json:"pid"`
-	Tid  int                    `json:"tid"`
-	S    string                 `json:"s,omitempty"`
-	Args map[string]interface{} `json:"args,omitempty"`
-}
-
-type chromeFile struct {
-	TraceEvents []chromeEvent `json:"traceEvents"`
-}
-
-// componentOrder lists component-name prefixes in pipeline order — the
-// order a message actually flows through the system — so Perfetto sorts
-// the thread tracks top-to-bottom the way the reader thinks about the
-// data path, instead of by hash order.
-var componentOrder = []string{"cpu", "via", "span", "nic", "link", "switch", "fabric"}
-
-// componentRank maps a component name ("nic0", "fabric", "span1") to a
-// sort index: pipeline position first, instance number second. Unknown
-// components (and the catch-all "sim") sort after the pipeline.
-func componentRank(comp string) int {
-	unknown := (len(componentOrder) + 1) * 100
-	for i, prefix := range componentOrder {
-		if !strings.HasPrefix(comp, prefix) {
-			continue
-		}
-		inst := 0
-		for _, c := range comp[len(prefix):] {
-			if c < '0' || c > '9' {
-				return unknown
-			}
-			inst = inst*10 + int(c-'0')
-		}
-		return (i+1)*100 + inst
-	}
-	return unknown
-}
-
 // WriteChrome exports the buffered entries as a Chrome trace-event JSON
-// document. Each recorded system (pid) becomes a process track; within a
-// process, the "component:" prefix of a trace line (e.g. "nic0: rx ...")
-// becomes a named thread track, so the NIC engines of each host line up as
-// parallel timelines. Entries without a duration are thread-scoped instant
-// events; entries with one (completed message spans) are complete ("X")
-// events that render as real bars. process_sort_index/thread_sort_index
-// metadata keeps systems in run order and components in pipeline order.
+// document, the format chrome://tracing and Perfetto (ui.perfetto.dev)
+// load directly. Each recorded system (pid) becomes a process track and
+// each component instance (nic0, link3, ...) a thread track of it, so the
+// NIC engines of each host line up as parallel timelines. Instants are
+// thread-scoped "i" events; entries with a duration are complete "X"
+// events that render as bars. A track's metadata precedes its first
+// event; thread_sort_index orders the tracks span → nic → link → switch,
+// then by instance.
+//
+// The entries stream through a buffered writer, byte for byte what
+// encoding/json would write for the same events: timestamps are float
+// microseconds in its shortest 'f' form, which covers every magnitude an
+// int64 nanosecond count reaches.
 func (r *Recorder) WriteChrome(w io.Writer) error {
-	f := chromeFile{TraceEvents: []chromeEvent{}}
-
-	// tids maps (pid, component) to a stable thread id per process.
-	type key struct {
-		pid  int
-		comp string
+	type track struct {
+		pid  int32
+		fam  sim.Track
+		inst int32
 	}
-	tids := make(map[key]int)
-	nextTid := make(map[int]int)
-	seenPid := make(map[int]bool)
-
-	r.each(func(e Entry) {
-		comp, name := splitComponent(e.What)
-		if !seenPid[e.Pid] {
-			seenPid[e.Pid] = true
-			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: "process_sort_index",
-				Ph:   "M",
-				Pid:  e.Pid,
-				Args: map[string]interface{}{"sort_index": e.Pid},
-			})
+	tids := make(map[track]int)
+	lastTid := make(map[int32]int) // per pid: the last tid handed out
+	bw := bufio.NewWriterSize(w, 64<<10)
+	bw.WriteString(`{"traceEvents":[`)
+	sep := "" // before the document's first event, always a process's
+	for _, part := range [2][]Entry{r.buf[r.head:], r.buf[:r.head]} {
+		for i := range part {
+			e := &part[i]
+			// The entry's events are appended straight into the writer's
+			// free space; flushing early keeps that space large enough.
+			if bw.Available() < 1<<10 {
+				bw.Flush()
+			}
+			b := bw.AvailableBuffer()
+			k := track{e.Pid, e.Kind.Track, e.Inst}
+			tid, ok := tids[k]
+			if !ok {
+				n, seen := lastTid[e.Pid]
+				if !seen {
+					b = fmt.Appendf(b, `%s{"name":"process_sort_index","ph":"M","ts":0,"pid":%d,"tid":0,"args":{"sort_index":%[2]d}}`, sep, e.Pid)
+					sep = ","
+				}
+				tid = n + 1
+				tids[k], lastTid[e.Pid] = tid, tid
+				// Sort indices start at 300 so files stay byte-identical to
+				// earlier exports, which kept 100 and 200 for cpu and via.
+				b = fmt.Appendf(b, `,{"name":"thread_name","ph":"M","ts":0,"pid":%d,"tid":%d,"args":{"name":"%s%d"}}`+
+					`,{"name":"thread_sort_index","ph":"M","ts":0,"pid":%[1]d,"tid":%[2]d,"args":{"sort_index":%[5]d}}`,
+					e.Pid, tid, e.Kind.Track, e.Inst, 300+100*int(e.Kind.Track)+int(e.Inst))
+			}
+			span := e.Dur > 0
+			b = append(b, `,{"name":"`...)
+			b = e.Kind.AppendName(b, &e.Args)
+			if span {
+				b = append(b, `","ph":"X","ts":`...)
+			} else {
+				b = append(b, `","ph":"i","ts":`...)
+			}
+			b = appendMicros(b, e.At)
+			if span {
+				b = appendMicros(append(b, `,"dur":`...), sim.Time(e.Dur))
+			}
+			b = strconv.AppendInt(append(b, `,"pid":`...), int64(e.Pid), 10)
+			b = strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
+			if !span {
+				b = append(b, `,"s":"t"`...)
+			}
+			bw.Write(append(b, '}'))
 		}
-		k := key{e.Pid, comp}
-		tid, ok := tids[k]
-		if !ok {
-			nextTid[e.Pid]++
-			tid = nextTid[e.Pid]
-			tids[k] = tid
-			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: "thread_name",
-				Ph:   "M",
-				Pid:  e.Pid,
-				Tid:  tid,
-				Args: map[string]interface{}{"name": comp},
-			}, chromeEvent{
-				Name: "thread_sort_index",
-				Ph:   "M",
-				Pid:  e.Pid,
-				Tid:  tid,
-				Args: map[string]interface{}{"sort_index": componentRank(comp)},
-			})
-		}
-		if e.Dur > 0 {
-			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: name,
-				Ph:   "X",
-				Ts:   float64(e.At) / 1e3, // ns -> us
-				Dur:  float64(e.Dur) / 1e3,
-				Pid:  e.Pid,
-				Tid:  tid,
-			})
-			return
-		}
-		f.TraceEvents = append(f.TraceEvents, chromeEvent{
-			Name: name,
-			Ph:   "i",
-			Ts:   float64(e.At) / 1e3, // ns -> us
-			Pid:  e.Pid,
-			Tid:  tid,
-			S:    "t",
-		})
-	})
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
+	}
+	bw.WriteString("]}\n")
+	return bw.Flush() // a bufio write error sticks, so this reports any
 }
 
-// splitComponent splits "nic0: rx kind=1 ..." into ("nic0", "rx kind=1 ...").
-// Lines without a "component:" prefix land on a catch-all "sim" thread.
-func splitComponent(what string) (comp, name string) {
-	if i := strings.Index(what, ": "); i > 0 && !strings.ContainsAny(what[:i], " \t") {
-		return what[:i], what[i+2:]
-	}
-	return "sim", what
+// appendMicros appends a nanosecond count as float microseconds.
+func appendMicros(b []byte, ns sim.Time) []byte {
+	return strconv.AppendFloat(b, float64(ns)/1e3, 'f', -1, 64)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"vibe/internal/sim"
 )
 
 // TestWriteChromeSchema validates the export against the Chrome
@@ -15,9 +17,9 @@ func TestWriteChromeSchema(t *testing.T) {
 	var r Recorder
 	t1 := r.ForSystem()
 	t2 := r.ForSystem()
-	t1.Trace(1500, "nic0: doorbell vi=1")
-	t1.Trace(2500, "nic1: rx kind=0")
-	t2.Trace(500, "free-form line")
+	t1.Trace(instant(1500, kDoorbell, 0, 1))
+	t1.Trace(instant(2500, kNICRx, 1))
+	t2.Trace(instant(500, kLinkTx, 3, 1, 64))
 
 	var b bytes.Buffer
 	if err := r.WriteChrome(&b); err != nil {
@@ -87,34 +89,52 @@ func TestWriteChromeSchema(t *testing.T) {
 	}
 }
 
-// TestWriteChromeTracks checks the component and pid mapping: entries from
-// different systems land in different processes, lines with distinct
-// "component:" prefixes land on distinct threads, and timestamps convert
-// from virtual nanoseconds to microseconds.
-func TestWriteChromeTracks(t *testing.T) {
-	var r Recorder
-	sys := r.ForSystem()
-	sys.Trace(3000, "nic0: tx")
-	sys.Trace(4000, "nic1: rx")
-	r.Trace(1000, "nic0: other system") // pid 0, via the Recorder directly
+// decodedEvent is the part of a Chrome trace event the tests inspect.
+type decodedEvent struct {
+	Name string                 `json:"name"`
+	Ph   string                 `json:"ph"`
+	Ts   float64                `json:"ts"`
+	Dur  float64                `json:"dur"`
+	Pid  int                    `json:"pid"`
+	Tid  int                    `json:"tid"`
+	Args map[string]interface{} `json:"args"`
+}
 
+// writeChrome exports r and decodes the result.
+func writeChrome(t *testing.T, r *Recorder) []decodedEvent {
+	t.Helper()
 	var b bytes.Buffer
 	if err := r.WriteChrome(&b); err != nil {
 		t.Fatal(err)
 	}
-	var doc chromeFile
-	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
-		t.Fatal(err)
+	var doc struct {
+		TraceEvents []decodedEvent `json:"traceEvents"`
 	}
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatalf("export is not valid JSON: %v", err)
+	}
+	return doc.TraceEvents
+}
+
+// TestWriteChromeTracks checks the track and pid mapping: entries from
+// different systems land in different processes, distinct component
+// instances land on distinct threads, and timestamps convert from virtual
+// nanoseconds to microseconds.
+func TestWriteChromeTracks(t *testing.T) {
+	var r Recorder
+	sys := r.ForSystem()
+	sys.Trace(instant(3000, kDoorbell, 0, 1))
+	sys.Trace(instant(4000, kNICRx, 1))
+	r.Trace(instant(1000, kDoorbell, 0, 2)) // pid 0, via the Recorder directly
 
 	pids := make(map[int]bool)
 	tidByName := make(map[string]int)
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range writeChrome(t, &r) {
 		pids[ev.Pid] = true
 		if ev.Ph == "M" && ev.Name == "thread_name" && ev.Pid == 1 {
 			tidByName[ev.Args["name"].(string)] = ev.Tid
 		}
-		if ev.Ph == "i" && ev.Name == "tx" && ev.Ts != 3.0 {
+		if ev.Ph == "i" && ev.Name == "doorbell vi=1 op=0 len=0" && ev.Ts != 3.0 {
 			t.Fatalf("ts = %v us, want 3.0", ev.Ts)
 		}
 	}
@@ -131,44 +151,65 @@ func TestWriteChromeTracks(t *testing.T) {
 func TestWriteChromeSpans(t *testing.T) {
 	var r Recorder
 	tr := r.ForSystem()
-	tr.Trace(1000, "nic0: instant")
-	r.TraceSpan(2000, 5000, "span0: send 4096B ok")
+	tr.Trace(instant(1000, kDoorbell, 0))
+	span := instant(2000, kSpan, 0, 4096)
+	span.Dur = 5000
+	r.Trace(span)
 
-	var b bytes.Buffer
-	if err := r.WriteChrome(&b); err != nil {
-		t.Fatal(err)
-	}
-	var doc chromeFile
-	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-
-	var complete *chromeEvent
-	for i, ev := range doc.TraceEvents {
+	var complete *decodedEvent
+	evs := writeChrome(t, &r)
+	for i, ev := range evs {
 		if ev.Ph == "X" {
-			complete = &doc.TraceEvents[i]
+			complete = &evs[i]
 		}
 	}
 	if complete == nil {
 		t.Fatal("no complete event exported")
 	}
 	if complete.Name != "send 4096B ok" || complete.Ts != 2.0 || complete.Dur != 5.0 {
-		t.Fatalf("complete event = %+v, want name trimmed, ts=2us dur=5us", complete)
+		t.Fatalf("complete event = %+v, want ts=2us dur=5us", complete)
 	}
 }
 
-// TestComponentRank checks pipeline ordering: cpu before via before span
-// before nic before link before switch before fabric, instances in
-// numeric order, and unknown components after everything.
-func TestComponentRank(t *testing.T) {
-	order := []string{"cpu0", "cpu1", "via0", "span0", "nic0", "nic1", "nic10", "link3", "switch0", "switch2", "fabric", "sim", "mystery"}
-	for i := 1; i < len(order); i++ {
-		a, b := componentRank(order[i-1]), componentRank(order[i])
-		if a > b {
-			t.Errorf("rank(%s)=%d > rank(%s)=%d", order[i-1], a, order[i], b)
+// TestThreadSortIndex checks pipeline ordering: span before nic before
+// link before switch, instances in numeric order within a family.
+func TestThreadSortIndex(t *testing.T) {
+	var r Recorder
+	tr := r.ForSystem()
+	for _, k := range []*sim.TraceKind{kFwd, kLinkRx, kNICRx, kSpan} {
+		for _, inst := range []int32{10, 1, 0} {
+			tr.Trace(instant(1, k, inst))
 		}
 	}
-	if componentRank("sim") <= componentRank("fabric") {
-		t.Error("catch-all sim must sort after the pipeline")
+	names := make(map[int]string)
+	rank := make(map[string]float64)
+	for _, ev := range writeChrome(t, &r) {
+		switch ev.Name {
+		case "thread_name":
+			names[ev.Tid] = ev.Args["name"].(string)
+		case "thread_sort_index":
+			rank[names[ev.Tid]] = ev.Args["sort_index"].(float64)
+		}
+	}
+	order := []string{"span0", "span1", "span10", "nic0", "nic1", "nic10", "link0", "link1", "link10", "switch0", "switch1", "switch10"}
+	for i := 1; i < len(order); i++ {
+		if a, b := rank[order[i-1]], rank[order[i]]; a >= b {
+			t.Errorf("rank(%s)=%v >= rank(%s)=%v", order[i-1], a, order[i], b)
+		}
+	}
+	if rank["span0"] != 300 || rank["switch10"] != 610 {
+		t.Errorf("span0=%v switch10=%v, want 300 and 610", rank["span0"], rank["switch10"])
+	}
+}
+
+// TestWriteChromeEmpty checks an empty recorder writes an empty event list.
+func TestWriteChromeEmpty(t *testing.T) {
+	var r Recorder
+	var b bytes.Buffer
+	if err := r.WriteChrome(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != "{\"traceEvents\":[]}\n" {
+		t.Fatalf("empty export = %q", got)
 	}
 }

@@ -102,6 +102,12 @@ const (
 	sReadFragDone             // after an RDMA-read request's fragment cost
 )
 
+// The NIC engines' trace records, on each host's nic track.
+var (
+	traceDoorbell = sim.NewTraceKind(sim.TrackNIC, "doorbell vi=%d op=%d len=%d")
+	traceNICRx    = sim.NewTraceKind(sim.TrackNIC, "rx kind=%d from=%d vi=%d msg=%d frag=%d+%d")
+)
+
 // sendMachine is the NIC's transmit processor: it picks up doorbells and
 // moves descriptors onto the wire. The fields are exactly the locals the
 // process form of this engine kept live across sleeps.
@@ -142,10 +148,10 @@ func (sm *sendMachine) Begin(db *doorbell) (sim.Duration, int) {
 	eng := n.host.sys.Eng
 	m := n.model
 	sm.db = db
-	// Tracing() guard: the Tracef arguments must not be materialized
-	// on this per-send path when no tracer is installed.
+	// Tracing() guard: the trace arguments must not be computed on this
+	// per-send path when no tracer is installed.
 	if eng.Tracing() {
-		eng.Tracef("nic%d: doorbell vi=%d op=%d len=%d", n.host.id, db.vi.id, db.desc.Op, db.desc.TotalLength())
+		eng.Trace(eng.Now(), 0, traceDoorbell, int(n.host.id), db.vi.id, int(db.desc.Op), db.desc.TotalLength())
 	}
 	sp := db.desc.span
 	sp.mark(phaseQueue, eng.Now()) // time since post spent waiting in the send queue
@@ -510,7 +516,7 @@ func (rm *recvMachine) Begin(del *fabric.Delivery) (sim.Duration, int) {
 		return 0, sim.StepDone
 	}
 	if eng.Tracing() {
-		eng.Tracef("nic%d: rx kind=%d from=%d vi=%d msg=%d frag=%d+%d", n.host.id, pkt.kind, src, pkt.dstVi, pkt.msgID, pkt.frag.Offset, pkt.frag.Size)
+		eng.Trace(eng.Now(), 0, traceNICRx, int(n.host.id), int(pkt.kind), int(src), pkt.dstVi, int(pkt.msgID), pkt.frag.Offset, pkt.frag.Size)
 	}
 	switch pkt.kind {
 	case pktData:

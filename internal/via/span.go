@@ -60,6 +60,16 @@ const (
 
 var pathNames = [numPaths]string{"send", "recv", "rdma_write", "rdma_read"}
 
+// spanKinds[path][ok] is the trace record of a closed span on its node's
+// span track, named like "send 4096B ok" or "rdma_read 64B err".
+var spanKinds = func() (k [numPaths][2]*sim.TraceKind) {
+	for p, name := range pathNames {
+		k[p][0] = sim.NewTraceKind(sim.TrackSpan, name+" %dB err")
+		k[p][1] = sim.NewTraceKind(sim.TrackSpan, name+" %dB ok")
+	}
+	return k
+}()
+
 // spanPathFor maps a descriptor op to its span path.
 func spanPathFor(op Op) spanPath {
 	switch op {
@@ -161,12 +171,11 @@ func (t *spanTracker) close(sp *msgSpan, residual spanPhase, ok bool, now sim.Ti
 		}
 	}
 	if eng := t.sys.Eng; eng.Tracing() {
-		status := "ok"
-		if !ok {
-			status = "err"
+		status := 0
+		if ok {
+			status = 1
 		}
-		eng.TraceSpanf(sp.start, total, "span%d: %s %dB %s",
-			sp.node, pathNames[sp.path], sp.bytes, status)
+		eng.Trace(sp.start, total, spanKinds[sp.path][status], sp.node, sp.bytes)
 	}
 }
 
