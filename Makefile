@@ -91,11 +91,17 @@ bench-smoke: build
 # Fuzz smoke: run each input-parser fuzzer for 10 s. FuzzParseDuration
 # checks -set durations (no panic, nothing negative accepted, and the
 # canonical form parses back exactly); FuzzFaultParse checks no fault plan
-# makes Parse or a fresh injector panic. A failing input is written under
+# makes Parse or a fresh injector panic; FuzzScenarioSpec checks that an
+# accepted scenario file re-encodes to a fixed point with the same
+# provenance and, under a fuzzed -sweep, the same vibed cache key; and
+# FuzzResultsRoundTrip checks that a decoded result set re-encodes to a
+# fixed point with the same provenance. A failing input is written under
 # the package's testdata/fuzz/ and replays in every later `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDuration$$' -fuzztime 10s ./internal/provider/
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime 10s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioSpec$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzResultsRoundTrip$$' -fuzztime 10s ./internal/results/
 
 # Microbenchmarks for the simulation engine hot paths.
 bench-sim:

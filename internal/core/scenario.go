@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"vibe/internal/fault"
 	"vibe/internal/provider"
@@ -22,28 +26,29 @@ type RunOverrides struct {
 // IsZero reports whether every override keeps its default.
 func (r RunOverrides) IsZero() bool { return r == RunOverrides{} }
 
-// ScenarioSpec is the serializable scenario description: a provider
-// derivation (base model + parameter overrides) plus run-config
-// adjustments and an optional fault plan. It is the on-disk
-// scenario-file schema:
+// ScenarioSpec is the design point: a provider derivation (base model and
+// parameter overrides), run-config adjustments and an optional fault plan.
+// It is the -scenario file schema, the scenario of a vibed submission and,
+// with the quick flag, the provenance a result set records:
 //
-//	{"base": "clan", "set": {"DoorbellCost": "2us"}, "run": {"iters": 100},
+//	{"name": "tuned", "base": "clan", "set": {"DoorbellCost": "2us"},
+//	 "run": {"iters": 100},
 //	 "fault": {"seed": 7, "faults": [{"kind": "drop-nth", "nth": 40}]}}
 type ScenarioSpec struct {
-	provider.Scenario
+	// Name labels the design point ("TLBCapacity=8"); empty means the
+	// overrides name it.
+	Name string `json:"name,omitempty"`
+
+	// Base is the built-in model to derive from (mvia, bvia, clan,
+	// firmvia, iba). Registry experiments choose their own models, so Base
+	// may be empty when only Set matters.
+	Base string `json:"base,omitempty"`
+
+	// Set maps catalog parameter names to value strings.
+	Set map[string]string `json:"set,omitempty"`
+
 	Run   RunOverrides `json:"run,omitzero"`
 	Fault *fault.Plan  `json:"fault,omitempty"`
-}
-
-// Save writes the spec as indented JSON — the file format
-// LoadScenarioSpec reads. It shadows the embedded provider.Scenario.Save,
-// which would silently drop the run overrides.
-func (s ScenarioSpec) Save(path string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // Scenario is a compiled scenario: the spec plus pre-validated overrides
@@ -71,7 +76,7 @@ func NewScenario(spec ScenarioSpec, quick bool) (*Scenario, error) {
 			return nil, err
 		}
 	}
-	ovs, err := spec.Compile()
+	ovs, err := provider.CompileOverrides(spec.Set)
 	if err != nil {
 		return nil, err
 	}
@@ -94,13 +99,29 @@ func DefaultScenario(quick bool) *Scenario {
 // LoadScenarioSpec reads and parses a scenario file without compiling it,
 // for callers that merge further overrides (e.g. -set flags) on top.
 func LoadScenarioSpec(path string) (ScenarioSpec, error) {
-	var spec ScenarioSpec
 	data, err := os.ReadFile(path)
 	if err != nil {
+		return ScenarioSpec{}, err
+	}
+	spec, err := ParseScenarioSpec(data)
+	if err != nil {
+		return spec, fmt.Errorf("core: scenario %s: %w", path, err)
+	}
+	return spec, nil
+}
+
+// ParseScenarioSpec decodes one JSON scenario spec strictly: a key the
+// schema does not have, such as a misspelled "sett", is an error rather
+// than a silently default field, and so is anything after the object.
+func ParseScenarioSpec(data []byte) (ScenarioSpec, error) {
+	var spec ScenarioSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		return spec, err
 	}
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return spec, fmt.Errorf("core: scenario %s: %w", path, err)
+	if _, err := dec.Token(); err != io.EOF {
+		return spec, errors.New("trailing data after the scenario")
 	}
 	return spec, nil
 }
@@ -118,8 +139,21 @@ func LoadScenario(path string, quick bool) (*Scenario, error) {
 	return sc, nil
 }
 
-// Label names the scenario for display and provenance.
-func (sc *Scenario) Label() string { return sc.Spec.Label() }
+// Label names the scenario for display: the spec's Name if set, otherwise
+// the compiled overrides as sorted key=value pairs, otherwise "base".
+func (sc *Scenario) Label() string {
+	if sc.Spec.Name != "" {
+		return sc.Spec.Name
+	}
+	if len(sc.ovs) == 0 {
+		return "base"
+	}
+	parts := make([]string, len(sc.ovs))
+	for i, o := range sc.ovs {
+		parts[i] = o.Param.Name + "=" + o.Value
+	}
+	return strings.Join(parts, ",")
+}
 
 // Model returns a copy of m with the scenario's overrides applied.
 // Overrides were validated at compile time, so derivation cannot fail.
@@ -161,17 +195,4 @@ func (sc *Scenario) Config(m *provider.Model) Config {
 	cfg.Instr = sc.Instr
 	cfg.Fault = sc.Spec.Fault
 	return cfg
-}
-
-// BaseConfig resolves the scenario's pinned base model and builds its
-// configuration; it errors when the spec names no base.
-func (sc *Scenario) BaseConfig() (Config, error) {
-	if sc.Spec.Base == "" {
-		return Config{}, fmt.Errorf("core: scenario %q pins no base model", sc.Label())
-	}
-	m, err := provider.ByNameExtended(sc.Spec.Base)
-	if err != nil {
-		return Config{}, err
-	}
-	return sc.Config(m), nil
 }

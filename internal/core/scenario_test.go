@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -29,8 +31,8 @@ func TestDefaultScenarioMatchesLegacyConfig(t *testing.T) {
 
 func TestScenarioConfigAppliesOverrides(t *testing.T) {
 	sc, err := NewScenario(ScenarioSpec{
-		Scenario: provider.Scenario{Set: map[string]string{"DoorbellCost": "2us"}},
-		Run:      RunOverrides{Seed: 7, Iters: 33, Warmup: 4, BWMessages: 11, NonDataReps: 2},
+		Set: map[string]string{"DoorbellCost": "2us"},
+		Run: RunOverrides{Seed: 7, Iters: 33, Warmup: 4, BWMessages: 11, NonDataReps: 2},
 	}, true)
 	if err != nil {
 		t.Fatal(err)
@@ -49,13 +51,11 @@ func TestScenarioConfigAppliesOverrides(t *testing.T) {
 }
 
 func TestNewScenarioValidatesUpFront(t *testing.T) {
-	if _, err := NewScenario(ScenarioSpec{
-		Scenario: provider.Scenario{Base: "nope"},
-	}, false); err == nil {
+	if _, err := NewScenario(ScenarioSpec{Base: "nope"}, false); err == nil {
 		t.Fatal("unknown base accepted")
 	}
 	if _, err := NewScenario(ScenarioSpec{
-		Scenario: provider.Scenario{Set: map[string]string{"DoorbellCost": "soon"}},
+		Set: map[string]string{"DoorbellCost": "soon"},
 	}, false); err == nil {
 		t.Fatal("bad override value accepted")
 	}
@@ -80,7 +80,7 @@ func TestExpandSweeps(t *testing.T) {
 		}
 	}
 	// Cells inherit and extend the base's overrides without sharing maps.
-	base := ScenarioSpec{Scenario: provider.Scenario{Name: "tuned", Set: map[string]string{"DoorbellCost": "2us"}}}
+	base := ScenarioSpec{Name: "tuned", Set: map[string]string{"DoorbellCost": "2us"}}
 	specs, err = ExpandSweeps(base, []string{"TLBCapacity=8,32"})
 	if err != nil {
 		t.Fatal(err)
@@ -112,22 +112,20 @@ func TestExpandSweeps(t *testing.T) {
 // in-memory scenario.
 func TestScenarioFileRoundTripRunsIdentically(t *testing.T) {
 	spec := ScenarioSpec{
-		Scenario: provider.Scenario{
-			Name: "roundtrip",
-			Base: "clan",
-			Set:  map[string]string{"DoorbellCost": "2us", "TLBCapacity": "16"},
-		},
-		Run: RunOverrides{Seed: 3, Iters: 10, Warmup: 2, BWMessages: 8, NonDataReps: 2},
+		Name: "roundtrip",
+		Base: "clan",
+		Set:  map[string]string{"DoorbellCost": "2us", "TLBCapacity": "16"},
+		Run:  RunOverrides{Seed: 3, Iters: 10, Warmup: 2, BWMessages: 8, NonDataReps: 2},
 	}
 	inMem, err := NewScenario(spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "sc.json")
-	if err := spec.Save(path); err != nil {
+	data, err := json.MarshalIndent(spec, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadScenario(path, true)
+	loaded, err := LoadScenario(writeFile(t, string(data)), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,5 +146,56 @@ func TestScenarioFileRoundTripRunsIdentically(t *testing.T) {
 	// And the loaded spec itself must be the one we saved.
 	if !reflect.DeepEqual(loaded.Spec, inMem.Spec) {
 		t.Fatalf("spec round trip: %+v -> %+v", inMem.Spec, loaded.Spec)
+	}
+}
+
+// writeFile writes content as a -scenario file and returns its path.
+func writeFile(t *testing.T, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "sc.json")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestScenarioLabel(t *testing.T) {
+	for _, c := range []struct {
+		spec ScenarioSpec
+		want string
+	}{
+		{ScenarioSpec{Name: "tuned", Set: map[string]string{"WireMTU": "9000"}}, "tuned"},
+		{ScenarioSpec{}, "base"},
+		// Sorted and deterministic.
+		{ScenarioSpec{Set: map[string]string{"WireMTU": "9000", "DoorbellCost": "2us"}}, "DoorbellCost=2us,WireMTU=9000"},
+	} {
+		sc, err := NewScenario(c.spec, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sc.Label(); got != c.want {
+			t.Errorf("Label(%+v) = %q, want %q", c.spec, got, c.want)
+		}
+	}
+}
+
+// TestLoadScenarioRejectsBadInput checks that a scenario file fails to load
+// on a bad override and on any key the schema does not have, in the spec
+// or in its fault plan, instead of running with that part ignored.
+func TestLoadScenarioRejectsBadInput(t *testing.T) {
+	for name, content := range map[string]string{
+		"unknown parameter":  `{"set": {"NoSuchKnob": "1"}}`,
+		"misspelled set":     `{"base": "clan", "sett": {"DoorbellCost": "2us"}}`,
+		"misspelled run key": `{"run": {"itres": 5}}`,
+		"misspelled faults":  `{"fault": {"fualts": [{"kind": "drop-nth", "nth": 40}]}}`,
+		"trailing data":      `{"base": "clan"} {"base": "mvia"}`,
+	} {
+		if _, err := LoadScenario(writeFile(t, content), true); err == nil {
+			t.Errorf("%s: %s loaded", name, content)
+		}
+	}
+	sc, err := LoadScenario(writeFile(t, `{"name": "ok", "base": "clan", "set": {"DoorbellCost": "2us"}}`), true)
+	if err != nil || sc.Label() != "ok" {
+		t.Fatalf("valid scenario: %v", err)
 	}
 }

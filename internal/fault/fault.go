@@ -14,8 +14,11 @@
 package fault
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -59,17 +62,6 @@ var elementKinds = map[string]bool{
 
 var stallKinds = map[string]bool{
 	KindDoorbellStall: true, KindDMAStall: true,
-}
-
-// Kinds lists every fault kind — packet kinds, then element kinds, then
-// stall kinds — the canonical order for sweeps and reports.
-func Kinds() []string {
-	return []string{
-		KindDropNth, KindDropRange, KindDrop, KindCorrupt, KindDuplicate,
-		KindDelay, KindJitter, KindLinkDown,
-		KindSwitchDown, KindSwitchLinkDown,
-		KindDoorbellStall, KindDMAStall,
-	}
 }
 
 // Spec is one fault in a plan, the JSON schema of a plan file entry.
@@ -152,11 +144,18 @@ func Load(path string) (*Plan, error) {
 	return Parse(data)
 }
 
-// Parse decodes and validates a JSON plan.
+// Parse decodes and validates a JSON plan. The decode is strict: a key the
+// schema does not have, such as a misspelled "fualts", is an error rather
+// than a silently empty plan, and so is anything after the object.
 func Parse(data []byte) (*Plan, error) {
 	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("fault: plan: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("fault: plan: trailing data after the plan")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("fault: plan: %w", err)
@@ -245,7 +244,7 @@ func compileSpec(s *Spec) (*cspec, error) {
 		}
 		c.port = *s.Port
 	}
-	if s.Prob < 0 || s.Prob > 1 {
+	if !(s.Prob >= 0 && s.Prob <= 1) {
 		return nil, fmt.Errorf("%s: prob %v outside [0, 1]", s.Kind, s.Prob)
 	}
 	if s.Nth != nil {

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -28,6 +29,7 @@ func TestPlanValidateErrors(t *testing.T) {
 	}{
 		{"unknown kind", Spec{Kind: "melt"}, "unknown kind"},
 		{"bad prob", Spec{Kind: KindDrop, Prob: 1.5}, "outside [0, 1]"},
+		{"NaN prob", Spec{Kind: KindDrop, Prob: math.NaN()}, "outside [0, 1]"},
 		{"negative port", Spec{Kind: KindDrop, Port: pint(-1)}, "negative port"},
 		{"nth on wrong kind", Spec{Kind: KindDrop, Nth: u64(3)}, "nth applies only"},
 		{"nth missing", Spec{Kind: KindDropNth}, "nth is required"},
@@ -69,8 +71,15 @@ func TestPlanValidateErrors(t *testing.T) {
 }
 
 func TestParseRejectsInvalid(t *testing.T) {
-	if _, err := Parse([]byte(`{"faults": [{"kind": "nope"}]}`)); err == nil {
-		t.Fatal("Parse accepted unknown kind")
+	for name, plan := range map[string]string{
+		"unknown kind":        `{"faults": [{"kind": "nope"}]}`,
+		"misspelled faults":   `{"fualts": [{"kind": "drop-nth", "nth": 40}]}`,
+		"misspelled selector": `{"faults": [{"kind": "drop", "probb": 0.5}]}`,
+		"trailing data":       `{"seed": 7} {"seed": 8}`,
+	} {
+		if _, err := Parse([]byte(plan)); err == nil {
+			t.Errorf("Parse accepted %s: %s", name, plan)
+		}
 	}
 	p, err := Parse([]byte(`{"seed": 7, "faults": [{"kind": "drop-nth", "nth": 40}]}`))
 	if err != nil {

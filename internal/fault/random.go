@@ -5,8 +5,8 @@ import (
 	"math/rand"
 )
 
-// legacyKinds is the kind pool RandomPlan has always drawn from. It is
-// pinned (rather than calling Kinds()) so that adding new fault kinds —
+// legacyKinds is the kind pool RandomPlan has always drawn from. It is a
+// fixed list, not every Kind constant, so that adding new fault kinds —
 // like the topology-aware element outages — never reshuffles the plans
 // existing chaos seeds produce.
 var legacyKinds = []string{

@@ -182,3 +182,13 @@ func ByNameExtended(name string) (*Model, error) {
 	}
 	return nil, errUnknown(name)
 }
+
+// Names lists the built-in provider models in registry order.
+func Names() []string {
+	models := Extended()
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.Name
+	}
+	return names
+}

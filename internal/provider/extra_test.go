@@ -59,3 +59,19 @@ func TestExtendedModelShapes(t *testing.T) {
 		}
 	}
 }
+
+func TestNames(t *testing.T) {
+	names := Names()
+	want := []string{"mvia", "bvia", "clan", "firmvia", "iba"}
+	if len(names) != len(want) {
+		t.Fatalf("Names() = %v", names)
+	}
+	for i := range want {
+		if names[i] != want[i] {
+			t.Fatalf("Names()[%d] = %q, want %q", i, names[i], want[i])
+		}
+		if _, err := ByNameExtended(names[i]); err != nil {
+			t.Fatalf("Names() entry %q does not resolve: %v", names[i], err)
+		}
+	}
+}

@@ -476,3 +476,27 @@ func CompileOverrides(set map[string]string) ([]Override, error) {
 	}
 	return ovs, nil
 }
+
+// ParseSet parses repeated "name=value" CLI arguments into an override
+// set, validating each name and value against the catalog.
+func ParseSet(args []string) (map[string]string, error) {
+	if len(args) == 0 {
+		return nil, nil
+	}
+	set := make(map[string]string, len(args))
+	for _, a := range args {
+		name, value, ok := strings.Cut(a, "=")
+		if !ok || strings.TrimSpace(name) == "" {
+			return nil, fmt.Errorf("provider: bad -set %q (want name=value)", a)
+		}
+		p, err := ParamByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		set[p.Name] = strings.TrimSpace(value)
+	}
+	if _, err := CompileOverrides(set); err != nil {
+		return nil, err
+	}
+	return set, nil
+}

@@ -280,3 +280,28 @@ func TestOverrideApplyIsIdempotent(t *testing.T) {
 		}
 	}
 }
+
+func TestParseSet(t *testing.T) {
+	set, err := ParseSet([]string{"doorbellcost=2us", "WireMTU = 9000"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Names canonicalize to catalog spelling, values are trimmed.
+	if set["DoorbellCost"] != "2us" || set["WireMTU"] != "9000" {
+		t.Fatalf("ParseSet = %v", set)
+	}
+	for _, bad := range [][]string{
+		{"DoorbellCost"},          // no '='
+		{"=2us"},                  // no name
+		{"NoSuchKnob=1"},          // unknown name
+		{"DoorbellCost=quickly"},  // bad value
+		{"ReliabilityMask=elite"}, // bad value, custom setter
+	} {
+		if _, err := ParseSet(bad); err == nil {
+			t.Errorf("ParseSet(%v) accepted", bad)
+		}
+	}
+	if set, err := ParseSet(nil); err != nil || set != nil {
+		t.Fatalf("ParseSet(nil) = %v, %v", set, err)
+	}
+}

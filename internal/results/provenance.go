@@ -1,67 +1,69 @@
 package results
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 
 	"vibe/internal/core"
 )
 
-// Provenance records the scenario a result set was produced under: the
-// base provider model (empty when the set spans the whole registry's
-// built-in models), every parameter override, and the run-config
-// overrides. A set carrying provenance can always be traced back to the
-// exact design point that produced it, and the comparator can refuse
+// Provenance records the design point a result set was produced under:
+// the scenario spec (base model, empty when the set spans the registry's
+// built-in models; overrides; run overrides; fault plan) and the quick
+// flag. A set carrying provenance can always be traced back to the exact
+// design point that produced it, and the comparator can refuse
 // apples-to-oranges diffs.
 type Provenance struct {
-	Name  string            `json:"name,omitempty"`
-	Base  string            `json:"base,omitempty"`
-	Set   map[string]string `json:"set,omitempty"`
-	Run   core.RunOverrides `json:"run,omitzero"`
-	Quick bool              `json:"quick,omitempty"`
+	core.ScenarioSpec
+	Quick bool `json:"quick,omitempty"`
 }
 
 // ProvenanceOf captures a scenario's full provenance. A nil or unmodified
-// scenario (no base, overrides, or run changes — quick alone does not
-// count) yields nil, so result sets produced by the plain suite stay
-// byte-identical to the legacy format.
+// scenario (no name, base, overrides, run changes or faults — quick alone
+// does not count) yields nil, so result sets produced by the plain suite
+// stay byte-identical to the legacy format. A fault plan with no faults
+// injects nothing and is recorded as none.
 func ProvenanceOf(sc *core.Scenario) *Provenance {
 	if sc == nil {
 		return nil
 	}
-	p := &Provenance{
-		Name:  sc.Spec.Name,
-		Base:  sc.Spec.Base,
-		Run:   sc.Spec.Run,
-		Quick: sc.Quick,
+	p := &Provenance{ScenarioSpec: sc.Spec, Quick: sc.Quick}
+	p.Set = maps.Clone(p.Set)
+	if p.Fault.Empty() {
+		p.Fault = nil
 	}
-	if len(sc.Spec.Set) > 0 {
-		p.Set = make(map[string]string, len(sc.Spec.Set))
-		for k, v := range sc.Spec.Set {
-			p.Set[k] = v
-		}
-	}
-	if p.Name == "" && p.Base == "" && p.Set == nil && p.Run.IsZero() {
+	if p.Name == "" && p.Base == "" && len(p.Set) == 0 && p.Run.IsZero() && p.Fault == nil {
 		return nil
 	}
 	return p
 }
 
 // Equal reports whether two provenance records describe the same design
-// point. Names are labels, not parameters, so they do not participate.
+// point: their canonical JSON matches once names are cleared, since names
+// are labels, not parameters.
 func (p *Provenance) Equal(q *Provenance) bool {
 	if p == nil || q == nil {
 		return p == nil && q == nil
 	}
-	if p.Base != q.Base || p.Quick != q.Quick || p.Run != q.Run || len(p.Set) != len(q.Set) {
-		return false
+	return bytes.Equal(p.canonical(), q.canonical())
+}
+
+// canonical is the record's JSON without its name. encoding/json emits
+// struct fields in declaration order and map keys sorted, so equal design
+// points encode to equal bytes.
+func (p *Provenance) canonical() []byte {
+	c := *p
+	c.Name = ""
+	data, err := json.Marshal(c)
+	if err != nil {
+		// Strings, integers, bools and a validated fault plan, whose
+		// probabilities are finite: Marshal cannot fail on them.
+		panic("results: provenance marshal: " + err.Error())
 	}
-	for k, v := range p.Set {
-		if qv, ok := q.Set[k]; !ok || qv != v {
-			return false
-		}
-	}
-	return true
+	return data
 }
 
 // describe renders a provenance record for error messages.
@@ -88,6 +90,9 @@ func (p *Provenance) describe() string {
 	}
 	if !p.Run.IsZero() {
 		s += " +run-overrides"
+	}
+	if !p.Fault.Empty() {
+		s += " +fault-plan"
 	}
 	return s
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"vibe/internal/core"
-	"vibe/internal/provider"
+	"vibe/internal/fault"
 )
 
 func scenario(t *testing.T, spec core.ScenarioSpec, quick bool) *core.Scenario {
@@ -16,6 +16,15 @@ func scenario(t *testing.T, spec core.ScenarioSpec, quick bool) *core.Scenario {
 		t.Fatal(err)
 	}
 	return sc
+}
+
+func prov(base string, set map[string]string, quick bool) *Provenance {
+	return &Provenance{ScenarioSpec: core.ScenarioSpec{Base: base, Set: set}, Quick: quick}
+}
+
+func dropPlan() *fault.Plan {
+	nth := uint64(40)
+	return &fault.Plan{Seed: 7, Faults: []fault.Spec{{Kind: fault.KindDropNth, Nth: &nth}}}
 }
 
 func TestProvenanceOf(t *testing.T) {
@@ -29,9 +38,7 @@ func TestProvenanceOf(t *testing.T) {
 			t.Fatalf("default scenario (quick=%v) got provenance %+v", quick, p)
 		}
 	}
-	sc := scenario(t, core.ScenarioSpec{
-		Scenario: provider.Scenario{Base: "clan", Set: map[string]string{"DoorbellCost": "2us"}},
-	}, true)
+	sc := scenario(t, core.ScenarioSpec{Base: "clan", Set: map[string]string{"DoorbellCost": "2us"}}, true)
 	p := ProvenanceOf(sc)
 	if p == nil || p.Base != "clan" || p.Set["DoorbellCost"] != "2us" || !p.Quick {
 		t.Fatalf("ProvenanceOf = %+v", p)
@@ -41,11 +48,25 @@ func TestProvenanceOf(t *testing.T) {
 	if sc.Spec.Set["DoorbellCost"] != "2us" {
 		t.Fatal("provenance shares the scenario's override map")
 	}
+
+	// A fault plan alone makes a design point; a plan with no faults
+	// injects nothing and records as none.
+	p = ProvenanceOf(scenario(t, core.ScenarioSpec{Fault: dropPlan()}, true))
+	if p == nil || p.Fault.Empty() {
+		t.Fatalf("fault-only scenario: provenance %+v", p)
+	}
+	if p := ProvenanceOf(scenario(t, core.ScenarioSpec{Fault: &fault.Plan{Seed: 3}}, true)); p != nil {
+		t.Fatalf("empty fault plan recorded: %+v", p)
+	}
+	sc = scenario(t, core.ScenarioSpec{Base: "clan", Fault: &fault.Plan{Seed: 3}}, false)
+	if p := ProvenanceOf(sc); p == nil || p.Fault != nil {
+		t.Fatalf("empty fault plan not normalised to nil: %+v", p)
+	}
 }
 
 func TestProvenanceEqual(t *testing.T) {
-	a := &Provenance{Base: "clan", Set: map[string]string{"WireMTU": "9000"}, Quick: true}
-	b := &Provenance{Base: "clan", Set: map[string]string{"WireMTU": "9000"}, Quick: true}
+	a := prov("clan", map[string]string{"WireMTU": "9000"}, true)
+	b := prov("clan", map[string]string{"WireMTU": "9000"}, true)
 	if !a.Equal(b) {
 		t.Fatal("identical provenance unequal")
 	}
@@ -54,12 +75,17 @@ func TestProvenanceEqual(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatal("name difference broke equality")
 	}
+	withRun := prov("clan", map[string]string{"WireMTU": "9000"}, true)
+	withRun.Run = core.RunOverrides{Iters: 5}
+	withFault := prov("clan", map[string]string{"WireMTU": "9000"}, true)
+	withFault.Fault = dropPlan()
 	for _, q := range []*Provenance{
-		{Base: "mvia", Set: map[string]string{"WireMTU": "9000"}, Quick: true},
-		{Base: "clan", Set: map[string]string{"WireMTU": "1500"}, Quick: true},
-		{Base: "clan", Set: map[string]string{"WireMTU": "9000"}},
-		{Base: "clan", Set: map[string]string{"WireMTU": "9000", "TLBCapacity": "8"}, Quick: true},
-		{Base: "clan", Set: map[string]string{"WireMTU": "9000"}, Quick: true, Run: core.RunOverrides{Iters: 5}},
+		prov("mvia", map[string]string{"WireMTU": "9000"}, true),
+		prov("clan", map[string]string{"WireMTU": "1500"}, true),
+		prov("clan", map[string]string{"WireMTU": "9000"}, false),
+		prov("clan", map[string]string{"WireMTU": "9000", "TLBCapacity": "8"}, true),
+		withRun,
+		withFault,
 		nil,
 	} {
 		if a.Equal(q) {
@@ -76,7 +102,7 @@ func TestCompareChecked(t *testing.T) {
 	mk := func(p *Provenance) *Set {
 		return &Set{Scenario: p, Experiments: []Experiment{{ID: "T1"}}}
 	}
-	tuned := &Provenance{Base: "clan", Set: map[string]string{"DoorbellCost": "2us"}}
+	tuned := prov("clan", map[string]string{"DoorbellCost": "2us"}, false)
 
 	// Legacy vs legacy: compatible.
 	if _, err := CompareChecked(mk(nil), mk(nil), 0.02, false); err != nil {
@@ -98,6 +124,16 @@ func TestCompareChecked(t *testing.T) {
 	if _, err := CompareChecked(mk(tuned), mk(nil), 0.02, true); err != nil {
 		t.Fatalf("-force still refused: %v", err)
 	}
+	// A set run under a fault plan never diffs silently against a
+	// fault-free one.
+	faulted := prov("", nil, true)
+	faulted.Fault = dropPlan()
+	if _, err = CompareChecked(mk(prov("", nil, true)), mk(faulted), 0.02, false); err == nil || !strings.Contains(err.Error(), "fault") {
+		t.Fatalf("fault-plan mismatch: err = %v", err)
+	}
+	if _, err := CompareChecked(mk(nil), mk(faulted), 0.02, true); err != nil {
+		t.Fatalf("-force still refused: %v", err)
+	}
 }
 
 // TestRelErrGuards covers the divide-by-zero and NaN edges of the
@@ -109,10 +145,10 @@ func TestRelErrGuards(t *testing.T) {
 	}{
 		{0, 0, 0},
 		{1, 1, 0},
-		{nan, nan, 0},            // both undefined: not a difference
-		{0, 1, math.Inf(1)},      // zero base, nonzero new
-		{nan, 1, math.Inf(1)},    // baseline went undefined
-		{1, nan, math.Inf(1)},    // new value went undefined
+		{nan, nan, 0},         // both undefined: not a difference
+		{0, 1, math.Inf(1)},   // zero base, nonzero new
+		{nan, 1, math.Inf(1)}, // baseline went undefined
+		{1, nan, math.Inf(1)}, // new value went undefined
 		{2, 1, 0.5},
 		{-2, -1, 0.5},
 	}

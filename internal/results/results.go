@@ -118,13 +118,21 @@ func Load(path string) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	var s Set
-	if err := json.Unmarshal(data, &s); err != nil {
+	s, err := decode(data)
+	if err != nil {
 		return nil, fmt.Errorf("results: %s: %w", path, err)
 	}
+	return s, nil
+}
+
+// decode parses an encoded set, rejecting unknown schema versions.
+func decode(data []byte) (*Set, error) {
+	var s Set
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, err
+	}
 	if s.Version != FormatVersion {
-		return nil, fmt.Errorf("results: %s: unsupported format version %d (want %d)",
-			path, s.Version, FormatVersion)
+		return nil, fmt.Errorf("unsupported format version %d (want %d)", s.Version, FormatVersion)
 	}
 	return &s, nil
 }

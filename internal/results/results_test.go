@@ -1,6 +1,8 @@
 package results
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 
 	"vibe/internal/bench"
 	"vibe/internal/core"
+	"vibe/internal/fault"
 	"vibe/internal/table"
 )
 
@@ -130,4 +133,94 @@ func TestRender(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
+}
+
+// TestEncodeMatchesSave checks the byte-parity contract: Encode's bytes
+// are exactly what Save writes, version/suite stamping included.
+func TestEncodeMatchesSave(t *testing.T) {
+	set := &Set{
+		Label:    "parity",
+		Scenario: &Provenance{ScenarioSpec: core.ScenarioSpec{Base: "clan"}, Quick: true},
+		Experiments: []Experiment{
+			{ID: "T1", Title: "t", Notes: []string{"n"}},
+		},
+		Metrics: map[string]float64{"nic0.doorbells": 7},
+	}
+	enc, err := Encode(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.Version != 0 || set.Suite != "" {
+		t.Fatalf("Encode mutated the caller's set: %d %q", set.Version, set.Suite)
+	}
+	var decoded Set
+	if err := json.Unmarshal(enc, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Version != FormatVersion || decoded.Suite != "vibe" {
+		t.Fatalf("encoded bytes missing version/suite stamp: %d %q", decoded.Version, decoded.Suite)
+	}
+	path := filepath.Join(t.TempDir(), "set.json")
+	if err := Save(path, set); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, disk) {
+		t.Error("Encode bytes differ from Save's file")
+	}
+	if _, err := Load(path); err != nil {
+		t.Fatalf("round-trip Load: %v", err)
+	}
+}
+
+// FuzzResultsRoundTrip checks that no input makes decoding or encoding a
+// result set panic, that an accepted set re-encodes to a fixed point, and
+// that its provenance survives the round trip as the same design point.
+// The corpus starts from the committed quick baseline and from a set whose
+// provenance fills every field, fault plan included.
+func FuzzResultsRoundTrip(f *testing.F) {
+	baseline, err := os.ReadFile(filepath.Join("testdata", "baseline-quick.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(baseline)
+	nth := uint64(40)
+	full, err := Encode(&Set{
+		Label: "full",
+		Scenario: &Provenance{ScenarioSpec: core.ScenarioSpec{
+			Name: "tuned", Base: "clan", Set: map[string]string{"DoorbellCost": "2us"},
+			Run:   core.RunOverrides{Seed: 3, Iters: 10},
+			Fault: &fault.Plan{Seed: 7, Faults: []fault.Spec{{Kind: fault.KindDropNth, Nth: &nth}}},
+		}, Quick: true},
+		Experiments: []Experiment{{ID: "T1", Title: "t", Tables: []Table{{Title: "c", Headers: []string{"op"}, Rows: [][]string{{"1"}}}}}},
+		Metrics:     map[string]float64{"nic0.doorbells": 7},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := decode(data)
+		if err != nil {
+			return
+		}
+		enc, err := Encode(s)
+		if err != nil {
+			t.Fatalf("decoded set does not encode: %v", err)
+		}
+		again, err := decode(enc)
+		if err != nil {
+			t.Fatalf("encoded set does not decode: %v\n%s", err, enc)
+		}
+		enc2, err := Encode(again)
+		if err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("encoding is not a fixed point (%v):\n%s\n%s", err, enc, enc2)
+		}
+		if !s.Scenario.Equal(again.Scenario) {
+			t.Fatalf("provenance changed in the round trip: %+v -> %+v", s.Scenario, again.Scenario)
+		}
+	})
 }

@@ -2,9 +2,12 @@ package runner
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"vibe/internal/core"
+	"vibe/internal/results"
 )
 
 // TestCompileSpanRule pins when a plan turns message spans on: only with
@@ -114,6 +117,50 @@ func TestMergeSpecPrecedence(t *testing.T) {
 	}
 	if _, err := mergeSpec(Request{Set: []string{"NotAParam=1"}}); err == nil {
 		t.Error("unknown -set parameter accepted")
+	}
+}
+
+// TestFaultPlanReachesProvenance checks that a -fault plan is recorded in
+// the result set's provenance, so a faulted set is never taken for a
+// fault-free one, and that the comparator refuses to diff the two unless
+// forced.
+func TestFaultPlanReachesProvenance(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plan.json")
+	if err := os.WriteFile(path, []byte(`{"seed": 7, "faults": [{"kind": "doorbell-stall", "delay": "5us"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(faultPath string) *results.Set {
+		p, err := Compile(Request{Quick: true, Experiments: []string{"T1"}, FaultPath: faultPath})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := p.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Sets[0]
+	}
+	faulted, clean := run(path), run("")
+	if clean.Scenario != nil {
+		t.Fatalf("fault-free quick set has provenance %+v", clean.Scenario)
+	}
+	if faulted.Scenario == nil || faulted.Scenario.Fault.Empty() {
+		t.Fatalf("faulted set's provenance = %+v, want the fault plan", faulted.Scenario)
+	}
+	data, err := results.Encode(faulted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"scenario": {
+    "fault": {
+      "seed": 7,`)) {
+		t.Errorf("encoded set does not carry scenario.fault:\n%.300s", data)
+	}
+	if _, err := results.CompareChecked(clean, faulted, 0, false); err == nil {
+		t.Error("faulted set compared against a fault-free one without -force")
+	}
+	if _, err := results.CompareChecked(clean, faulted, 0, true); err != nil {
+		t.Errorf("-force still refused: %v", err)
 	}
 }
 

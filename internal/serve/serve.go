@@ -12,11 +12,11 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
 
-	"vibe/internal/core"
 	"vibe/internal/metrics"
 	"vibe/internal/results"
 	"vibe/internal/runner"
@@ -133,7 +133,7 @@ func (s *Server) Submit(req Submission) (*Job, error) {
 		return nil, err
 	}
 
-	key := cacheKeyFor(req, plan.Scenarios, plan.Experiments)
+	key := cacheKey(req, plan)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -288,23 +288,37 @@ func (s *Server) simSnapshot() metrics.Snapshot {
 	return metrics.MergedSnapshot(cols...)
 }
 
-// cacheKeyFor derives the job's cache key: the results-layer provenance
-// hash (quick, experiment list, per-cell provenance) extended with the
-// submission fields that alter artifact bytes — label and the
-// trace/profile switches — so a hit always replays exactly what an
-// identical submission would produce.
-func cacheKeyFor(req Submission, scs []*core.Scenario, exps []*core.Experiment) string {
-	ids := make([]string, len(exps))
-	for i, e := range exps {
+// cacheKey hashes everything that decides a job's artifact bytes: the
+// quick flag (ProvenanceOf leaves quick-only scenarios nil, so it is named
+// here), the experiment list in submission order (results.json lists them
+// in that order), each cell's provenance (nil meaning the unmodified
+// default; the fault plan included), the label and the trace/profile
+// switches. The hash is over canonical JSON, so submissions that describe
+// the same run hash identically whatever order their overrides were given
+// in, and a hit always replays exactly what the submission would produce.
+func cacheKey(req Submission, plan *runner.Plan) string {
+	ids := make([]string, len(plan.Experiments))
+	for i, e := range plan.Experiments {
 		ids[i] = e.ID
 	}
-	provs := make([]*results.Provenance, len(scs))
-	for i, sc := range scs {
+	provs := make([]*results.Provenance, len(plan.Scenarios))
+	for i, sc := range plan.Scenarios {
 		provs[i] = results.ProvenanceOf(sc)
 	}
-	base := results.CacheKey(req.Quick, ids, provs...)
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|label=%s|trace=%t|profile=%t",
-		base, req.Label, req.Trace, req.Profile)))
+	data, err := json.Marshal(struct {
+		Quick       bool                  `json:"quick"`
+		Experiments []string              `json:"experiments"`
+		Scenarios   []*results.Provenance `json:"scenarios"`
+		Label       string                `json:"label"`
+		Trace       bool                  `json:"trace"`
+		Profile     bool                  `json:"profile"`
+	}{req.Quick, ids, provs, req.Label, req.Trace, req.Profile})
+	if err != nil {
+		// Strings, integers, bools and compiled scenarios, whose fault
+		// plans are validated finite: Marshal cannot fail on them.
+		panic("serve: cache key marshal: " + err.Error())
+	}
+	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
 }
 

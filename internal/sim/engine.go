@@ -18,7 +18,7 @@ type Engine struct {
 	rng    *rand.Rand
 
 	live    int // number of spawned processes that have not finished
-	blocked int // processes parked on a Signal/Queue/Resource (no wake event pending)
+	blocked int // processes parked on a Signal/Queue (no wake event pending)
 	parked  int // processes (daemons included) parked with no wake pending
 
 	// procs registers every spawned process so Shutdown can unwind the

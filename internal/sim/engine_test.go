@@ -262,47 +262,6 @@ func TestQueueTryPop(t *testing.T) {
 	}
 }
 
-func TestResourceFIFOAndOccupancy(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e)
-	var got []string
-	for i := 0; i < 3; i++ {
-		i := i
-		e.SpawnAfter(Duration(i), fmt.Sprintf("p%d", i), func(p *Proc) {
-			r.Acquire(p)
-			p.Sleep(100)
-			got = append(got, fmt.Sprintf("p%d@%d", i, p.Now()))
-			r.Release(p)
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := "[p0@100 p1@200 p2@300]"
-	if fmt.Sprint(got) != want {
-		t.Fatalf("trace = %v, want %v", got, want)
-	}
-}
-
-func TestResourceReleaseByNonHolderPanics(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e)
-	e.Spawn("a", func(p *Proc) {
-		r.Acquire(p)
-		p.Sleep(10)
-		r.Release(p)
-	})
-	e.Spawn("b", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("release by non-holder did not panic")
-			}
-		}()
-		r.Release(p)
-	})
-	_ = e.Run()
-}
-
 func TestPipeSerialization(t *testing.T) {
 	e := NewEngine(1)
 	pp := NewPipe(e)

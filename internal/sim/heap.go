@@ -8,7 +8,7 @@ package sim
 //   - svc != nil: run a closure-free callback — a queue-bound Machine's
 //     continuation at state pc (see actor.go) or a Signal wait's deadline
 //   - p != nil:   resume process p (a wake scheduled by Sleep or by a
-//     Signal/Queue/Resource waker), or start it if it has not started
+//     Signal/Queue waker), or start it if it has not started
 //   - otherwise:  run the plain callback fn
 //
 // Wake, start and continuation events carry their target directly instead

@@ -4,7 +4,7 @@
 // The engine advances a virtual clock over a priority queue of events.
 // Simulated processes are coroutines that run strictly one at a time: a
 // process executes until it blocks on a simulation primitive (Sleep, Signal,
-// Queue, Resource), at which point control returns to the event loop. Ties
+// Queue), at which point control returns to the event loop. Ties
 // in time are broken by schedule order, so a run is fully deterministic for
 // a given seed.
 //

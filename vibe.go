@@ -151,13 +151,13 @@ func DefaultConfig(providerName string) (Config, error) {
 }
 
 // Scenario types: a scenario is a first-class design point — a base
-// provider model, parameter overrides, and run-config overrides — that
-// every experiment can execute under.
+// provider model, parameter overrides, run-config overrides and an
+// optional fault plan — that every experiment can execute under.
 type (
 	// Scenario is a compiled, validated design point.
 	Scenario = core.Scenario
 	// ScenarioSpec is the serializable scenario description
-	// ({base, set, run}) that compiles into a Scenario.
+	// ({name, base, set, run, fault}) that compiles into a Scenario.
 	ScenarioSpec = core.ScenarioSpec
 )
 
