@@ -230,3 +230,52 @@ func TestRunArtifacts(t *testing.T) {
 		t.Errorf("failing plan artifacts = %v, want the profile only", out.Artifacts)
 	}
 }
+
+// TestQuickMetricsUnchanged pins the quick registry's merged metrics and
+// virtual-time profile byte for byte: events dispatched, busy time, DMA
+// bytes, TLB hits and misses, span histograms and every profile stack. The
+// result baselines cannot see a change that moves work between components
+// or adds a zero-delay event while keeping every reported number; these
+// files can. An intentional change regenerates both with
+//
+//	go run ./cmd/vibe-report -quick -parallel 1 \
+//	  -metrics-out internal/runner/testdata/metrics-quick.json \
+//	  -profile-out internal/runner/testdata/profile-quick.folded
+func TestQuickMetricsUnchanged(t *testing.T) {
+	p, err := Compile(Request{Quick: true, MetricsJSON: true, Profile: true, SpanSample: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, path := range map[string]string{
+		MetricsJSONArtifact: "testdata/metrics-quick.json",
+		ProfileArtifact:     "testdata/profile-quick.folded",
+	} {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := out.Artifact(name)
+		if bytes.Equal(got, want) {
+			continue
+		}
+		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			if i >= len(gl) || i >= len(wl) || !bytes.Equal(gl[i], wl[i]) {
+				t.Errorf("%s differs from %s at line %d:\n got %q\nwant %q", name, path, i+1, at(gl, i), at(wl, i))
+				break
+			}
+		}
+	}
+}
+
+// at returns line i of lines, or "" past the end.
+func at(lines [][]byte, i int) []byte {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return nil
+}
