@@ -124,14 +124,41 @@ func TestRdmaWriteWithImmediateConsumesDescriptor(t *testing.T) {
 }
 
 func TestRdmaRead(t *testing.T) {
-	const n = 9000
+	rdmaReadPair(t, 9000).run()
+}
+
+// TestRdmaReadFragmentCounts checks that every fragment one NIC sends is
+// counted as received by the other: the responder counts the read request
+// it receives, just as the requester counts it as sent.
+func TestRdmaReadFragmentCounts(t *testing.T) {
+	env := rdmaReadPair(t, 9000)
+	env.run()
+	snap := env.sys.CollectMetrics()
+	get := func(key string) float64 {
+		v, ok := snap.Get(key)
+		if !ok {
+			t.Fatalf("no metric %s", key)
+		}
+		return v
+	}
+	for _, p := range [][2]string{{"nic0", "nic1"}, {"nic1", "nic0"}} {
+		sent, recv := get(p[0]+".frags.sent"), get(p[1]+".frags.recv")
+		if sent == 0 || sent != recv {
+			t.Errorf("%s.frags.sent = %v, %s.frags.recv = %v", p[0], sent, p[1], recv)
+		}
+	}
+}
+
+// rdmaReadPair builds a reliable clan pair in which the client reads n
+// patterned bytes from the server's registered buffer and checks them.
+func rdmaReadPair(t *testing.T, n int) *pairEnv {
 	attrs := ViAttributes{EnableRdmaRead: true, Reliability: ReliableDelivery}
 	var (
 		remoteH MemHandle
 		tgt     *bufExport
 		ready   bool
 	)
-	env := newPair(t, provider.CLAN(), attrs,
+	return newPair(t, provider.CLAN(), attrs,
 		func(ctx *Ctx, vi *Vi, nic *Nic) {
 			dst := ctx.Malloc(n)
 			h, _ := nic.RegisterMem(ctx, dst)
@@ -168,7 +195,6 @@ func TestRdmaRead(t *testing.T) {
 				ctx.Sleep(10 * sim.Microsecond)
 			}
 		})
-	env.run()
 }
 
 func TestRdmaReadRequiresReliable(t *testing.T) {
