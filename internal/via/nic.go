@@ -167,8 +167,11 @@ func newNic(h *Host) *Nic {
 	// the metrics stay where the baselines recorded them.
 	eng.At(eng.Now(), func() {})
 	eng.At(eng.Now(), func() {})
-	n.doorbells.Serve(&sendMachine{n: n})
-	inbox.Serve(&recvMachine{n: n})
+	sm, rm := &sendMachine{n: n}, &recvMachine{n: n}
+	sm.dp = datapath{n: n, owner: sm}
+	rm.dp = datapath{n: n, owner: rm}
+	n.doorbells.Serve(sm)
+	inbox.Serve(rm)
 	return n
 }
 
