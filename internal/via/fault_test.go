@@ -318,29 +318,40 @@ func chaosPlans() int {
 	return 50
 }
 
-// runChaosCase drives one seeded chaos iteration: a 2-host streaming
-// workload over the given model under the given plan, checking the
-// invariants that must survive arbitrary faults — the simulation always
-// terminates (every wait is bounded, so a hang is a deadlock and Run
-// reports it), reliable levels deliver in order without gaps or
-// duplicates, any successfully completed receive carries exactly the
-// bytes of one sent message, fabric packet accounting conserves
-// (delivered = sent - dropped + duplicated), and no switch buffer credit
-// leaks.
+// runChaosCase drives one seeded chaos iteration: a 2-host workload over
+// the given model under the given plan that streams sends, then issues an
+// RDMA write with immediate data and, on the reliable levels (the only
+// ones that accept it), an RDMA read. It checks the invariants that must
+// survive arbitrary faults — the simulation always terminates (every wait
+// is bounded, so a hang is a deadlock and Run reports it), reliable levels
+// deliver in order without gaps or duplicates, the write's immediate
+// included, any successfully completed receive carries exactly the bytes
+// of one sent message, a delivered immediate finds the whole write in
+// place and a successful read returns the whole remote buffer, fabric
+// packet accounting conserves (delivered = sent - dropped + duplicated),
+// and no switch buffer credit leaks.
 func runChaosCase(t *testing.T, m *provider.Model, plan *fault.Plan, seed int, rel ReliabilityLevel) *System {
 	const (
 		msgs = 16
 		size = 1200
+		// The RDMA transfers span three fragments at a 4 KB MTU.
+		rdmaSize = 9000
+		imm      = 0xC0FFEE
 	)
 	sys := NewSystem(m, 2, int64(seed)+1)
 	sys.InstallFaults(plan)
 	sys.EnableSpans(1)
 	base := byte(seed * 7)
+	writeSeed, readSeed := base+msgs, base+msgs+1
+	attrs := ViAttributes{Reliability: rel, EnableRdmaWrite: true, EnableRdmaRead: rel.Reliable()}
+	// The server's write target and read source, published before it
+	// accepts the connection.
+	var writeTo, readFrom AddressSegment
 
 	sys.Go(0, "chaos-client", func(ctx *Ctx) {
 		nic := ctx.OpenNic()
 		nic.SetErrorCallback(func(*Ctx, ErrorEvent) {})
-		vi, err := nic.CreateVi(ctx, ViAttributes{Reliability: rel}, nil, nil)
+		vi, err := nic.CreateVi(ctx, attrs, nil, nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -370,18 +381,70 @@ func runChaosCase(t *testing.T, m *provider.Model, plan *fault.Plan, seed int, r
 				return // broken or stuck: acceptable, but stops cleanly
 			}
 		}
+
+		wsrc, rdst := ctx.Malloc(rdmaSize), ctx.Malloc(rdmaSize)
+		wh, err1 := nic.RegisterMem(ctx, wsrc)
+		rh, err2 := nic.RegisterMem(ctx, rdst)
+		if err1 != nil || err2 != nil {
+			t.Error(err1, err2)
+			return
+		}
+		wsrc.FillPattern(writeSeed)
+		w := &Descriptor{
+			Op:            OpRdmaWrite,
+			Segs:          []DataSegment{{Addr: wsrc.Addr(), Handle: wh, Length: rdmaSize}},
+			Remote:        &writeTo,
+			HasImmediate:  true,
+			ImmediateData: imm,
+		}
+		if err := vi.PostSend(ctx, w); err != nil {
+			return
+		}
+		if d, err := vi.SendWait(ctx, sim.Second); err != nil || d.Status != StatusSuccess || !rel.Reliable() {
+			return
+		}
+		r := &Descriptor{
+			Op:     OpRdmaRead,
+			Segs:   []DataSegment{{Addr: rdst.Addr(), Handle: rh, Length: rdmaSize}},
+			Remote: &readFrom,
+		}
+		if err := vi.PostSend(ctx, r); err != nil {
+			t.Errorf("post RDMA read: %v", err)
+			return
+		}
+		d, err := vi.SendWait(ctx, sim.Second)
+		if err != nil || d.Status != StatusSuccess {
+			return
+		}
+		if d.Length != rdmaSize {
+			t.Errorf("RDMA read: length %d, want %d", d.Length, rdmaSize)
+		}
+		if err := rdst.CheckPattern(readSeed, rdmaSize); err != nil {
+			t.Errorf("RDMA read corrupted: %v", err)
+		}
 	})
 
 	sys.Go(1, "chaos-server", func(ctx *Ctx) {
 		nic := ctx.OpenNic()
 		nic.SetErrorCallback(func(*Ctx, ErrorEvent) {})
-		vi, err := nic.CreateVi(ctx, ViAttributes{Reliability: rel}, nil, nil)
+		vi, err := nic.CreateVi(ctx, attrs, nil, nil)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		bufs := make(map[*Descriptor]*vmem.Buffer, msgs)
-		for i := 0; i < msgs; i++ {
+		wdst, rsrc := ctx.Malloc(rdmaSize), ctx.Malloc(rdmaSize)
+		wh, err1 := nic.RegisterMem(ctx, wdst)
+		rh, err2 := nic.RegisterMem(ctx, rsrc)
+		if err1 != nil || err2 != nil {
+			t.Error(err1, err2)
+			return
+		}
+		rsrc.FillPattern(readSeed)
+		writeTo = AddressSegment{Addr: wdst.Addr(), Handle: wh}
+		readFrom = AddressSegment{Addr: rsrc.Addr(), Handle: rh}
+		// One receive descriptor per send, plus one for the immediate.
+		bufs := make(map[*Descriptor]*vmem.Buffer, msgs+1)
+		for i := 0; i < msgs+1; i++ {
 			b := ctx.Malloc(size)
 			h, err := nic.RegisterMem(ctx, b)
 			if err != nil {
@@ -402,14 +465,27 @@ func runChaosCase(t *testing.T, m *provider.Model, plan *fault.Plan, seed int, r
 		if err := req.Accept(ctx, vi); err != nil {
 			return
 		}
-		delivered := 0
-		for i := 0; i < msgs; i++ {
+		delivered, imms := 0, 0
+		for i := 0; i < msgs+1; i++ {
 			d, err := vi.RecvWait(ctx, 200*sim.Millisecond)
 			if err != nil {
 				break // lost tail (timeout) or empty flushed queue
 			}
 			if d.Status != StatusSuccess {
 				continue // flushed descriptors carry no data
+			}
+			if d.GotImmediate {
+				imms++
+				if d.Immediate != imm || d.Length != rdmaSize {
+					t.Errorf("delivery %d: immediate %#x length %d, want %#x length %d", i, d.Immediate, d.Length, imm, rdmaSize)
+				}
+				if err := wdst.CheckPattern(writeSeed, rdmaSize); err != nil {
+					t.Errorf("RDMA write corrupted: %v", err)
+				}
+				if rel.Reliable() && (delivered != msgs || imms != 1) {
+					t.Errorf("reliable immediate %d arrived after %d of %d messages", imms, delivered, msgs)
+				}
+				continue
 			}
 			if d.Length != size {
 				t.Errorf("delivery %d: length %d, want %d", i, d.Length, size)
