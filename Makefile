@@ -26,7 +26,11 @@ race:
 # the routed-topology soak (TestChaosSoakRouted: fat-tree/dragonfly/torus
 # fabrics under topology-aware plans that also kill switches and
 # inter-switch links) — plus the span-accounting integrity sweep (spans
-# must never leak or double-close under faults). Every wait in the soak is
+# must never leak or double-close under faults). Each soak case streams
+# sends, then does an RDMA write with immediate data and, on reliable
+# connections, an RDMA read, so every NIC data path (send, receive,
+# RDMA-write landing, read responder, read-response landing) runs under
+# the plan; payloads are pattern-checked. Every wait in the soak is
 # bounded, so a hang is a simulation deadlock and fails the run; the
 # timeout bounds the wall clock regardless.
 CHAOS_PLANS ?= 200
@@ -90,7 +94,10 @@ bench-smoke: build
 
 # Fuzz smoke: run each input-parser fuzzer for 10 s. FuzzParseDuration
 # checks -set durations (no panic, nothing negative accepted, and the
-# canonical form parses back exactly); FuzzFaultParse checks no fault plan
+# canonical form parses back exactly); FuzzParseSet checks that an
+# accepted -set list applies to every built-in model and that rendering
+# the overridden parameters and parsing them again gives the same model;
+# FuzzFaultParse checks no fault plan
 # makes Parse or a fresh injector panic; FuzzScenarioSpec checks that an
 # accepted scenario file re-encodes to a fixed point with the same
 # provenance and, under a fuzzed -sweep, the same vibed cache key; and
@@ -99,6 +106,7 @@ bench-smoke: build
 # the package's testdata/fuzz/ and replays in every later `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDuration$$' -fuzztime 10s ./internal/provider/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSet$$' -fuzztime 10s ./internal/provider/
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioSpec$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzResultsRoundTrip$$' -fuzztime 10s ./internal/results/

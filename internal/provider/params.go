@@ -102,9 +102,15 @@ func ParseDuration(s string) (sim.Duration, error) {
 }
 
 // FormatDuration renders a duration in the catalog's canonical form:
-// microseconds with a "us" suffix.
+// microseconds with a "us" suffix, or whole nanoseconds with "ns" for the
+// rare value (beyond about 2^50 ns) whose microsecond float would not
+// parse back exactly.
 func FormatDuration(d sim.Duration) string {
-	return strconv.FormatFloat(d.Micros(), 'g', -1, 64) + "us"
+	s := strconv.FormatFloat(d.Micros(), 'g', -1, 64) + "us"
+	if back, err := ParseDuration(s); err == nil && back == d {
+		return s
+	}
+	return strconv.FormatInt(int64(d), 10) + "ns"
 }
 
 // Builders for the common parameter kinds. Each takes an accessor

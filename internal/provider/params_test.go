@@ -1,6 +1,8 @@
 package provider
 
 import (
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -189,14 +191,20 @@ func TestSetRejectsValuesOutsideTheDomain(t *testing.T) {
 }
 
 // FuzzParseDuration checks ParseDuration never panics, accepts only
-// non-negative durations, and inverts FormatDuration on [0, 2^50) ns.
+// non-negative durations, and inverts FormatDuration on [0, 2^50) ns and
+// on every duration it accepts.
 func FuzzParseDuration(f *testing.F) {
-	for _, s := range []string{"12.5ms", "40us", "350ns", "0.0005s", "2", "1.001us", "-5us", "NaN", "Inf", "1e300s", "9.3e18ns", " 2 US "} {
+	for _, s := range []string{"12.5ms", "40us", "350ns", "0.0005s", "2", "1.001us", "-5us", "NaN", "Inf", "1e300s", "9.3e18ns", "9010000000000000700ns", " 2 US "} {
 		f.Add(s, uint64(len(s))*1_000_003)
 	}
 	f.Fuzz(func(t *testing.T, s string, n uint64) {
-		if d, err := ParseDuration(s); err == nil && d < 0 {
-			t.Fatalf("ParseDuration(%q) = %d, negative", s, d)
+		if d, err := ParseDuration(s); err == nil {
+			if d < 0 {
+				t.Fatalf("ParseDuration(%q) = %d, negative", s, d)
+			}
+			if got, err := ParseDuration(FormatDuration(d)); err != nil || got != d {
+				t.Fatalf("ParseDuration(%q) = %d, but its canonical form %q parses as %d, %v", s, d, FormatDuration(d), got, err)
+			}
 		}
 		d := sim.Duration(n % (1 << 50))
 		if got, err := ParseDuration(FormatDuration(d)); err != nil || got != d {
@@ -304,4 +312,61 @@ func TestParseSet(t *testing.T) {
 	if set, err := ParseSet(nil); err != nil || set != nil {
 		t.Fatalf("ParseSet(nil) = %v, %v", set, err)
 	}
+}
+
+// FuzzParseSet feeds ParseSet newline-separated -set arguments. It must
+// never panic, and a set it accepts must apply to every built-in model
+// and survive a round trip: rendering each overridden parameter with
+// Param.Get and parsing that again yields a deep-equal model.
+func FuzzParseSet(f *testing.F) {
+	for _, s := range []string{
+		"DoorbellCost=2us", "DropRate=0.005", "HostCopies=false",
+		"NetSwitchBufPkts=4", "NetTopology=torus3d", "NetTopology=fattree",
+		"TLBCapacity=1024", "WireMTU=9000", "TLBPolicy=lru",
+		"doorbellcost=2us\nWireMTU = 9000", "TLBCapacity=8\nTLBCapacity=32",
+		"DoorbellCost=quickly", "ReliabilityMask=elite", "NoSuchKnob=1", "=2us", "TLBCapacity=",
+		"LinkLatency=-5us", "LinkLatency=1e300s", "ViCreate=9223372036854775807ns",
+		"BandwidthBps=1e9", "MaxTransferSize=2147483647", "FrameOverhead=-100",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		set, err := ParseSet(strings.Split(s, "\n"))
+		if err != nil {
+			return
+		}
+		names := make([]string, 0, len(set))
+		for name := range set {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, base := range All() {
+			m := base.Clone()
+			for _, name := range names {
+				if err := m.Override(name, set[name]); err != nil {
+					t.Fatalf("%s: accepted set %v does not apply: %v", base.Name, set, err)
+				}
+			}
+			args := make([]string, len(names))
+			for i, name := range names {
+				p, _ := ParamByName(name)
+				args[i] = name + "=" + p.Get(m)
+			}
+			again, err := ParseSet(args)
+			if err != nil {
+				t.Fatalf("%s: rendered set %v rejected: %v", base.Name, args, err)
+			}
+			ovs, err := CompileOverrides(again)
+			if err != nil {
+				t.Fatalf("%s: rendered set %v does not compile: %v", base.Name, args, err)
+			}
+			m2 := base.Clone()
+			for _, o := range ovs {
+				o.Apply(m2)
+			}
+			if !reflect.DeepEqual(m, m2) {
+				t.Fatalf("%s: set %v rendered as %v gives a different model", base.Name, set, args)
+			}
+		}
+	})
 }
