@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos failover-smoke vibed-smoke hostbench check cover bench-smoke bench-sim fuzz-smoke quick clean
+.PHONY: all build vet test race chaos failover-smoke vibed-smoke hostbench examples check cover bench-smoke bench-sim fuzz-smoke quick clean
 
 all: check
 
@@ -68,6 +68,13 @@ vibed-smoke: build
 # though it calls the runner, core, results and serve APIs directly.
 hostbench:
 	cd hostbench && $(GO) vet ./... && $(GO) test ./...
+
+# Run each examples/ program. They check their own calls and payloads
+# (mpring verifies every halo, rdma and sockets their transferred bytes)
+# and exit non-zero on a failure, so a break in the via, mp, getput,
+# stream or dsm APIs they drive fails here.
+examples:
+	for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 check: vet build test race
 

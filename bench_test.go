@@ -332,7 +332,7 @@ func BenchmarkLogPBaseline(b *testing.B) {
 	params := map[string]logp.Params{}
 	for i := 0; i < b.N; i++ {
 		for _, m := range provider.All() {
-			p, err := logp.Extract(m)
+			p, err := logp.Extract(core.DefaultConfig(m))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -119,7 +119,7 @@ func benches() []benchSpec {
 			return regReport(a.cfg.Model.Name, "memdereg", s), nil
 		}},
 		{"logp", func(a benchArgs) (*core.Report, error) {
-			ins, err := logp.Explain(a.cfg.Model)
+			ins, err := logp.Explain(a.cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -156,6 +158,37 @@ func TestBadSetExitsBeforeAnyCell(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("-set %s: a cell ran and printed %q", set, stdout.String())
+		}
+	}
+}
+
+// TestEveryBenchRunsInstrumented runs each single benchmark in a child
+// process with -metrics and requires the metrics block to count at least
+// one simulated system: a benchmark that builds its systems outside the
+// scenario's config would silently drop its instrumentation, fault plan
+// and run overrides.
+func TestEveryBenchRunsInstrumented(t *testing.T) {
+	if name := os.Getenv("VIBE_TEST_BENCH"); name != "" {
+		os.Args = []string{"vibe", "-provider", "clan", "-bench", name, "-quick", "-sizes", "4", "-metrics"}
+		main()
+		return
+	}
+	systems := regexp.MustCompile(`--- metrics: base \((\d+) simulated systems\) ---`)
+	for _, b := range benches() {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestEveryBenchRunsInstrumented$")
+		cmd.Env = append(os.Environ(), "VIBE_TEST_BENCH="+b.name)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Errorf("-bench %s: %v\n%s", b.name, err, out)
+			continue
+		}
+		m := systems.FindSubmatch(out)
+		if m == nil {
+			t.Errorf("-bench %s: no metrics block in\n%s", b.name, out)
+			continue
+		}
+		if n, _ := strconv.Atoi(string(m[1])); n < 1 {
+			t.Errorf("-bench %s: metrics counted %d simulated systems, want at least 1", b.name, n)
 		}
 	}
 }

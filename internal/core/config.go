@@ -84,6 +84,57 @@ func DefaultConfig(m *provider.Model) Config {
 	}
 }
 
+// Simulate runs one workload through the lifecycle every benchmark
+// shares: it builds an n-host system from the config's model and seed,
+// installs the fault plan and instrumentation, lets spawn start the
+// measured processes, runs the engine, hands the system to read (if not
+// nil) for post-run counters, and closes it. The fail passed to spawn
+// keeps the first error and stops the engine, so a failed process never
+// leaves its peer blocked into a deadlock report. The result is the
+// first of the fail error, Run's error and Close's leak check.
+func (c Config) Simulate(n int, spawn func(sys *via.System, fail func(error)), read func(sys *via.System)) (err error) {
+	sys := via.NewSystem(c.Model, n, c.Seed)
+	if c.Fault != nil {
+		sys.InstallFaults(c.Fault)
+	}
+	if in := c.Instr; in != nil {
+		if in.Metrics != nil {
+			sys.SetCollector(in.Metrics)
+		}
+		if in.Trace != nil {
+			sys.Eng.SetTracer(in.Trace.ForSystem())
+		}
+		if in.SpanSample > 0 {
+			sys.EnableSpans(in.SpanSample)
+		}
+		if in.Profile != nil {
+			sys.SetProfile(in.Profile)
+		}
+	}
+	// Deferred so a process panic unwinding out of Run still tears the
+	// engine down.
+	defer func() {
+		if cerr := sys.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	var failErr error
+	spawn(sys, func(e error) {
+		if failErr == nil {
+			failErr = e
+		}
+		sys.Eng.Stop()
+	})
+	err = sys.Run()
+	if read != nil {
+		read(sys)
+	}
+	if failErr != nil {
+		err = failErr
+	}
+	return err
+}
+
 // XferOpts vary exactly one (or more) VIA components relative to the base
 // configuration of §3.2.1: 100% buffer reuse, one data segment, no
 // completion queue, one VI, no notify mechanism, unreliable delivery,

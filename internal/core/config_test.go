@@ -1,9 +1,58 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
+
+	"vibe/internal/mp"
+	"vibe/internal/provider"
+	"vibe/internal/via"
 )
+
+// TestSimulateFailureBeatsDeadlock is mpPingPong's failure path: rank 0
+// fails at iteration 3 while rank 1 is blocked in a receive that nothing
+// will ever satisfy. The result must be rank 0's error, not the deadlock
+// report the abandoned rank would otherwise produce.
+func TestSimulateFailureBeatsDeadlock(t *testing.T) {
+	errX := errors.New("rank 0 failed at iteration 3")
+	cfg := DefaultConfig(provider.CLAN())
+	read := false
+	err := cfg.Simulate(2, func(sys *via.System, fail func(error)) {
+		mp.NewWorld(sys, mp.DefaultConfig()).Run(func(ctx *via.Ctx, ep *mp.Endpoint) {
+			buf := ctx.Malloc(64)
+			other := 1 - ep.Rank()
+			for i := 0; ; i++ {
+				if ep.Rank() == 0 {
+					if i == 3 {
+						fail(errX)
+						return
+					}
+					if err := ep.Send(ctx, other, 1, buf, 64); err != nil {
+						fail(err)
+						return
+					}
+				}
+				if _, _, err := ep.Recv(ctx, other, 1); err != nil {
+					fail(err)
+					return
+				}
+				if ep.Rank() == 1 {
+					if err := ep.Send(ctx, other, 1, buf, 64); err != nil {
+						fail(err)
+						return
+					}
+				}
+			}
+		})
+	}, func(*via.System) { read = true })
+	if !errors.Is(err, errX) {
+		t.Fatalf("Simulate = %v, want the failing rank's error %q", err, errX)
+	}
+	if !read {
+		t.Error("read was not called after a failed run")
+	}
+}
 
 func TestNormalizedDefaults(t *testing.T) {
 	o := XferOpts{}.normalized()

@@ -54,17 +54,6 @@ func FailoverRun(cfg Config, senders, msgs, size int, outageStart sim.Time) (Fai
 		TopoResult:       TopoResult{Hosts: senders + 1, Messages: senders * msgs, Size: size},
 		RerouteLatencyUs: -1,
 	}
-	sys := via.NewSystem(cfg.Model, senders+1, cfg.Seed)
-	defer sys.Close()
-	cfg.instrument(sys)
-
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-		sys.Eng.Stop()
-	}
 	onError := func(*via.Ctx, via.ErrorEvent) {
 		res.Callbacks++
 		res.ConnBroken = true
@@ -79,122 +68,121 @@ func FailoverRun(cfg Config, senders, msgs, size int, outageStart sim.Time) (Fai
 	// drain longer than that means the descriptor is stuck.
 	drainBound := 500 * sim.Millisecond
 
-	for s := 1; s <= senders; s++ {
-		s := s
-		disc := fmt.Sprintf("fo-%d", s)
-		sys.Go(0, "fo-sink-"+disc, func(ctx *via.Ctx) {
-			nic := ctx.OpenNic()
-			nic.SetErrorCallback(onError)
-			vi, err := nic.CreateVi(ctx, attrs, nil, nil)
-			if err != nil {
-				fail(err)
-				return
-			}
-			buf := ctx.Malloc(size)
-			h, err := nic.RegisterMem(ctx, buf)
-			if err != nil {
-				fail(err)
-				return
-			}
-			targets[s] = via.AddressSegment{Addr: buf.Addr(), Handle: h}
-			registered++
-			req, err := nic.ConnectWait(ctx, disc, cfg.Timeout)
-			if err != nil {
-				fail(fmt.Errorf("wait %s: %w", disc, err))
-				return
-			}
-			if err := req.Accept(ctx, vi); err != nil {
-				fail(fmt.Errorf("accept %s: %w", disc, err))
-			}
-		})
-		sys.Go(s, "fo-src-"+disc, func(ctx *via.Ctx) {
-			nic := ctx.OpenNic()
-			nic.SetErrorCallback(onError)
-			vi, err := nic.CreateVi(ctx, attrs, nil, nil)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if err := vi.ConnectRequest(ctx, 0, disc, cfg.Timeout); err != nil {
-				fail(fmt.Errorf("connect %s: %w", disc, err))
-				return
-			}
-			for registered < senders { // address exchange
-				ctx.Sleep(10 * sim.Microsecond)
-			}
-			buf := ctx.Malloc(size)
-			h, err := nic.RegisterMem(ctx, buf)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if d := t0.Sub(ctx.Now()); d > 0 {
-				ctx.Sleep(d)
-			}
-			remote := targets[s]
-			classify := func(d *via.Descriptor) {
-				if d.Status == via.StatusSuccess {
-					res.SendOK++
-				} else {
-					res.SendFailed++
+	err := cfg.Simulate(senders+1, func(sys *via.System, fail func(error)) {
+		for s := 1; s <= senders; s++ {
+			s := s
+			disc := fmt.Sprintf("fo-%d", s)
+			sys.Go(0, "fo-sink-"+disc, func(ctx *via.Ctx) {
+				nic := ctx.OpenNic()
+				nic.SetErrorCallback(onError)
+				vi, err := nic.CreateVi(ctx, attrs, nil, nil)
+				if err != nil {
+					fail(err)
+					return
 				}
-				if now := ctx.Now(); now > t1 {
-					t1 = now
+				buf := ctx.Malloc(size)
+				h, err := nic.RegisterMem(ctx, buf)
+				if err != nil {
+					fail(err)
+					return
 				}
-			}
-			posted, done := 0, 0
-			start := ctx.Now()
-			for i := 0; i < msgs; i++ {
-				if next := start.Add(sim.Duration(i) * failoverGap); next > ctx.Now() {
-					ctx.Sleep(next.Sub(ctx.Now()))
+				targets[s] = via.AddressSegment{Addr: buf.Addr(), Handle: h}
+				registered++
+				req, err := nic.ConnectWait(ctx, disc, cfg.Timeout)
+				if err != nil {
+					fail(fmt.Errorf("wait %s: %w", disc, err))
+					return
 				}
-				d := &via.Descriptor{
-					Op:     via.OpRdmaWrite,
-					Segs:   []via.DataSegment{{Addr: buf.Addr(), Handle: h, Length: size}},
-					Remote: &remote,
+				if err := req.Accept(ctx, vi); err != nil {
+					fail(fmt.Errorf("accept %s: %w", disc, err))
 				}
-				if err := vi.PostSend(ctx, d); err != nil {
-					res.PostRejected++
-				} else {
-					posted++
+			})
+			sys.Go(s, "fo-src-"+disc, func(ctx *via.Ctx) {
+				nic := ctx.OpenNic()
+				nic.SetErrorCallback(onError)
+				vi, err := nic.CreateVi(ctx, attrs, nil, nil)
+				if err != nil {
+					fail(err)
+					return
 				}
-				for {
-					d, ok := vi.SendDone(ctx)
-					if !ok {
-						break
+				if err := vi.ConnectRequest(ctx, 0, disc, cfg.Timeout); err != nil {
+					fail(fmt.Errorf("connect %s: %w", disc, err))
+					return
+				}
+				for registered < senders { // address exchange
+					ctx.Sleep(10 * sim.Microsecond)
+				}
+				buf := ctx.Malloc(size)
+				h, err := nic.RegisterMem(ctx, buf)
+				if err != nil {
+					fail(err)
+					return
+				}
+				if d := t0.Sub(ctx.Now()); d > 0 {
+					ctx.Sleep(d)
+				}
+				remote := targets[s]
+				classify := func(d *via.Descriptor) {
+					if d.Status == via.StatusSuccess {
+						res.SendOK++
+					} else {
+						res.SendFailed++
+					}
+					if now := ctx.Now(); now > t1 {
+						t1 = now
+					}
+				}
+				posted, done := 0, 0
+				start := ctx.Now()
+				for i := 0; i < msgs; i++ {
+					if next := start.Add(sim.Duration(i) * failoverGap); next > ctx.Now() {
+						ctx.Sleep(next.Sub(ctx.Now()))
+					}
+					d := &via.Descriptor{
+						Op:     via.OpRdmaWrite,
+						Segs:   []via.DataSegment{{Addr: buf.Addr(), Handle: h, Length: size}},
+						Remote: &remote,
+					}
+					if err := vi.PostSend(ctx, d); err != nil {
+						res.PostRejected++
+					} else {
+						posted++
+					}
+					for {
+						d, ok := vi.SendDone(ctx)
+						if !ok {
+							break
+						}
+						classify(d)
+						done++
+					}
+				}
+				for done < posted {
+					d, err := vi.SendWait(ctx, drainBound)
+					if err != nil {
+						break // timed out or queue flushed empty: stuck sends stay unaccounted
 					}
 					classify(d)
 					done++
 				}
-			}
-			for done < posted {
-				d, err := vi.SendWait(ctx, drainBound)
-				if err != nil {
-					break // timed out or queue flushed empty: stuck sends stay unaccounted
-				}
-				classify(d)
-				done++
-			}
-		})
-	}
-	if err := sys.Run(); err != nil && runErr == nil {
-		runErr = err
-	}
-	res.Messages = int(res.SendOK)
-	res.CreditStalls = sys.Net.CreditStalls()
-	res.MaxQueue = sys.Net.MaxQueueDepth()
-	res.Rerouted = sys.Net.Rerouted
-	res.Unroutable = sys.Net.Unroutable
-	if at, ok := sys.Net.FirstRerouteAt(); ok {
-		res.RerouteLatencyUs = at.Sub(outageStart).Micros()
-	}
-	for k, v := range sys.CollectMetrics().Map() {
-		if strings.HasSuffix(k, "window.retransmits") {
-			res.Retransmits += uint64(v)
+			})
 		}
-	}
+	}, func(sys *via.System) {
+		res.readFabric(sys)
+		res.Rerouted = sys.Net.Rerouted
+		res.Unroutable = sys.Net.Unroutable
+		if at, ok := sys.Net.FirstRerouteAt(); ok {
+			res.RerouteLatencyUs = at.Sub(outageStart).Micros()
+		}
+		for k, v := range sys.CollectMetrics().Map() {
+			if strings.HasSuffix(k, "window.retransmits") {
+				res.Retransmits += uint64(v)
+			}
+		}
+	})
+	res.Messages = int(res.SendOK)
 	res.finish(t0, t1)
-	return res, runErr
+	return res, err
 }
 
 // failoverCase is one XFAILOVER scenario: an outage plan over the

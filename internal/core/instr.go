@@ -4,7 +4,6 @@ import (
 	"vibe/internal/metrics"
 	"vibe/internal/prof"
 	"vibe/internal/trace"
-	"vibe/internal/via"
 )
 
 // Instr carries the optional instrumentation sinks of a run. A nil Instr
@@ -30,31 +29,6 @@ type Instr struct {
 	// Profile, when set, receives each system's per-component virtual-time
 	// attribution as folded stacks.
 	Profile *prof.Scope
-}
-
-// instrument attaches the config's instrumentation sinks and fault plan
-// to a freshly built system. Every experiment calls it right after
-// via.NewSystem, so one Config.Fault reaches every simulation a scenario
-// runs.
-func (c Config) instrument(sys *via.System) {
-	if c.Fault != nil {
-		sys.InstallFaults(c.Fault)
-	}
-	if c.Instr == nil {
-		return
-	}
-	if c.Instr.Metrics != nil {
-		sys.SetCollector(c.Instr.Metrics)
-	}
-	if c.Instr.Trace != nil {
-		sys.Eng.SetTracer(c.Instr.Trace.ForSystem())
-	}
-	if c.Instr.SpanSample > 0 {
-		sys.EnableSpans(c.Instr.SpanSample)
-	}
-	if c.Instr.Profile != nil {
-		sys.SetProfile(c.Instr.Profile)
-	}
 }
 
 // ProfiledExperiments wraps each experiment so its runs attribute

@@ -25,17 +25,7 @@ type NonDataCosts struct {
 // ConnectRequest and it returning; teardown is the client's Disconnect
 // call.
 func NonData(cfg Config) (NonDataCosts, error) {
-	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
-	defer sys.Close()
-	cfg.instrument(sys)
 	var out NonDataCosts
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-		sys.Eng.Stop()
-	}
 	reps := cfg.NonDataReps
 	if reps < 1 {
 		reps = 1
@@ -49,107 +39,105 @@ func NonData(cfg Config) (NonDataCosts, error) {
 		return ctx.Now().Sub(t0).Micros(), nil
 	}
 
-	sys.Go(0, "nondata-client", func(ctx *via.Ctx) {
-		nic := ctx.OpenNic()
-		var sumCreate, sumDestroy, sumConn, sumTear, sumCqC, sumCqD float64
-		for r := 0; r < reps; r++ {
-			var vi *via.Vi
-			us, err := timeIt(ctx, func() (e error) {
-				vi, e = nic.CreateVi(ctx, via.ViAttributes{}, nil, nil)
-				return
-			})
-			if err != nil {
-				fail(err)
-				return
-			}
-			sumCreate += us
+	err := cfg.Simulate(2, func(sys *via.System, fail func(error)) {
+		sys.Go(0, "nondata-client", func(ctx *via.Ctx) {
+			nic := ctx.OpenNic()
+			var sumCreate, sumDestroy, sumConn, sumTear, sumCqC, sumCqD float64
+			for r := 0; r < reps; r++ {
+				var vi *via.Vi
+				us, err := timeIt(ctx, func() (e error) {
+					vi, e = nic.CreateVi(ctx, via.ViAttributes{}, nil, nil)
+					return
+				})
+				if err != nil {
+					fail(err)
+					return
+				}
+				sumCreate += us
 
-			disc := fmt.Sprintf("nd-%d", r)
-			us, err = timeIt(ctx, func() error {
-				return vi.ConnectRequest(ctx, 1, disc, cfg.Timeout)
-			})
-			if err != nil {
-				fail(err)
-				return
-			}
-			sumConn += us
+				disc := fmt.Sprintf("nd-%d", r)
+				us, err = timeIt(ctx, func() error {
+					return vi.ConnectRequest(ctx, 1, disc, cfg.Timeout)
+				})
+				if err != nil {
+					fail(err)
+					return
+				}
+				sumConn += us
 
-			us, err = timeIt(ctx, func() error { return vi.Disconnect(ctx) })
-			if err != nil {
-				fail(err)
-				return
-			}
-			sumTear += us
+				us, err = timeIt(ctx, func() error { return vi.Disconnect(ctx) })
+				if err != nil {
+					fail(err)
+					return
+				}
+				sumTear += us
 
-			us, err = timeIt(ctx, func() error { return vi.Destroy(ctx) })
-			if err != nil {
-				fail(err)
-				return
-			}
-			sumDestroy += us
+				us, err = timeIt(ctx, func() error { return vi.Destroy(ctx) })
+				if err != nil {
+					fail(err)
+					return
+				}
+				sumDestroy += us
 
-			var cq *via.CQ
-			us, err = timeIt(ctx, func() (e error) {
-				cq, e = nic.CreateCQ(ctx, 64)
-				return
-			})
-			if err != nil {
-				fail(err)
-				return
-			}
-			sumCqC += us
+				var cq *via.CQ
+				us, err = timeIt(ctx, func() (e error) {
+					cq, e = nic.CreateCQ(ctx, 64)
+					return
+				})
+				if err != nil {
+					fail(err)
+					return
+				}
+				sumCqC += us
 
-			us, err = timeIt(ctx, func() error { return cq.Destroy(ctx) })
-			if err != nil {
-				fail(err)
-				return
+				us, err = timeIt(ctx, func() error { return cq.Destroy(ctx) })
+				if err != nil {
+					fail(err)
+					return
+				}
+				sumCqD += us
 			}
-			sumCqD += us
-		}
-		n := float64(reps)
-		out = NonDataCosts{
-			CreateVi:      sumCreate / n,
-			DestroyVi:     sumDestroy / n,
-			EstablishConn: sumConn / n,
-			TeardownConn:  sumTear / n,
-			CreateCq:      sumCqC / n,
-			DestroyCq:     sumCqD / n,
-		}
-	})
+			n := float64(reps)
+			out = NonDataCosts{
+				CreateVi:      sumCreate / n,
+				DestroyVi:     sumDestroy / n,
+				EstablishConn: sumConn / n,
+				TeardownConn:  sumTear / n,
+				CreateCq:      sumCqC / n,
+				DestroyCq:     sumCqD / n,
+			}
+		})
 
-	sys.Go(1, "nondata-server", func(ctx *via.Ctx) {
-		nic := ctx.OpenNic()
-		for r := 0; r < reps; r++ {
-			vi, err := nic.CreateVi(ctx, via.ViAttributes{}, nil, nil)
-			if err != nil {
-				fail(err)
-				return
+		sys.Go(1, "nondata-server", func(ctx *via.Ctx) {
+			nic := ctx.OpenNic()
+			for r := 0; r < reps; r++ {
+				vi, err := nic.CreateVi(ctx, via.ViAttributes{}, nil, nil)
+				if err != nil {
+					fail(err)
+					return
+				}
+				req, err := nic.ConnectWait(ctx, fmt.Sprintf("nd-%d", r), cfg.Timeout)
+				if err != nil {
+					fail(err)
+					return
+				}
+				if err := req.Accept(ctx, vi); err != nil {
+					fail(err)
+					return
+				}
+				// Wait for the client's disconnect to arrive before reusing
+				// state for the next repetition.
+				for vi.State() == via.ViConnected {
+					ctx.Sleep(10 * sim.Microsecond)
+				}
+				if err := vi.Destroy(ctx); err != nil {
+					fail(err)
+					return
+				}
 			}
-			req, err := nic.ConnectWait(ctx, fmt.Sprintf("nd-%d", r), cfg.Timeout)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if err := req.Accept(ctx, vi); err != nil {
-				fail(err)
-				return
-			}
-			// Wait for the client's disconnect to arrive before reusing
-			// state for the next repetition.
-			for vi.State() == via.ViConnected {
-				ctx.Sleep(10 * sim.Microsecond)
-			}
-			if err := vi.Destroy(ctx); err != nil {
-				fail(err)
-				return
-			}
-		}
-	})
-
-	if err := sys.Run(); err != nil {
-		return out, err
-	}
-	return out, runErr
+		})
+	}, nil)
+	return out, err
 }
 
 // RegLadder is the buffer-length x-axis of Figures 1 and 2.
@@ -180,40 +168,35 @@ func memRegDereg(cfg Config, sizes []int, name string, dereg bool) (*bench.Serie
 	if reps < 1 {
 		reps = 1
 	}
-	sys := via.NewSystem(cfg.Model, 1, cfg.Seed)
-	defer sys.Close()
-	cfg.instrument(sys)
-	var runErr error
-	sys.Go(0, "memreg", func(ctx *via.Ctx) {
-		nic := ctx.OpenNic()
-		for _, size := range sizes {
-			var sum float64
-			for r := 0; r < reps; r++ {
-				buf := ctx.Malloc(size)
-				t0 := ctx.Now()
-				h, err := nic.RegisterMem(ctx, buf)
-				if err != nil {
-					runErr = err
-					return
+	err := cfg.Simulate(1, func(sys *via.System, fail func(error)) {
+		sys.Go(0, "memreg", func(ctx *via.Ctx) {
+			nic := ctx.OpenNic()
+			for _, size := range sizes {
+				var sum float64
+				for r := 0; r < reps; r++ {
+					buf := ctx.Malloc(size)
+					t0 := ctx.Now()
+					h, err := nic.RegisterMem(ctx, buf)
+					if err != nil {
+						fail(err)
+						return
+					}
+					regUs := ctx.Now().Sub(t0).Micros()
+					t1 := ctx.Now()
+					if err := nic.DeregisterMem(ctx, h); err != nil {
+						fail(err)
+						return
+					}
+					deregUs := ctx.Now().Sub(t1).Micros()
+					if dereg {
+						sum += deregUs
+					} else {
+						sum += regUs
+					}
 				}
-				regUs := ctx.Now().Sub(t0).Micros()
-				t1 := ctx.Now()
-				if err := nic.DeregisterMem(ctx, h); err != nil {
-					runErr = err
-					return
-				}
-				deregUs := ctx.Now().Sub(t1).Micros()
-				if dereg {
-					sum += deregUs
-				} else {
-					sum += regUs
-				}
+				s.Add(float64(size), sum/float64(reps))
 			}
-			s.Add(float64(size), sum/float64(reps))
-		}
-	})
-	if err := sys.Run(); err != nil {
-		return s, err
-	}
-	return s, runErr
+		})
+	}, nil)
+	return s, err
 }

@@ -16,70 +16,59 @@ import (
 // combining lock-manager round trips, cache invalidation, page refetch,
 // and dirty-page flush.
 func DSMLockContention(cfg Config, nodes, incsPerNode int) (usPerOp float64, fetches uint64, err error) {
-	sys := via.NewSystem(cfg.Model, nodes, cfg.Seed)
-	defer sys.Close()
-	cfg.instrument(sys)
-	w := dsm.New(sys, dsm.DefaultConfig())
-	var runErr error
 	var elapsedUs float64
 	var totalFetches uint64
-	w.Run(func(ctx *via.Ctx, d *dsm.Node) {
-		fail := func(e error) {
-			if runErr == nil {
-				runErr = e
-			}
-		}
-		if e := d.Alloc(ctx, "ctr", 1); e != nil {
-			fail(e)
-			return
-		}
-		if e := d.Barrier(ctx); e != nil {
-			fail(e)
-			return
-		}
-		start := ctx.Now()
-		buf := make([]byte, 8)
-		for i := 0; i < incsPerNode; i++ {
-			if e := d.Acquire(ctx, 1); e != nil {
+	err = cfg.Simulate(nodes, func(sys *via.System, fail func(error)) {
+		dsm.New(sys, dsm.DefaultConfig()).Run(func(ctx *via.Ctx, d *dsm.Node) {
+			if e := d.Alloc(ctx, "ctr", 1); e != nil {
 				fail(e)
 				return
 			}
-			if e := d.Read(ctx, "ctr", 0, buf); e != nil {
+			if e := d.Barrier(ctx); e != nil {
 				fail(e)
 				return
 			}
-			binary.LittleEndian.PutUint64(buf, binary.LittleEndian.Uint64(buf)+1)
-			if e := d.Write(ctx, "ctr", 0, buf); e != nil {
+			start := ctx.Now()
+			buf := make([]byte, 8)
+			for i := 0; i < incsPerNode; i++ {
+				if e := d.Acquire(ctx, 1); e != nil {
+					fail(e)
+					return
+				}
+				if e := d.Read(ctx, "ctr", 0, buf); e != nil {
+					fail(e)
+					return
+				}
+				binary.LittleEndian.PutUint64(buf, binary.LittleEndian.Uint64(buf)+1)
+				if e := d.Write(ctx, "ctr", 0, buf); e != nil {
+					fail(e)
+					return
+				}
+				if e := d.Release(ctx, 1); e != nil {
+					fail(e)
+					return
+				}
+			}
+			if e := d.Barrier(ctx); e != nil {
 				fail(e)
 				return
 			}
-			if e := d.Release(ctx, 1); e != nil {
-				fail(e)
-				return
+			if d.Me() == 0 {
+				if e := d.Read(ctx, "ctr", 0, buf); e != nil {
+					fail(e)
+					return
+				}
+				if got := binary.LittleEndian.Uint64(buf); got != uint64(nodes*incsPerNode) {
+					fail(fmt.Errorf("dsm counter = %d, want %d", got, nodes*incsPerNode))
+					return
+				}
+				elapsedUs = ctx.Now().Sub(start).Micros()
 			}
-		}
-		if e := d.Barrier(ctx); e != nil {
-			fail(e)
-			return
-		}
-		if d.Me() == 0 {
-			if e := d.Read(ctx, "ctr", 0, buf); e != nil {
-				fail(e)
-				return
-			}
-			if got := binary.LittleEndian.Uint64(buf); got != uint64(nodes*incsPerNode) {
-				fail(fmt.Errorf("dsm counter = %d, want %d", got, nodes*incsPerNode))
-				return
-			}
-			elapsedUs = ctx.Now().Sub(start).Micros()
-		}
-		totalFetches += d.PageFetches
-	})
-	if e := sys.Run(); e != nil {
-		return 0, 0, e
-	}
-	if runErr != nil {
-		return 0, 0, runErr
+			totalFetches += d.PageFetches
+		})
+	}, nil)
+	if err != nil {
+		return 0, 0, err
 	}
 	return elapsedUs / float64(nodes*incsPerNode), totalFetches, nil
 }

@@ -39,18 +39,7 @@ const xfaultGap = 250 * sim.Microsecond
 // terminates no matter what the plan drops, stalls or severs.
 func FaultRun(cfg Config, size, msgs int, rel via.ReliabilityLevel) (FaultOutcome, error) {
 	o := XferOpts{Reliability: rel}.normalized()
-	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
-	defer sys.Close()
-	cfg.instrument(sys)
 	var out FaultOutcome
-
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-		sys.Eng.Stop()
-	}
 	onError := func(*via.Ctx, via.ErrorEvent) {
 		out.Callbacks++
 		out.ConnBroken = true
@@ -61,84 +50,82 @@ func FaultRun(cfg Config, size, msgs int, rel via.ReliabilityLevel) (FaultOutcom
 	drainBound := 500 * sim.Millisecond
 	var receiverReady bool
 
-	sys.Go(0, "fault-client", func(ctx *via.Ctx) {
-		ep, err := setup(ctx, cfg, o, size, 4, false, true, 1)
-		if err != nil {
-			fail(err)
-			return
-		}
-		ep.nic.SetErrorCallback(onError)
-		for !receiverReady {
-			ctx.Sleep(10 * sim.Microsecond)
-		}
-		if d := sim.Time(xfaultStreamStart).Sub(ctx.Now()); d > 0 {
-			ctx.Sleep(d)
-		}
-		classify := func(d *via.Descriptor) {
-			if d.Status == via.StatusSuccess {
-				out.SendOK++
-			} else {
-				out.SendFailed++
+	err := cfg.Simulate(2, func(sys *via.System, fail func(error)) {
+		sys.Go(0, "fault-client", func(ctx *via.Ctx) {
+			ep, err := setup(ctx, cfg, o, size, 4, false, true, 1)
+			if err != nil {
+				fail(err)
+				return
 			}
-		}
-		posted, done := 0, 0
-		for i := 0; i < msgs; i++ {
-			if err := ep.postSend(ep.send[0], size, 0, nil); err != nil {
-				out.PostRejected++
-			} else {
-				posted++
+			ep.nic.SetErrorCallback(onError)
+			for !receiverReady {
+				ctx.Sleep(10 * sim.Microsecond)
 			}
-			for {
-				d, ok := ep.vi.SendDone(ctx)
-				if !ok {
-					break
+			if d := sim.Time(xfaultStreamStart).Sub(ctx.Now()); d > 0 {
+				ctx.Sleep(d)
+			}
+			classify := func(d *via.Descriptor) {
+				if d.Status == via.StatusSuccess {
+					out.SendOK++
+				} else {
+					out.SendFailed++
+				}
+			}
+			posted, done := 0, 0
+			for i := 0; i < msgs; i++ {
+				if err := ep.postSend(ep.send[0], size, 0, nil); err != nil {
+					out.PostRejected++
+				} else {
+					posted++
+				}
+				for {
+					d, ok := ep.vi.SendDone(ctx)
+					if !ok {
+						break
+					}
+					classify(d)
+					done++
+				}
+				ctx.Sleep(xfaultGap)
+			}
+			for done < posted {
+				d, err := ep.vi.SendWait(ctx, drainBound)
+				if err != nil {
+					break // timed out or queue flushed empty: stuck sends stay unaccounted
 				}
 				classify(d)
 				done++
 			}
-			ctx.Sleep(xfaultGap)
-		}
-		for done < posted {
-			d, err := ep.vi.SendWait(ctx, drainBound)
-			if err != nil {
-				break // timed out or queue flushed empty: stuck sends stay unaccounted
-			}
-			classify(d)
-			done++
-		}
-	})
+		})
 
-	sys.Go(1, "fault-server", func(ctx *via.Ctx) {
-		ep, err := setup(ctx, cfg, o, 4, size, false, false, 0)
-		if err != nil {
-			fail(err)
-			return
-		}
-		ep.nic.SetErrorCallback(onError)
-		for i := 0; i < msgs; i++ {
-			if err := ep.postRecv(ep.recv[0], size); err != nil {
+		sys.Go(1, "fault-server", func(ctx *via.Ctx) {
+			ep, err := setup(ctx, cfg, o, 4, size, false, false, 0)
+			if err != nil {
 				fail(err)
 				return
 			}
-		}
-		receiverReady = true
-		for i := 0; i < msgs; i++ {
-			d, err := ep.vi.RecvWait(ctx, drainBound)
-			if err != nil {
-				break // lost tail (unreliable) or flushed-empty queue
+			ep.nic.SetErrorCallback(onError)
+			for i := 0; i < msgs; i++ {
+				if err := ep.postRecv(ep.recv[0], size); err != nil {
+					fail(err)
+					return
+				}
 			}
-			if d.Status == via.StatusSuccess {
-				out.RecvOK++
-			} else {
-				out.RecvFailed++
+			receiverReady = true
+			for i := 0; i < msgs; i++ {
+				d, err := ep.vi.RecvWait(ctx, drainBound)
+				if err != nil {
+					break // lost tail (unreliable) or flushed-empty queue
+				}
+				if d.Status == via.StatusSuccess {
+					out.RecvOK++
+				} else {
+					out.RecvFailed++
+				}
 			}
-		}
-	})
-
-	if err := sys.Run(); err != nil {
-		return out, err
-	}
-	return out, runErr
+		})
+	}, nil)
+	return out, err
 }
 
 // xfaultCase is one row family of the XFAULT table: a named deterministic

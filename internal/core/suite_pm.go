@@ -33,124 +33,112 @@ func MPLatency(cfg Config, sizes []int, mpCfg mp.Config) (*bench.Series, error) 
 
 // mpPingPong runs one ping-pong measurement over the mp layer.
 func mpPingPong(cfg Config, size int, mpCfg mp.Config) (float64, error) {
-	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
-	defer sys.Close()
-	cfg.instrument(sys)
-	w := mp.NewWorld(sys, mpCfg)
 	total := cfg.Warmup + cfg.Iters
 	var lat float64
-	var runErr error
-	w.Run(func(ctx *via.Ctx, ep *mp.Endpoint) {
-		buf := ctx.Malloc(max(size, 1))
-		other := 1 - ep.Rank()
-		var t0 = ctx.Now()
-		for i := 0; i < total; i++ {
-			if i == cfg.Warmup && ep.Rank() == 0 {
-				t0 = ctx.Now()
+	err := cfg.Simulate(2, func(sys *via.System, fail func(error)) {
+		mp.NewWorld(sys, mpCfg).Run(func(ctx *via.Ctx, ep *mp.Endpoint) {
+			buf := ctx.Malloc(max(size, 1))
+			other := 1 - ep.Rank()
+			var t0 = ctx.Now()
+			for i := 0; i < total; i++ {
+				if i == cfg.Warmup && ep.Rank() == 0 {
+					t0 = ctx.Now()
+				}
+				if ep.Rank() == 0 {
+					if err := ep.Send(ctx, other, 1, buf, size); err != nil {
+						fail(err)
+						return
+					}
+					if _, _, err := ep.Recv(ctx, other, 1); err != nil {
+						fail(err)
+						return
+					}
+				} else {
+					if _, _, err := ep.Recv(ctx, other, 1); err != nil {
+						fail(err)
+						return
+					}
+					if err := ep.Send(ctx, other, 1, buf, size); err != nil {
+						fail(err)
+						return
+					}
+				}
 			}
 			if ep.Rank() == 0 {
-				if err := ep.Send(ctx, other, 1, buf, size); err != nil {
-					runErr = err
-					return
-				}
-				if _, _, err := ep.Recv(ctx, other, 1); err != nil {
-					runErr = err
-					return
-				}
-			} else {
-				if _, _, err := ep.Recv(ctx, other, 1); err != nil {
-					runErr = err
-					return
-				}
-				if err := ep.Send(ctx, other, 1, buf, size); err != nil {
-					runErr = err
-					return
-				}
+				lat = ctx.Now().Sub(t0).Micros() / float64(cfg.Iters) / 2
 			}
-		}
-		if ep.Rank() == 0 {
-			lat = ctx.Now().Sub(t0).Micros() / float64(cfg.Iters) / 2
-		}
-	})
-	if err := sys.Run(); err != nil {
-		return 0, err
-	}
-	return lat, runErr
+		})
+	}, nil)
+	return lat, err
 }
 
 // GPLatency measures put and get latency over the get/put layer.
 func GPLatency(cfg Config, size int) (putUs, getUs float64, err error) {
-	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
-	defer sys.Close()
-	cfg.instrument(sys)
-	f := getput.NewFabric(sys, getput.DefaultConfig())
 	var ready bool
-	var runErr error
-	f.Run(func(ctx *via.Ctx, nd *getput.Node) {
-		nic := ctx.OpenNic()
-		if nd.Me() == 1 {
-			region := ctx.Malloc(max(size, 4096))
-			if e := nd.Expose(ctx, "bench", region); e != nil {
-				runErr = e
+	err = cfg.Simulate(2, func(sys *via.System, fail func(error)) {
+		getput.NewFabric(sys, getput.DefaultConfig()).Run(func(ctx *via.Ctx, nd *getput.Node) {
+			nic := ctx.OpenNic()
+			if nd.Me() == 1 {
+				region := ctx.Malloc(max(size, 4096))
+				if e := nd.Expose(ctx, "bench", region); e != nil {
+					fail(e)
+					return
+				}
+				ready = true
+				// Idle long enough for the measurement; serviced gets run on
+				// the daemon.
+				ctx.Sleep(2_000_000_000) // 2s of virtual time
 				return
 			}
-			ready = true
-			// Idle long enough for the measurement; serviced gets run on
-			// the daemon.
-			ctx.Sleep(2_000_000_000) // 2s of virtual time
-			return
-		}
-		for !ready {
-			ctx.Sleep(100_000) // 100us
-		}
-		src := ctx.Malloc(max(size, 4))
-		sh, e := nic.RegisterMem(ctx, src)
-		if e != nil {
-			runErr = e
-			return
-		}
-		// Warm the lookup cache, then time puts.
-		for i := 0; i < cfg.Warmup; i++ {
-			if e := nd.Put(ctx, 1, "bench", 0, src, size, sh); e != nil {
-				runErr = e
+			for !ready {
+				ctx.Sleep(100_000) // 100us
+			}
+			src := ctx.Malloc(max(size, 4))
+			sh, e := nic.RegisterMem(ctx, src)
+			if e != nil {
+				fail(e)
 				return
 			}
-		}
-		t0 := ctx.Now()
-		for i := 0; i < cfg.Iters; i++ {
-			if e := nd.Put(ctx, 1, "bench", 0, src, size, sh); e != nil {
-				runErr = e
-				return
+			// Warm the lookup cache, then time puts.
+			for i := 0; i < cfg.Warmup; i++ {
+				if e := nd.Put(ctx, 1, "bench", 0, src, size, sh); e != nil {
+					fail(e)
+					return
+				}
 			}
-		}
-		putUs = ctx.Now().Sub(t0).Micros() / float64(cfg.Iters)
+			t0 := ctx.Now()
+			for i := 0; i < cfg.Iters; i++ {
+				if e := nd.Put(ctx, 1, "bench", 0, src, size, sh); e != nil {
+					fail(e)
+					return
+				}
+			}
+			putUs = ctx.Now().Sub(t0).Micros() / float64(cfg.Iters)
 
-		dst := ctx.Malloc(max(size, 4))
-		dh, e := nic.RegisterMem(ctx, dst)
-		if e != nil {
-			runErr = e
-			return
-		}
-		for i := 0; i < cfg.Warmup; i++ {
-			if e := nd.Get(ctx, 1, "bench", 0, size, dst, dh); e != nil {
-				runErr = e
+			dst := ctx.Malloc(max(size, 4))
+			dh, e := nic.RegisterMem(ctx, dst)
+			if e != nil {
+				fail(e)
 				return
 			}
-		}
-		t1 := ctx.Now()
-		for i := 0; i < cfg.Iters; i++ {
-			if e := nd.Get(ctx, 1, "bench", 0, size, dst, dh); e != nil {
-				runErr = e
-				return
+			for i := 0; i < cfg.Warmup; i++ {
+				if e := nd.Get(ctx, 1, "bench", 0, size, dst, dh); e != nil {
+					fail(e)
+					return
+				}
 			}
-		}
-		getUs = ctx.Now().Sub(t1).Micros() / float64(cfg.Iters)
-		sys.Eng.Stop() // do not wait out the owner's idle sleep
-	})
-	if err := sys.Run(); err != nil {
-		return 0, 0, err
-	}
-	return putUs, getUs, runErr
+			t1 := ctx.Now()
+			for i := 0; i < cfg.Iters; i++ {
+				if e := nd.Get(ctx, 1, "bench", 0, size, dst, dh); e != nil {
+					fail(e)
+					return
+				}
+			}
+			getUs = ctx.Now().Sub(t1).Micros() / float64(cfg.Iters)
+			sys.Eng.Stop() // do not wait out the owner's idle sleep
+		})
+	}, nil)
+	return putUs, getUs, err
 }
 
 func expPMMP() *Experiment {

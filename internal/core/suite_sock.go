@@ -15,144 +15,121 @@ import (
 // the writer pushes totalBytes as fast as the window allows and the
 // reader drains continuously; MB/s is measured at the reader.
 func StreamThroughput(cfg Config, totalBytes int, scfg stream.Config) (float64, error) {
-	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
-	defer sys.Close()
-	cfg.instrument(sys)
 	var mbps float64
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-		sys.Eng.Stop()
-	}
-
-	sys.Go(0, "sock-writer", func(ctx *via.Ctx) {
-		c, err := stream.Dial(ctx, 1, "tput", scfg)
-		if err != nil {
-			fail(err)
-			return
-		}
-		chunk := make([]byte, 16*1024)
-		sent := 0
-		for sent < totalBytes {
-			n := len(chunk)
-			if sent+n > totalBytes {
-				n = totalBytes - sent
-			}
-			if _, err := c.Write(ctx, chunk[:n]); err != nil {
-				fail(err)
-				return
-			}
-			sent += n
-		}
-		if err := c.Close(ctx); err != nil {
-			fail(err)
-		}
-	})
-	sys.Go(1, "sock-reader", func(ctx *via.Ctx) {
-		c, err := stream.Listen(ctx, "tput", scfg)
-		if err != nil {
-			fail(err)
-			return
-		}
-		buf := make([]byte, 16*1024)
-		t0 := ctx.Now()
-		got := 0
-		for {
-			n, err := c.Read(ctx, buf)
-			got += n
-			if err == io.EOF {
-				break
-			}
+	err := cfg.Simulate(2, func(sys *via.System, fail func(error)) {
+		sys.Go(0, "sock-writer", func(ctx *via.Ctx) {
+			c, err := stream.Dial(ctx, 1, "tput", scfg)
 			if err != nil {
 				fail(err)
 				return
 			}
-		}
-		elapsed := ctx.Now().Sub(t0)
-		if got != totalBytes {
-			fail(fmt.Errorf("stream throughput: read %d of %d bytes", got, totalBytes))
-			return
-		}
-		if elapsed > 0 {
-			mbps = float64(got) / elapsed.Seconds() / 1e6
-		}
-	})
-	if err := sys.Run(); err != nil {
-		return 0, err
-	}
-	return mbps, runErr
+			chunk := make([]byte, 16*1024)
+			sent := 0
+			for sent < totalBytes {
+				n := len(chunk)
+				if sent+n > totalBytes {
+					n = totalBytes - sent
+				}
+				if _, err := c.Write(ctx, chunk[:n]); err != nil {
+					fail(err)
+					return
+				}
+				sent += n
+			}
+			if err := c.Close(ctx); err != nil {
+				fail(err)
+			}
+		})
+		sys.Go(1, "sock-reader", func(ctx *via.Ctx) {
+			c, err := stream.Listen(ctx, "tput", scfg)
+			if err != nil {
+				fail(err)
+				return
+			}
+			buf := make([]byte, 16*1024)
+			t0 := ctx.Now()
+			got := 0
+			for {
+				n, err := c.Read(ctx, buf)
+				got += n
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					fail(err)
+					return
+				}
+			}
+			elapsed := ctx.Now().Sub(t0)
+			if got != totalBytes {
+				fail(fmt.Errorf("stream throughput: read %d of %d bytes", got, totalBytes))
+				return
+			}
+			if elapsed > 0 {
+				mbps = float64(got) / elapsed.Seconds() / 1e6
+			}
+		})
+	}, nil)
+	return mbps, err
 }
 
 // StreamPingPong measures the layer's request/reply latency for n-byte
 // messages (one-way, RTT/2).
 func StreamPingPong(cfg Config, n int, scfg stream.Config) (float64, error) {
-	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
-	defer sys.Close()
-	cfg.instrument(sys)
 	total := cfg.Warmup + cfg.Iters
 	var lat float64
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-		sys.Eng.Stop()
-	}
-	echo := func(ctx *via.Ctx, c *stream.Conn, initiator bool) {
-		buf := make([]byte, n)
-		var t0 sim.Time
-		for i := 0; i < total; i++ {
+	err := cfg.Simulate(2, func(sys *via.System, fail func(error)) {
+		echo := func(ctx *via.Ctx, c *stream.Conn, initiator bool) {
+			buf := make([]byte, n)
+			var t0 sim.Time
+			for i := 0; i < total; i++ {
+				if initiator {
+					if i == cfg.Warmup {
+						t0 = ctx.Now()
+					}
+					if _, err := c.Write(ctx, buf); err != nil {
+						fail(err)
+						return
+					}
+				}
+				got := 0
+				for got < n {
+					k, err := c.Read(ctx, buf[got:])
+					if err != nil {
+						fail(err)
+						return
+					}
+					got += k
+				}
+				if !initiator {
+					if _, err := c.Write(ctx, buf); err != nil {
+						fail(err)
+						return
+					}
+				}
+			}
 			if initiator {
-				if i == cfg.Warmup {
-					t0 = ctx.Now()
-				}
-				if _, err := c.Write(ctx, buf); err != nil {
-					fail(err)
-					return
-				}
-			}
-			got := 0
-			for got < n {
-				k, err := c.Read(ctx, buf[got:])
-				if err != nil {
-					fail(err)
-					return
-				}
-				got += k
-			}
-			if !initiator {
-				if _, err := c.Write(ctx, buf); err != nil {
-					fail(err)
-					return
-				}
+				lat = ctx.Now().Sub(t0).Micros() / float64(cfg.Iters) / 2
 			}
 		}
-		if initiator {
-			lat = ctx.Now().Sub(t0).Micros() / float64(cfg.Iters) / 2
-		}
-	}
-	sys.Go(0, "sock-client", func(ctx *via.Ctx) {
-		c, err := stream.Dial(ctx, 1, "pp", scfg)
-		if err != nil {
-			fail(err)
-			return
-		}
-		echo(ctx, c, true)
-	})
-	sys.Go(1, "sock-server", func(ctx *via.Ctx) {
-		c, err := stream.Listen(ctx, "pp", scfg)
-		if err != nil {
-			fail(err)
-			return
-		}
-		echo(ctx, c, false)
-	})
-	if err := sys.Run(); err != nil {
-		return 0, err
-	}
-	return lat, runErr
+		sys.Go(0, "sock-client", func(ctx *via.Ctx) {
+			c, err := stream.Dial(ctx, 1, "pp", scfg)
+			if err != nil {
+				fail(err)
+				return
+			}
+			echo(ctx, c, true)
+		})
+		sys.Go(1, "sock-server", func(ctx *via.Ctx) {
+			c, err := stream.Listen(ctx, "pp", scfg)
+			if err != nil {
+				fail(err)
+				return
+			}
+			echo(ctx, c, false)
+		})
+	}, nil)
+	return lat, err
 }
 
 func expPMSOCK() *Experiment {

@@ -240,19 +240,9 @@ func checkOK(d *via.Descriptor, err error) error {
 // client-server benchmark are all instances of it.
 func roundTrip(cfg Config, reqSize, replySize int, separateBufs bool, o XferOpts) (XferResult, error) {
 	o = o.normalized()
-	sys := via.NewSystem(cfg.Model, 2, cfg.Seed)
-	defer sys.Close()
-	cfg.instrument(sys)
 	total := cfg.Warmup + cfg.Iters
 	res := XferResult{Size: reqSize}
 
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-		sys.Eng.Stop()
-	}
 	// The base setup uses one user buffer as both send and receive buffer
 	// (§3.2.1); the buffer-reuse and RDMA experiments use distinct send
 	// and receive buffers (§3.2.2).
@@ -261,101 +251,99 @@ func roundTrip(cfg Config, reqSize, replySize int, separateBufs bool, o XferOpts
 	var x rdmaXchg
 	var cliReady, srvReady bool
 
-	sys.Go(0, "vibe-client", func(ctx *via.Ctx) {
-		ep, err := setup(ctx, cfg, o, reqSize, replySize, share, true, 1)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if o.RDMA {
-			x.cli = addressSegments(ep.recv)
-			cliReady = true
-			for !srvReady {
-				ctx.Sleep(10 * sim.Microsecond)
-			}
-		}
-		var t0 sim.Time
-		var meter *cpu.Meter
-		for i := 0; i < total; i++ {
-			if i == cfg.Warmup {
-				t0 = ctx.Now()
-				meter = ctx.Host.CPU.StartMeter()
-			}
-			bi := o.pickBuf(i)
-			if err := ep.postRecv(ep.recv[bi], replySize); err != nil {
+	err := cfg.Simulate(2, func(sys *via.System, fail func(error)) {
+		sys.Go(0, "vibe-client", func(ctx *via.Ctx) {
+			ep, err := setup(ctx, cfg, o, reqSize, replySize, share, true, 1)
+			if err != nil {
 				fail(err)
 				return
 			}
-			if err := ep.postSend(ep.send[bi], reqSize, bi, x.srv); err != nil {
-				fail(err)
-				return
+			if o.RDMA {
+				x.cli = addressSegments(ep.recv)
+				cliReady = true
+				for !srvReady {
+					ctx.Sleep(10 * sim.Microsecond)
+				}
 			}
-			if err := checkOK(ep.waitSend()); err != nil {
-				fail(fmt.Errorf("client send %d: %w", i, err))
-				return
-			}
-			if err := checkOK(ep.waitRecv()); err != nil {
-				fail(fmt.Errorf("client recv %d: %w", i, err))
-				return
-			}
-		}
-		rtt := ctx.Now().Sub(t0)
-		res.RTTus = rtt.Micros() / float64(cfg.Iters)
-		res.LatencyUs = res.RTTus / 2
-		res.CPUUtil = meter.Utilization()
-		if res.RTTus > 0 {
-			res.TPS = 1e6 / res.RTTus
-		}
-	})
-
-	sys.Go(1, "vibe-server", func(ctx *via.Ctx) {
-		ep, err := setup(ctx, cfg, o, replySize, reqSize, share, false, 0)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if o.RDMA {
-			x.srv = addressSegments(ep.recv)
-			srvReady = true
-			for !cliReady {
-				ctx.Sleep(10 * sim.Microsecond)
-			}
-		}
-		if o.Notify {
-			ep.serveNotify(total, reqSize, replySize, &x, fail)
-			return
-		}
-		if err := ep.postRecv(ep.recv[o.pickBuf(0)], reqSize); err != nil {
-			fail(err)
-			return
-		}
-		for i := 0; i < total; i++ {
-			if err := checkOK(ep.waitRecv()); err != nil {
-				fail(fmt.Errorf("server recv %d: %w", i, err))
-				return
-			}
-			if i+1 < total {
-				if err := ep.postRecv(ep.recv[o.pickBuf(i+1)], reqSize); err != nil {
+			var t0 sim.Time
+			var meter *cpu.Meter
+			for i := 0; i < total; i++ {
+				if i == cfg.Warmup {
+					t0 = ctx.Now()
+					meter = ctx.Host.CPU.StartMeter()
+				}
+				bi := o.pickBuf(i)
+				if err := ep.postRecv(ep.recv[bi], replySize); err != nil {
 					fail(err)
 					return
 				}
+				if err := ep.postSend(ep.send[bi], reqSize, bi, x.srv); err != nil {
+					fail(err)
+					return
+				}
+				if err := checkOK(ep.waitSend()); err != nil {
+					fail(fmt.Errorf("client send %d: %w", i, err))
+					return
+				}
+				if err := checkOK(ep.waitRecv()); err != nil {
+					fail(fmt.Errorf("client recv %d: %w", i, err))
+					return
+				}
 			}
-			bi := o.pickBuf(i)
-			if err := ep.postSend(ep.send[bi], replySize, bi, x.cli); err != nil {
+			rtt := ctx.Now().Sub(t0)
+			res.RTTus = rtt.Micros() / float64(cfg.Iters)
+			res.LatencyUs = res.RTTus / 2
+			res.CPUUtil = meter.Utilization()
+			if res.RTTus > 0 {
+				res.TPS = 1e6 / res.RTTus
+			}
+		})
+
+		sys.Go(1, "vibe-server", func(ctx *via.Ctx) {
+			ep, err := setup(ctx, cfg, o, replySize, reqSize, share, false, 0)
+			if err != nil {
 				fail(err)
 				return
 			}
-			if err := checkOK(ep.waitSend()); err != nil {
-				fail(fmt.Errorf("server send %d: %w", i, err))
+			if o.RDMA {
+				x.srv = addressSegments(ep.recv)
+				srvReady = true
+				for !cliReady {
+					ctx.Sleep(10 * sim.Microsecond)
+				}
+			}
+			if o.Notify {
+				ep.serveNotify(total, reqSize, replySize, &x, fail)
 				return
 			}
-		}
-	})
-
-	if err := sys.Run(); err != nil {
-		return res, err
-	}
-	return res, runErr
+			if err := ep.postRecv(ep.recv[o.pickBuf(0)], reqSize); err != nil {
+				fail(err)
+				return
+			}
+			for i := 0; i < total; i++ {
+				if err := checkOK(ep.waitRecv()); err != nil {
+					fail(fmt.Errorf("server recv %d: %w", i, err))
+					return
+				}
+				if i+1 < total {
+					if err := ep.postRecv(ep.recv[o.pickBuf(i+1)], reqSize); err != nil {
+						fail(err)
+						return
+					}
+				}
+				bi := o.pickBuf(i)
+				if err := ep.postSend(ep.send[bi], replySize, bi, x.cli); err != nil {
+					fail(err)
+					return
+				}
+				if err := checkOK(ep.waitSend()); err != nil {
+					fail(fmt.Errorf("server send %d: %w", i, err))
+					return
+				}
+			}
+		})
+	}, nil)
+	return res, err
 }
 
 // serveNotify is the server loop of the asynchronous-message benchmark:

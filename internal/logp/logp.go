@@ -11,7 +11,8 @@
 //	g — gap: minimum interval between consecutive small messages
 //	    (reciprocal of small-message rate)
 //
-// The extraction runs its own micro-measurements against a provider. Its
+// The extraction runs its own micro-measurements on a core.Config's
+// design point (its model, seed, fault plan and instrumentation). Its
 // point — made by ExplainInsufficiency and the LogP tests — is that two
 // providers with near-identical (L, o, g) can diverge wildly once buffer
 // reuse, completion queues, or the number of VIs change, which is exactly
@@ -22,7 +23,6 @@ import (
 	"fmt"
 
 	"vibe/internal/core"
-	"vibe/internal/provider"
 	"vibe/internal/sim"
 	"vibe/internal/via"
 )
@@ -38,13 +38,13 @@ type Params struct {
 // MessageSize is the "small message" size LogP is defined over.
 const MessageSize = 4
 
-// Extract measures LogP parameters for a provider.
-func Extract(m *provider.Model) (Params, error) {
+// Extract measures LogP parameters on cfg's design point.
+func Extract(cfg core.Config) (Params, error) {
 	var p Params
 
 	// os and or: host CPU busy time around posting a send and around
 	// retrieving a completed receive, measured directly in a round trip.
-	osUs, orUs, rttUs, err := overheads(m)
+	osUs, orUs, rttUs, err := overheads(cfg)
 	if err != nil {
 		return p, err
 	}
@@ -57,7 +57,6 @@ func Extract(m *provider.Model) (Params, error) {
 	}
 
 	// g: steady-state interval between back-to-back small messages.
-	cfg := core.DefaultConfig(m)
 	bw, err := core.Bandwidth(cfg, MessageSize, core.XferOpts{})
 	if err != nil {
 		return p, err
@@ -70,120 +69,111 @@ func Extract(m *provider.Model) (Params, error) {
 
 // overheads measures send overhead, receive overhead, and the round-trip
 // time of a small ping-pong.
-func overheads(m *provider.Model) (osUs, orUs, rttUs float64, err error) {
-	sys := via.NewSystem(m, 2, 1)
+func overheads(cfg core.Config) (osUs, orUs, rttUs float64, err error) {
 	const iters = 50
-	var runErr error
-	fail := func(e error) {
-		if runErr == nil {
-			runErr = e
-		}
-		sys.Eng.Stop()
-	}
 	tmo := 10 * sim.Second
 
-	sys.Go(0, "logp-client", func(ctx *via.Ctx) {
-		nic := ctx.OpenNic()
-		vi, e := nic.CreateVi(ctx, via.ViAttributes{}, nil, nil)
-		if e != nil {
-			fail(e)
-			return
-		}
-		if e := vi.ConnectRequest(ctx, 1, "logp", tmo); e != nil {
-			fail(e)
-			return
-		}
-		buf := ctx.Malloc(MessageSize)
-		h, e := nic.RegisterMem(ctx, buf)
-		if e != nil {
-			fail(e)
-			return
-		}
-		var osSum sim.Duration
-		var t0 sim.Time
-		for i := 0; i < iters; i++ {
-			if i == 5 {
-				t0 = ctx.Now()
+	err = cfg.Simulate(2, func(sys *via.System, fail func(error)) {
+		sys.Go(0, "logp-client", func(ctx *via.Ctx) {
+			nic := ctx.OpenNic()
+			vi, e := nic.CreateVi(ctx, via.ViAttributes{}, nil, nil)
+			if e != nil {
+				fail(e)
+				return
+			}
+			if e := vi.ConnectRequest(ctx, 1, "logp", tmo); e != nil {
+				fail(e)
+				return
+			}
+			buf := ctx.Malloc(MessageSize)
+			h, e := nic.RegisterMem(ctx, buf)
+			if e != nil {
+				fail(e)
+				return
+			}
+			var osSum sim.Duration
+			var t0 sim.Time
+			for i := 0; i < iters; i++ {
+				if i == 5 {
+					t0 = ctx.Now()
+				}
+				if e := vi.PostRecv(ctx, via.SimpleRecv(buf, h, MessageSize)); e != nil {
+					fail(e)
+					return
+				}
+				b0 := ctx.Host.CPU.Busy()
+				if e := vi.PostSend(ctx, via.SimpleSend(buf, h, MessageSize)); e != nil {
+					fail(e)
+					return
+				}
+				if i >= 5 {
+					osSum += ctx.Host.CPU.Busy() - b0
+				}
+				if _, e := vi.SendWaitPoll(ctx); e != nil {
+					fail(e)
+					return
+				}
+				if _, e := vi.RecvWaitPoll(ctx); e != nil {
+					fail(e)
+					return
+				}
+			}
+			n := float64(iters - 5)
+			osUs = (sim.Duration(float64(osSum) / n)).Micros()
+			// The receive-side extraction cost is the provider's completion
+			// check; spinning time is L, not overhead.
+			orUs = cfg.Model.CheckCost.Micros() + cfg.Model.PostRecvCost.Micros()
+			rttUs = ctx.Now().Sub(t0).Micros() / n
+		})
+		sys.Go(1, "logp-server", func(ctx *via.Ctx) {
+			nic := ctx.OpenNic()
+			vi, e := nic.CreateVi(ctx, via.ViAttributes{}, nil, nil)
+			if e != nil {
+				fail(e)
+				return
+			}
+			buf := ctx.Malloc(MessageSize)
+			h, e := nic.RegisterMem(ctx, buf)
+			if e != nil {
+				fail(e)
+				return
 			}
 			if e := vi.PostRecv(ctx, via.SimpleRecv(buf, h, MessageSize)); e != nil {
 				fail(e)
 				return
 			}
-			b0 := ctx.Host.CPU.Busy()
-			if e := vi.PostSend(ctx, via.SimpleSend(buf, h, MessageSize)); e != nil {
+			req, e := nic.ConnectWait(ctx, "logp", tmo)
+			if e != nil {
 				fail(e)
 				return
 			}
-			if i >= 5 {
-				osSum += ctx.Host.CPU.Busy() - b0
-			}
-			if _, e := vi.SendWaitPoll(ctx); e != nil {
+			if e := req.Accept(ctx, vi); e != nil {
 				fail(e)
 				return
 			}
-			if _, e := vi.RecvWaitPoll(ctx); e != nil {
-				fail(e)
-				return
-			}
-		}
-		n := float64(iters - 5)
-		osUs = (sim.Duration(float64(osSum) / n)).Micros()
-		// The receive-side extraction cost is the provider's completion
-		// check; spinning time is L, not overhead.
-		orUs = m.CheckCost.Micros() + m.PostRecvCost.Micros()
-		rttUs = ctx.Now().Sub(t0).Micros() / n
-	})
-	sys.Go(1, "logp-server", func(ctx *via.Ctx) {
-		nic := ctx.OpenNic()
-		vi, e := nic.CreateVi(ctx, via.ViAttributes{}, nil, nil)
-		if e != nil {
-			fail(e)
-			return
-		}
-		buf := ctx.Malloc(MessageSize)
-		h, e := nic.RegisterMem(ctx, buf)
-		if e != nil {
-			fail(e)
-			return
-		}
-		if e := vi.PostRecv(ctx, via.SimpleRecv(buf, h, MessageSize)); e != nil {
-			fail(e)
-			return
-		}
-		req, e := nic.ConnectWait(ctx, "logp", tmo)
-		if e != nil {
-			fail(e)
-			return
-		}
-		if e := req.Accept(ctx, vi); e != nil {
-			fail(e)
-			return
-		}
-		for i := 0; i < iters; i++ {
-			if _, e := vi.RecvWaitPoll(ctx); e != nil {
-				fail(e)
-				return
-			}
-			if i+1 < iters {
-				if e := vi.PostRecv(ctx, via.SimpleRecv(buf, h, MessageSize)); e != nil {
+			for i := 0; i < iters; i++ {
+				if _, e := vi.RecvWaitPoll(ctx); e != nil {
+					fail(e)
+					return
+				}
+				if i+1 < iters {
+					if e := vi.PostRecv(ctx, via.SimpleRecv(buf, h, MessageSize)); e != nil {
+						fail(e)
+						return
+					}
+				}
+				if e := vi.PostSend(ctx, via.SimpleSend(buf, h, MessageSize)); e != nil {
+					fail(e)
+					return
+				}
+				if _, e := vi.SendWaitPoll(ctx); e != nil {
 					fail(e)
 					return
 				}
 			}
-			if e := vi.PostSend(ctx, via.SimpleSend(buf, h, MessageSize)); e != nil {
-				fail(e)
-				return
-			}
-			if _, e := vi.SendWaitPoll(ctx); e != nil {
-				fail(e)
-				return
-			}
-		}
-	})
-	if e := sys.Run(); e != nil {
-		return 0, 0, 0, e
-	}
-	return osUs, orUs, rttUs, runErr
+		})
+	}, nil)
+	return osUs, orUs, rttUs, err
 }
 
 // Insufficiency quantifies what LogP misses: for a provider, the relative
@@ -198,15 +188,14 @@ type Insufficiency struct {
 	LatencyAt0Reuse float64
 }
 
-// Explain runs the demonstration for one provider.
-func Explain(m *provider.Model) (Insufficiency, error) {
+// Explain runs the demonstration on cfg's design point.
+func Explain(cfg core.Config) (Insufficiency, error) {
 	var ins Insufficiency
-	p, err := Extract(m)
+	p, err := Extract(cfg)
 	if err != nil {
 		return ins, err
 	}
 	ins.Params = p
-	cfg := core.DefaultConfig(m)
 	base, err := core.Latency(cfg, MessageSize, core.XferOpts{})
 	if err != nil {
 		return ins, err

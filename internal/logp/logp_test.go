@@ -3,6 +3,7 @@ package logp
 import (
 	"testing"
 
+	"vibe/internal/core"
 	"vibe/internal/provider"
 )
 
@@ -10,7 +11,7 @@ func TestExtractPlausibleParams(t *testing.T) {
 	for _, m := range provider.All() {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
-			p, err := Extract(m)
+			p, err := Extract(core.DefaultConfig(m))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +38,7 @@ func TestSendOverheadOrdering(t *testing.T) {
 	// cLAN's hardware doorbell the smallest.
 	var os_ = map[string]float64{}
 	for _, m := range provider.All() {
-		p, err := Extract(m)
+		p, err := Extract(core.DefaultConfig(m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +54,7 @@ func TestSendOverheadOrdering(t *testing.T) {
 // factors under multi-VI and buffer-reuse changes that leave (L, o, g)
 // untouched; cLAN's does not.
 func TestLogPInsufficiencyDemonstration(t *testing.T) {
-	bvia, err := Explain(provider.BVIA())
+	bvia, err := Explain(core.DefaultConfig(provider.BVIA()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestLogPInsufficiencyDemonstration(t *testing.T) {
 		t.Errorf("bvia 0%%-reuse latency %.1f should dwarf base %.1f",
 			bvia.LatencyAt0Reuse, bvia.BaseLatencyUs)
 	}
-	clan, err := Explain(provider.CLAN())
+	clan, err := Explain(core.DefaultConfig(provider.CLAN()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +77,11 @@ func TestLogPInsufficiencyDemonstration(t *testing.T) {
 }
 
 func TestExtractDeterminism(t *testing.T) {
-	a, err := Extract(provider.BVIA())
+	a, err := Extract(core.DefaultConfig(provider.BVIA()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Extract(provider.BVIA())
+	b, err := Extract(core.DefaultConfig(provider.BVIA()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,15 +108,6 @@ func (r *Registry) Gauge(key string, v float64) {
 	r.slot(key, Gauge).Value = v
 }
 
-// GaugeMax raises the gauge named key to v if v is higher — the high-water
-// update.
-func (r *Registry) GaugeMax(key string, v float64) {
-	s := r.slot(key, Gauge)
-	if v > s.Value {
-		s.Value = v
-	}
-}
-
 // Observe records one observation into the histogram named key, creating
 // it on first use.
 func (r *Registry) Observe(key string, v float64) {
@@ -137,13 +128,9 @@ func (r *Registry) SetHist(key string, h *Hist) {
 	s.Value = float64(h.Count())
 }
 
-// Len reports the number of distinct keys.
-func (r *Registry) Len() int { return len(r.s) }
-
 // Snapshot returns a copy of the registry's current state, sorted by key.
 // Histograms are deep-copied, so a snapshot is immutable even if the
-// registry keeps recording. Snapshots taken at different virtual-time
-// marks can be diffed to isolate a phase's contribution.
+// registry keeps recording.
 func (r *Registry) Snapshot() Snapshot {
 	out := make(Snapshot, len(r.s))
 	copy(out, r.s)
@@ -167,27 +154,6 @@ func (s Snapshot) Get(key string) (float64, bool) {
 		return s[i].Value, true
 	}
 	return 0, false
-}
-
-// Diff returns s relative to an earlier snapshot prev: counters are
-// subtracted (their growth over the interval), gauges and histograms keep
-// their current value (a distribution has no meaningful subtraction).
-// Keys only in prev are dropped; keys only in s appear unchanged.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	at := make(map[string]float64, len(prev))
-	for _, p := range prev {
-		if p.Kind == Counter {
-			at[p.Key] = p.Value
-		}
-	}
-	out := make(Snapshot, len(s))
-	copy(out, s)
-	for i := range out {
-		if out[i].Kind == Counter {
-			out[i].Value -= at[out[i].Key]
-		}
-	}
-	return out
 }
 
 // Map flattens the snapshot to a plain key->value map, the form embedded

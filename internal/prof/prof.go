@@ -78,15 +78,6 @@ func (p *Profile) Entries(prefix string) []Entry {
 	return out
 }
 
-// Total sums the values under prefix.
-func (p *Profile) Total(prefix string) int64 {
-	var t int64
-	for _, e := range p.Entries(prefix) {
-		t += e.Value
-	}
-	return t
-}
-
 // Len reports the number of distinct stacks.
 func (p *Profile) Len() int {
 	p.mu.Lock()

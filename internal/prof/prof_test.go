@@ -28,9 +28,6 @@ func TestProfileAddAndEntries(t *testing.T) {
 	if es[1].Value != 150 {
 		t.Errorf("cpu compute = %d, want accumulated 150", es[1].Value)
 	}
-	if got := p.Total("XBW"); got != 450 {
-		t.Errorf("Total = %d, want 450", got)
-	}
 	if got := p.Entries("XB"); len(got) != 0 {
 		t.Errorf("prefix must match whole frames, got %v", got)
 	}
