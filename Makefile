@@ -12,8 +12,11 @@ all: check
 build:
 	$(GO) build ./...
 
+# Vet, then fail if gofmt would change any Go file.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+	  echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

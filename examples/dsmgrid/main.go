@@ -45,7 +45,7 @@ func main() {
 	}
 	world := vibe.NewDSMWorld(sys, vibe.DSMDefaultConfig())
 
-	world.Run(func(ctx *vibe.Ctx, d *vibe.DSMNode) {
+	world.Run(func(err error) { log.Fatal(err) }, func(ctx *vibe.Ctx, d *vibe.DSMNode) {
 		pages := (cells*4 + vibe.DSMPageSize - 1) / vibe.DSMPageSize
 		if err := d.Alloc(ctx, region, pages); err != nil {
 			log.Fatal(err)

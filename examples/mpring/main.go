@@ -34,7 +34,7 @@ func runRing(prov string) {
 	}
 	world := vibe.NewMPWorld(sys, vibe.MPDefaultConfig())
 
-	world.Run(func(ctx *vibe.Ctx, ep *vibe.MPEndpoint) {
+	world.Run(func(err error) { log.Fatal(err) }, func(ctx *vibe.Ctx, ep *vibe.MPEndpoint) {
 		me := ep.Rank()
 		right := (me + 1) % ranks
 		left := (me + ranks - 1) % ranks

@@ -19,7 +19,7 @@ func TestSimulateFailureBeatsDeadlock(t *testing.T) {
 	cfg := DefaultConfig(provider.CLAN())
 	read := false
 	err := cfg.Simulate(2, func(sys *via.System, fail func(error)) {
-		mp.NewWorld(sys, mp.DefaultConfig()).Run(func(ctx *via.Ctx, ep *mp.Endpoint) {
+		mp.NewWorld(sys, mp.DefaultConfig()).Run(fail, func(ctx *via.Ctx, ep *mp.Endpoint) {
 			buf := ctx.Malloc(64)
 			other := 1 - ep.Rank()
 			for i := 0; ; i++ {

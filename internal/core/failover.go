@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"vibe/internal/bench"
+	"vibe/internal/fabric"
 	"vibe/internal/fault"
 	"vibe/internal/provider"
 	"vibe/internal/sim"
@@ -80,21 +81,15 @@ func FailoverRun(cfg Config, senders, msgs, size int, outageStart sim.Time) (Fai
 					fail(err)
 					return
 				}
-				buf := ctx.Malloc(size)
-				h, err := nic.RegisterMem(ctx, buf)
+				sink, err := nic.AllocReg(ctx, size)
 				if err != nil {
 					fail(err)
 					return
 				}
-				targets[s] = via.AddressSegment{Addr: buf.Addr(), Handle: h}
+				targets[s] = via.AddressSegment{Addr: sink.Buf.Addr(), Handle: sink.H}
 				registered++
-				req, err := nic.ConnectWait(ctx, disc, cfg.Timeout)
-				if err != nil {
-					fail(fmt.Errorf("wait %s: %w", disc, err))
-					return
-				}
-				if err := req.Accept(ctx, vi); err != nil {
-					fail(fmt.Errorf("accept %s: %w", disc, err))
+				if err := via.Pair(ctx, vi, fabric.NodeID(s), disc, false, cfg.Timeout); err != nil {
+					fail(err)
 				}
 			})
 			sys.Go(s, "fo-src-"+disc, func(ctx *via.Ctx) {
@@ -105,15 +100,14 @@ func FailoverRun(cfg Config, senders, msgs, size int, outageStart sim.Time) (Fai
 					fail(err)
 					return
 				}
-				if err := vi.ConnectRequest(ctx, 0, disc, cfg.Timeout); err != nil {
-					fail(fmt.Errorf("connect %s: %w", disc, err))
+				if err := via.Pair(ctx, vi, 0, disc, true, cfg.Timeout); err != nil {
+					fail(err)
 					return
 				}
 				for registered < senders { // address exchange
 					ctx.Sleep(10 * sim.Microsecond)
 				}
-				buf := ctx.Malloc(size)
-				h, err := nic.RegisterMem(ctx, buf)
+				src, err := nic.AllocReg(ctx, size)
 				if err != nil {
 					fail(err)
 					return
@@ -140,7 +134,7 @@ func FailoverRun(cfg Config, senders, msgs, size int, outageStart sim.Time) (Fai
 					}
 					d := &via.Descriptor{
 						Op:     via.OpRdmaWrite,
-						Segs:   []via.DataSegment{{Addr: buf.Addr(), Handle: h, Length: size}},
+						Segs:   []via.DataSegment{{Addr: src.Buf.Addr(), Handle: src.H, Length: size}},
 						Remote: &remote,
 					}
 					if err := vi.PostSend(ctx, d); err != nil {

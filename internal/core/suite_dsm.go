@@ -19,7 +19,7 @@ func DSMLockContention(cfg Config, nodes, incsPerNode int) (usPerOp float64, fet
 	var elapsedUs float64
 	var totalFetches uint64
 	err = cfg.Simulate(nodes, func(sys *via.System, fail func(error)) {
-		dsm.New(sys, dsm.DefaultConfig()).Run(func(ctx *via.Ctx, d *dsm.Node) {
+		dsm.New(sys, dsm.DefaultConfig()).Run(fail, func(ctx *via.Ctx, d *dsm.Node) {
 			if e := d.Alloc(ctx, "ctr", 1); e != nil {
 				fail(e)
 				return

@@ -36,7 +36,7 @@ func mpPingPong(cfg Config, size int, mpCfg mp.Config) (float64, error) {
 	total := cfg.Warmup + cfg.Iters
 	var lat float64
 	err := cfg.Simulate(2, func(sys *via.System, fail func(error)) {
-		mp.NewWorld(sys, mpCfg).Run(func(ctx *via.Ctx, ep *mp.Endpoint) {
+		mp.NewWorld(sys, mpCfg).Run(fail, func(ctx *via.Ctx, ep *mp.Endpoint) {
 			buf := ctx.Malloc(max(size, 1))
 			other := 1 - ep.Rank()
 			var t0 = ctx.Now()
@@ -76,7 +76,7 @@ func mpPingPong(cfg Config, size int, mpCfg mp.Config) (float64, error) {
 func GPLatency(cfg Config, size int) (putUs, getUs float64, err error) {
 	var ready bool
 	err = cfg.Simulate(2, func(sys *via.System, fail func(error)) {
-		getput.NewFabric(sys, getput.DefaultConfig()).Run(func(ctx *via.Ctx, nd *getput.Node) {
+		getput.NewFabric(sys, getput.DefaultConfig()).Run(fail, func(ctx *via.Ctx, nd *getput.Node) {
 			nic := ctx.OpenNic()
 			if nd.Me() == 1 {
 				region := ctx.Malloc(max(size, 4096))
@@ -93,43 +93,41 @@ func GPLatency(cfg Config, size int) (putUs, getUs float64, err error) {
 			for !ready {
 				ctx.Sleep(100_000) // 100us
 			}
-			src := ctx.Malloc(max(size, 4))
-			sh, e := nic.RegisterMem(ctx, src)
+			src, e := nic.AllocReg(ctx, max(size, 4))
 			if e != nil {
 				fail(e)
 				return
 			}
 			// Warm the lookup cache, then time puts.
 			for i := 0; i < cfg.Warmup; i++ {
-				if e := nd.Put(ctx, 1, "bench", 0, src, size, sh); e != nil {
+				if e := nd.Put(ctx, 1, "bench", 0, src.Buf, size, src.H); e != nil {
 					fail(e)
 					return
 				}
 			}
 			t0 := ctx.Now()
 			for i := 0; i < cfg.Iters; i++ {
-				if e := nd.Put(ctx, 1, "bench", 0, src, size, sh); e != nil {
+				if e := nd.Put(ctx, 1, "bench", 0, src.Buf, size, src.H); e != nil {
 					fail(e)
 					return
 				}
 			}
 			putUs = ctx.Now().Sub(t0).Micros() / float64(cfg.Iters)
 
-			dst := ctx.Malloc(max(size, 4))
-			dh, e := nic.RegisterMem(ctx, dst)
+			dst, e := nic.AllocReg(ctx, max(size, 4))
 			if e != nil {
 				fail(e)
 				return
 			}
 			for i := 0; i < cfg.Warmup; i++ {
-				if e := nd.Get(ctx, 1, "bench", 0, size, dst, dh); e != nil {
+				if e := nd.Get(ctx, 1, "bench", 0, size, dst.Buf, dst.H); e != nil {
 					fail(e)
 					return
 				}
 			}
 			t1 := ctx.Now()
 			for i := 0; i < cfg.Iters; i++ {
-				if e := nd.Get(ctx, 1, "bench", 0, size, dst, dh); e != nil {
+				if e := nd.Get(ctx, 1, "bench", 0, size, dst.Buf, dst.H); e != nil {
 					fail(e)
 					return
 				}

@@ -62,21 +62,15 @@ func IncastRun(cfg Config, senders, msgs, size int) (TopoResult, error) {
 					fail(err)
 					return
 				}
-				buf := ctx.Malloc(size)
-				h, err := nic.RegisterMem(ctx, buf)
+				sink, err := nic.AllocReg(ctx, size)
 				if err != nil {
 					fail(err)
 					return
 				}
-				targets[s] = via.AddressSegment{Addr: buf.Addr(), Handle: h}
+				targets[s] = via.AddressSegment{Addr: sink.Buf.Addr(), Handle: sink.H}
 				registered++
-				req, err := nic.ConnectWait(ctx, disc, cfg.Timeout)
-				if err != nil {
-					fail(fmt.Errorf("wait %s: %w", disc, err))
-					return
-				}
-				if err := req.Accept(ctx, vi); err != nil {
-					fail(fmt.Errorf("accept %s: %w", disc, err))
+				if err := via.Pair(ctx, vi, fabric.NodeID(s), disc, false, cfg.Timeout); err != nil {
+					fail(err)
 				}
 			})
 			sys.Go(s, "src-"+disc, func(ctx *via.Ctx) {
@@ -86,15 +80,14 @@ func IncastRun(cfg Config, senders, msgs, size int) (TopoResult, error) {
 					fail(err)
 					return
 				}
-				if err := vi.ConnectRequest(ctx, 0, disc, cfg.Timeout); err != nil {
-					fail(fmt.Errorf("connect %s: %w", disc, err))
+				if err := via.Pair(ctx, vi, 0, disc, true, cfg.Timeout); err != nil {
+					fail(err)
 					return
 				}
 				for registered < senders { // address exchange
 					ctx.Sleep(10 * sim.Microsecond)
 				}
-				buf := ctx.Malloc(size)
-				h, err := nic.RegisterMem(ctx, buf)
+				src, err := nic.AllocReg(ctx, size)
 				if err != nil {
 					fail(err)
 					return
@@ -109,7 +102,7 @@ func IncastRun(cfg Config, senders, msgs, size int) (TopoResult, error) {
 				for i := 0; i < msgs; i++ {
 					d := &via.Descriptor{
 						Op:     via.OpRdmaWrite,
-						Segs:   []via.DataSegment{{Addr: buf.Addr(), Handle: h, Length: size}},
+						Segs:   []via.DataSegment{{Addr: src.Buf.Addr(), Handle: src.H, Length: size}},
 						Remote: &remote,
 					}
 					if err := vi.PostSend(ctx, d); err != nil {
@@ -180,37 +173,23 @@ func AllToAllRun(cfg Config, hosts, msgs, size int) (TopoResult, error) {
 						lo, hi = hi, lo
 					}
 					disc := fmt.Sprintf("a2a-%d-%d", lo, hi)
-					if i < j {
-						if err := vi.ConnectRequest(ctx, fabric.NodeID(j), disc, cfg.Timeout); err != nil {
-							fail(fmt.Errorf("connect %s: %w", disc, err))
-							return
-						}
-					} else {
-						req, err := nic.ConnectWait(ctx, disc, cfg.Timeout)
-						if err != nil {
-							fail(fmt.Errorf("wait %s: %w", disc, err))
-							return
-						}
-						if err := req.Accept(ctx, vi); err != nil {
-							fail(fmt.Errorf("accept %s: %w", disc, err))
-							return
-						}
+					if err := via.Pair(ctx, vi, fabric.NodeID(j), disc, i < j, cfg.Timeout); err != nil {
+						fail(err)
+						return
 					}
 					vis[j] = vi
-					sink := ctx.Malloc(size)
-					h, err := nic.RegisterMem(ctx, sink)
+					sink, err := nic.AllocReg(ctx, size)
 					if err != nil {
 						fail(err)
 						return
 					}
-					targets[i][j] = via.AddressSegment{Addr: sink.Addr(), Handle: h}
+					targets[i][j] = via.AddressSegment{Addr: sink.Buf.Addr(), Handle: sink.H}
 				}
 				ready++
 				for ready < hosts { // barrier: all windows published
 					ctx.Sleep(10 * sim.Microsecond)
 				}
-				src := ctx.Malloc(size)
-				h, err := nic.RegisterMem(ctx, src)
+				src, err := nic.AllocReg(ctx, size)
 				if err != nil {
 					fail(err)
 					return
@@ -226,7 +205,7 @@ func AllToAllRun(cfg Config, hosts, msgs, size int) (TopoResult, error) {
 					for n := 0; n < msgs; n++ {
 						d := &via.Descriptor{
 							Op:     via.OpRdmaWrite,
-							Segs:   []via.DataSegment{{Addr: src.Addr(), Handle: h, Length: size}},
+							Segs:   []via.DataSegment{{Addr: src.Buf.Addr(), Handle: src.H, Length: size}},
 							Remote: &remote,
 						}
 						if err := vis[j].PostSend(ctx, d); err != nil {
@@ -287,25 +266,19 @@ func HotspotRun(cfg Config, senders, msgs, size int, offered float64) (TopoResul
 					fail(err)
 					return
 				}
-				buf := ctx.Malloc(size)
-				h, err := nic.RegisterMem(ctx, buf)
+				sink, err := nic.AllocReg(ctx, size)
 				if err != nil {
 					fail(err)
 					return
 				}
-				req, err := nic.ConnectWait(ctx, disc, cfg.Timeout)
-				if err != nil {
-					fail(fmt.Errorf("wait %s: %w", disc, err))
-					return
-				}
-				if err := req.Accept(ctx, vi); err != nil {
-					fail(fmt.Errorf("accept %s: %w", disc, err))
+				if err := via.Pair(ctx, vi, fabric.NodeID(s), disc, false, cfg.Timeout); err != nil {
+					fail(err)
 					return
 				}
 				// Pre-post the whole stream so no frame dies for lack of a
 				// descriptor — losses, if any, are the fabric's doing.
 				for i := 0; i < msgs; i++ {
-					d := &via.Descriptor{Segs: []via.DataSegment{{Addr: buf.Addr(), Handle: h, Length: size}}}
+					d := &via.Descriptor{Segs: []via.DataSegment{{Addr: sink.Buf.Addr(), Handle: sink.H, Length: size}}}
 					if err := vi.PostRecv(ctx, d); err != nil {
 						fail(err)
 						return
@@ -334,12 +307,11 @@ func HotspotRun(cfg Config, senders, msgs, size int, offered float64) (TopoResul
 					fail(err)
 					return
 				}
-				if err := vi.ConnectRequest(ctx, 0, disc, cfg.Timeout); err != nil {
-					fail(fmt.Errorf("connect %s: %w", disc, err))
+				if err := via.Pair(ctx, vi, 0, disc, true, cfg.Timeout); err != nil {
+					fail(err)
 					return
 				}
-				buf := ctx.Malloc(size)
-				h, err := nic.RegisterMem(ctx, buf)
+				src, err := nic.AllocReg(ctx, size)
 				if err != nil {
 					fail(err)
 					return
@@ -361,7 +333,7 @@ func HotspotRun(cfg Config, senders, msgs, size int, offered float64) (TopoResul
 					if next := start.Add(sim.Duration(i) * gap); next > ctx.Now() {
 						ctx.Sleep(next.Sub(ctx.Now()))
 					}
-					d := &via.Descriptor{Segs: []via.DataSegment{{Addr: buf.Addr(), Handle: h, Length: size}}}
+					d := &via.Descriptor{Segs: []via.DataSegment{{Addr: src.Buf.Addr(), Handle: src.H, Length: size}}}
 					if err := vi.PostSend(ctx, d); err != nil {
 						fail(fmt.Errorf("%s post %d: %w", disc, i, err))
 						return

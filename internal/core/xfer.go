@@ -7,7 +7,6 @@ import (
 	"vibe/internal/fabric"
 	"vibe/internal/sim"
 	"vibe/internal/via"
-	"vibe/internal/vmem"
 )
 
 // XferResult is one data-transfer measurement in the paper's units.
@@ -20,12 +19,6 @@ type XferResult struct {
 	TPS       float64 // transactions per second (client-server)
 }
 
-// regBuf is a registered buffer.
-type regBuf struct {
-	buf *vmem.Buffer
-	h   via.MemHandle
-}
-
 // endpoint bundles one side's VIA objects and buffer pools.
 type endpoint struct {
 	ctx    *via.Ctx
@@ -33,8 +26,8 @@ type endpoint struct {
 	vi     *via.Vi
 	extras []*via.Vi
 	cq     *via.CQ
-	send   []regBuf
-	recv   []regBuf
+	send   []via.Reg
+	recv   []via.Reg
 	o      XferOpts
 	cfg    Config
 }
@@ -46,27 +39,22 @@ type rdmaXchg struct {
 	cli, srv []via.AddressSegment
 }
 
-func makePool(ctx *via.Ctx, nic *via.Nic, count, size int) ([]regBuf, error) {
-	if size < 4 {
-		size = 4
-	}
-	pool := make([]regBuf, count)
+func makePool(ctx *via.Ctx, nic *via.Nic, count, size int) ([]via.Reg, error) {
+	pool := make([]via.Reg, count)
 	for i := range pool {
-		buf := ctx.Malloc(size)
-		h, err := nic.RegisterMem(ctx, buf)
-		if err != nil {
+		var err error
+		if pool[i], err = nic.AllocReg(ctx, max(size, 4)); err != nil {
 			return nil, err
 		}
-		pool[i] = regBuf{buf: buf, h: h}
 	}
 	return pool, nil
 }
 
 // addressSegments exports a pool for RDMA targeting.
-func addressSegments(pool []regBuf) []via.AddressSegment {
+func addressSegments(pool []via.Reg) []via.AddressSegment {
 	segs := make([]via.AddressSegment, len(pool))
 	for i, b := range pool {
-		segs[i] = via.AddressSegment{Addr: b.buf.Addr(), Handle: b.h}
+		segs[i] = via.AddressSegment{Addr: b.Buf.Addr(), Handle: b.H}
 	}
 	return segs
 }
@@ -93,19 +81,8 @@ func setup(ctx *via.Ctx, cfg Config, o XferOpts, sendSize, recvSize int, share, 
 		if err != nil {
 			return nil, err
 		}
-		disc := fmt.Sprintf("vi-%d", k)
-		if isClient {
-			if err := vi.ConnectRequest(ctx, peer, disc, cfg.Timeout); err != nil {
-				return nil, fmt.Errorf("connect %s: %w", disc, err)
-			}
-		} else {
-			req, err := ep.nic.ConnectWait(ctx, disc, cfg.Timeout)
-			if err != nil {
-				return nil, fmt.Errorf("wait %s: %w", disc, err)
-			}
-			if err := req.Accept(ctx, vi); err != nil {
-				return nil, fmt.Errorf("accept %s: %w", disc, err)
-			}
+		if err := via.Pair(ctx, vi, peer, fmt.Sprintf("vi-%d", k), isClient, cfg.Timeout); err != nil {
+			return nil, err
 		}
 		if k == 0 {
 			ep.vi = vi
@@ -137,7 +114,7 @@ func setup(ctx *via.Ctx, cfg Config, o XferOpts, sendSize, recvSize int, share, 
 
 // segments splits buffer b into k contiguous data segments covering
 // exactly n bytes.
-func segments(b regBuf, n, k int) []via.DataSegment {
+func segments(b via.Reg, n, k int) []via.DataSegment {
 	if n > 0 && k > n {
 		k = n
 	}
@@ -152,7 +129,7 @@ func segments(b regBuf, n, k int) []via.DataSegment {
 		if i == k-1 {
 			l = n - off
 		}
-		segs = append(segs, via.DataSegment{Addr: b.buf.AddrAt(off), Handle: b.h, Length: l})
+		segs = append(segs, via.DataSegment{Addr: b.Buf.AddrAt(off), Handle: b.H, Length: l})
 		off += l
 	}
 	return segs
@@ -160,7 +137,7 @@ func segments(b regBuf, n, k int) []via.DataSegment {
 
 // postRecv posts a receive descriptor sized for an n-byte message into
 // pool buffer b.
-func (ep *endpoint) postRecv(b regBuf, n int) error {
+func (ep *endpoint) postRecv(b via.Reg, n int) error {
 	d := &via.Descriptor{Segs: segments(b, n, ep.o.Segments)}
 	return ep.vi.PostRecv(ep.ctx, d)
 }
@@ -170,7 +147,7 @@ func (ep *endpoint) postRecv(b regBuf, n int) error {
 // index, carrying immediate data so the peer's posted descriptor
 // completes. With no peer pool (control messages like the bandwidth ack),
 // a plain send is used even in RDMA mode.
-func (ep *endpoint) postSend(b regBuf, n, poolIdx int, peerRecv []via.AddressSegment) error {
+func (ep *endpoint) postSend(b via.Reg, n, poolIdx int, peerRecv []via.AddressSegment) error {
 	d := &via.Descriptor{Op: via.OpSend, Segs: segments(b, n, ep.o.Segments)}
 	if ep.o.RDMA && peerRecv != nil {
 		d.Op = via.OpRdmaWrite

@@ -67,13 +67,16 @@ func New(sys *via.System, cfg Config) *World {
 }
 
 // Run spawns one application process per node and invokes fn with its DSM
-// node handle. Call sys.Run() afterwards.
-func (w *World) Run(fn func(ctx *via.Ctx, d *Node)) {
-	mgr := newManager(w)
-	w.gp.Run(func(ctx *via.Ctx, gpn *getput.Node) {
+// node handle. A setup error, or a send the lock manager's daemon cannot
+// complete, goes to fail; a node whose setup fails never calls fn. Call
+// sys.Run() afterwards.
+func (w *World) Run(fail func(error), fn func(ctx *via.Ctx, d *Node)) {
+	mgr := newManager(w, fail)
+	w.gp.Run(fail, func(ctx *via.Ctx, gpn *getput.Node) {
 		d, err := newNode(ctx, w, gpn, mgr)
 		if err != nil {
-			panic(fmt.Sprintf("dsm: node %d init: %v", gpn.Me(), err))
+			fail(fmt.Errorf("dsm: node %d init: %w", gpn.Me(), err))
+			return
 		}
 		fn(ctx, d)
 	})
@@ -126,7 +129,9 @@ func newNode(ctx *via.Ctx, w *World, gpn *getput.Node, mgr *manager) (*Node, err
 		regions: make(map[string]*regionMeta),
 		cache:   make(map[pageKey]*cachedPage),
 	}
-	mgr.register(ctx, d)
+	if err := mgr.register(ctx, d); err != nil {
+		return nil, fmt.Errorf("manager: %w", err)
+	}
 	return d, nil
 }
 
@@ -175,12 +180,11 @@ func (d *Node) page(ctx *via.Ctx, r *regionMeta, idx int) (*cachedPage, error) {
 	key := pageKey{r.name, idx}
 	cp := d.cache[key]
 	if cp == nil {
-		buf := ctx.Malloc(PageSize)
-		h, err := ctx.OpenNic().RegisterMem(ctx, buf)
+		r, err := ctx.OpenNic().AllocReg(ctx, PageSize)
 		if err != nil {
 			return nil, err
 		}
-		cp = &cachedPage{buf: buf, handle: h}
+		cp = &cachedPage{buf: r.Buf, handle: r.H}
 		d.cache[key] = cp
 	}
 	if !cp.valid {

@@ -15,7 +15,7 @@ func runWorld(t *testing.T, m *provider.Model, n int, fn func(ctx *via.Ctx, d *N
 	t.Helper()
 	sys := via.NewSystem(m, n, 1)
 	w := New(sys, DefaultConfig())
-	w.Run(func(ctx *via.Ctx, d *Node) {
+	w.Run(func(err error) { t.Error(err) }, func(ctx *via.Ctx, d *Node) {
 		if err := fn(ctx, d); err != nil {
 			t.Errorf("node %d: %v", d.Me(), err)
 		}
@@ -307,7 +307,7 @@ func TestDSMDeterminism(t *testing.T) {
 		sys := via.NewSystem(provider.BVIA(), 3, 4)
 		w := New(sys, DefaultConfig())
 		var sum uint64
-		w.Run(func(ctx *via.Ctx, d *Node) {
+		w.Run(func(err error) { t.Error(err) }, func(ctx *via.Ctx, d *Node) {
 			if err := d.Alloc(ctx, "det", 1); err != nil {
 				t.Error(err)
 				return

@@ -6,7 +6,6 @@ import (
 
 	"vibe/internal/sim"
 	"vibe/internal/via"
-	"vibe/internal/vmem"
 )
 
 // The lock/barrier manager runs on node 0, the centralized-manager design
@@ -29,6 +28,10 @@ const mgrRing = 8
 // but all cross-node runtime traffic flows over the VIs.
 type manager struct {
 	w *World
+	// fail receives a lock grant or barrier release that could not be
+	// sent: the daemon, which sends most of them, has no caller to
+	// return the error to.
+	fail func(error)
 
 	// Node-0 state (touched only by node-0 processes; the cooperative
 	// scheduler serializes them).
@@ -38,9 +41,9 @@ type manager struct {
 
 	// Node-0 transport: one VI per remote node, indexed by node id.
 	srvVis  []*via.Vi
-	srvRing [][]regBuf
+	srvRing [][]via.Reg
 	srvAt   []int
-	bounce  []regBuf
+	bounce  []via.Reg
 }
 
 type lockState struct {
@@ -54,76 +57,47 @@ type lockWaiter struct {
 	local *sim.Signal
 }
 
-type regBuf struct {
-	buf *vmem.Buffer
-	h   via.MemHandle
-}
-
 // nodeLink is a remote node's connection to the manager.
 type nodeLink struct {
 	vi   *via.Vi
-	ring []regBuf
+	ring []via.Reg
 	at   int
-	out  regBuf
+	out  via.Reg
 }
 
-func newManager(w *World) *manager {
-	return &manager{w: w, locks: map[int]*lockState{}}
+func newManager(w *World, fail func(error)) *manager {
+	return &manager{w: w, fail: fail, locks: map[int]*lockState{}}
 }
 
 // register wires the calling node into the manager mesh. Node 0 accepts
 // every remote link and then starts the service daemon; remote nodes dial
 // and keep their link on the Node.
-func (m *manager) register(ctx *via.Ctx, d *Node) {
+func (m *manager) register(ctx *via.Ctx, d *Node) error {
 	nic := ctx.OpenNic()
 	attrs := via.ViAttributes{Reliability: via.ReliableDelivery}
-	makeRing := func(vi *via.Vi) []regBuf {
-		ring := make([]regBuf, mgrRing)
-		for i := range ring {
-			buf := ctx.Malloc(mgrMsgBytes)
-			h, err := nic.RegisterMem(ctx, buf)
-			if err != nil {
-				panic(fmt.Sprintf("dsm manager: %v", err))
-			}
-			ring[i] = regBuf{buf: buf, h: h}
-			if err := vi.PostRecv(ctx, via.SimpleRecv(buf, h, mgrMsgBytes)); err != nil {
-				panic(fmt.Sprintf("dsm manager: %v", err))
-			}
-		}
-		return ring
-	}
-	outBuf := func() regBuf {
-		buf := ctx.Malloc(mgrMsgBytes)
-		h, err := nic.RegisterMem(ctx, buf)
-		if err != nil {
-			panic(fmt.Sprintf("dsm manager: %v", err))
-		}
-		return regBuf{buf: buf, h: h}
-	}
-
 	if d.me == 0 {
 		m.barrierSig = sim.NewSignal(ctx.P.Engine())
 		m.srvVis = make([]*via.Vi, m.w.n)
-		m.srvRing = make([][]regBuf, m.w.n)
+		m.srvRing = make([][]via.Reg, m.w.n)
 		m.srvAt = make([]int, m.w.n)
-		m.bounce = make([]regBuf, m.w.n)
+		m.bounce = make([]via.Reg, m.w.n)
 		cq, err := nic.CreateCQ(ctx, 1024)
 		if err != nil {
-			panic(fmt.Sprintf("dsm manager: %v", err))
+			return err
 		}
 		for p := 1; p < m.w.n; p++ {
 			vi, err := nic.CreateVi(ctx, attrs, nil, cq)
 			if err != nil {
-				panic(fmt.Sprintf("dsm manager: %v", err))
+				return err
 			}
-			m.srvRing[p] = makeRing(vi)
-			m.bounce[p] = outBuf()
-			req, err := nic.ConnectWait(ctx, fmt.Sprintf("dsm-mgr-%d", p), m.w.cfg.Timeout)
-			if err != nil {
-				panic(fmt.Sprintf("dsm manager accept %d: %v", p, err))
+			if m.srvRing[p], err = vi.PostRing(ctx, mgrRing, mgrMsgBytes); err != nil {
+				return err
 			}
-			if err := req.Accept(ctx, vi); err != nil {
-				panic(fmt.Sprintf("dsm manager accept %d: %v", p, err))
+			if m.bounce[p], err = nic.AllocReg(ctx, mgrMsgBytes); err != nil {
+				return err
+			}
+			if err := via.Pair(ctx, vi, m.w.sys.Host(p).ID(), fmt.Sprintf("dsm-mgr-%d", p), false, m.w.cfg.Timeout); err != nil {
+				return err
 			}
 			m.srvVis[p] = vi
 		}
@@ -136,20 +110,25 @@ func (m *manager) register(ctx *via.Ctx, d *Node) {
 			dctx.P.SetDaemon(true)
 			m.daemon(dctx, cq, byVi)
 		})
-		return
+		return nil
 	}
 
 	vi, err := nic.CreateVi(ctx, attrs, nil, nil)
 	if err != nil {
-		panic(fmt.Sprintf("dsm manager: %v", err))
+		return err
 	}
-	link := &nodeLink{vi: vi, out: outBuf()}
-	link.ring = makeRing(vi)
-	if err := vi.ConnectRequest(ctx, m.w.sys.Host(0).ID(),
-		fmt.Sprintf("dsm-mgr-%d", d.me), m.w.cfg.Timeout); err != nil {
-		panic(fmt.Sprintf("dsm manager dial: %v", err))
+	link := &nodeLink{vi: vi}
+	if link.out, err = nic.AllocReg(ctx, mgrMsgBytes); err != nil {
+		return err
+	}
+	if link.ring, err = vi.PostRing(ctx, mgrRing, mgrMsgBytes); err != nil {
+		return err
+	}
+	if err := via.Pair(ctx, vi, m.w.sys.Host(0).ID(), fmt.Sprintf("dsm-mgr-%d", d.me), true, m.w.cfg.Timeout); err != nil {
+		return err
 	}
 	d.link = link
+	return nil
 }
 
 // --- wire helpers ---
@@ -166,10 +145,10 @@ func decodeMgr(src []byte) (kind byte, id, node int) {
 
 // sendOn stages and sends one manager message on a VI whose out buffer is
 // given; the caller is the VI's only sender.
-func sendOn(ctx *via.Ctx, vi *via.Vi, out regBuf, kind byte, id, node int) error {
-	encodeMgr(out.buf.Bytes(), kind, id, node)
+func sendOn(ctx *via.Ctx, vi *via.Vi, out via.Reg, kind byte, id, node int) error {
+	encodeMgr(out.Buf.Bytes(), kind, id, node)
 	d := &via.Descriptor{Op: via.OpSend, Segs: []via.DataSegment{{
-		Addr: out.buf.Addr(), Handle: out.h, Length: mgrMsgBytes}}}
+		Addr: out.Buf.Addr(), Handle: out.H, Length: mgrMsgBytes}}}
 	if err := vi.PostSend(ctx, d); err != nil {
 		return err
 	}
@@ -194,8 +173,8 @@ func (l *nodeLink) recv(ctx *via.Ctx) (kind byte, id int, err error) {
 	}
 	rb := l.ring[l.at%mgrRing]
 	l.at++
-	kind, id, _ = decodeMgr(rb.buf.Bytes())
-	if err := l.vi.PostRecv(ctx, via.SimpleRecv(rb.buf, rb.h, mgrMsgBytes)); err != nil {
+	kind, id, _ = decodeMgr(rb.Buf.Bytes())
+	if err := l.vi.PostRecv(ctx, via.SimpleRecv(rb.Buf, rb.H, mgrMsgBytes)); err != nil {
 		return 0, 0, err
 	}
 	return kind, id, nil
@@ -219,8 +198,8 @@ func (m *manager) daemon(ctx *via.Ctx, cq *via.CQ, byVi map[int]int) {
 		}
 		rb := m.srvRing[node][m.srvAt[node]%mgrRing]
 		m.srvAt[node]++
-		kind, id, _ := decodeMgr(rb.buf.Bytes())
-		if err := comp.Vi.PostRecv(ctx, via.SimpleRecv(rb.buf, rb.h, mgrMsgBytes)); err != nil {
+		kind, id, _ := decodeMgr(rb.Buf.Bytes())
+		if err := comp.Vi.PostRecv(ctx, via.SimpleRecv(rb.Buf, rb.H, mgrMsgBytes)); err != nil {
 			return
 		}
 		switch kind {
@@ -270,7 +249,7 @@ func (m *manager) grant(ctx *via.Ctx, id int, w lockWaiter) {
 		return
 	}
 	if err := sendOn(ctx, m.srvVis[w.node], m.bounce[w.node], mgrLockGrant, id, 0); err != nil {
-		panic(fmt.Sprintf("dsm manager grant: %v", err))
+		m.fail(fmt.Errorf("dsm manager grant: %w", err))
 	}
 }
 
@@ -283,7 +262,8 @@ func (m *manager) barrierArrive(ctx *via.Ctx) {
 	m.barrierCount = 0
 	for p := 1; p < m.w.n; p++ {
 		if err := sendOn(ctx, m.srvVis[p], m.bounce[p], mgrBarrierGo, 0, 0); err != nil {
-			panic(fmt.Sprintf("dsm manager barrier: %v", err))
+			m.fail(fmt.Errorf("dsm manager barrier: %w", err))
+			return
 		}
 	}
 	m.barrierSig.Broadcast()

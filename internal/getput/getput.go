@@ -59,17 +59,17 @@ func NewFabric(sys *via.System, cfg Config) *Fabric {
 }
 
 // Run spawns each node's service daemon and application process; fn runs
-// as the application. Call sys.Run() afterwards.
-func (f *Fabric) Run(fn func(ctx *via.Ctx, nd *Node)) {
-	nodes := make([]*Node, f.n)
+// as the application. A node whose setup fails passes the error to fail
+// instead and never calls fn. Call sys.Run() afterwards.
+func (f *Fabric) Run(fail func(error), fn func(ctx *via.Ctx, nd *Node)) {
 	for i := 0; i < f.n; i++ {
 		i := i
 		f.sys.Go(i, fmt.Sprintf("gp-node%d", i), func(ctx *via.Ctx) {
 			nd, err := f.initNode(ctx, i)
 			if err != nil {
-				panic(fmt.Sprintf("getput: node %d init: %v", i, err))
+				fail(fmt.Errorf("getput: node %d init: %w", i, err))
+				return
 			}
-			nodes[i] = nd
 			fn(ctx, nd)
 		})
 	}
@@ -90,7 +90,7 @@ func (f *Fabric) initNode(ctx *via.Ctx, me int) (*Node, error) {
 		ctx:     ctx,
 		nic:     nic,
 		peers:   make([]*gpPeer, f.n),
-		regions: map[string]exposed{},
+		regions: map[string]via.Reg{},
 		pending: map[uint32]*opState{},
 		wake:    sim.NewSignal(ctx.P.Engine()),
 	}
@@ -119,39 +119,21 @@ func (f *Fabric) initNode(ctx *via.Ctx, me int) (*Node, error) {
 		if gp.srv, err = nic.CreateVi(ctx, reqAttrs, nil, cq); err != nil {
 			return nil, err
 		}
-		for _, vi := range []*via.Vi{gp.req, gp.srv} {
-			ring := make([]regBuf, ringSlots)
-			for s := 0; s < ringSlots; s++ {
-				buf := ctx.Malloc(ctlBytes + f.cfg.MaxName)
-				h, err := nic.RegisterMem(ctx, buf)
-				if err != nil {
-					return nil, err
-				}
-				ring[s] = regBuf{buf: buf, h: h}
-				if err := vi.PostRecv(ctx, via.SimpleRecv(buf, h, ctlBytes+f.cfg.MaxName)); err != nil {
-					return nil, err
-				}
-			}
-			if vi == gp.req {
-				gp.reqRing = ring
-			} else {
-				gp.srvRing = ring
-			}
+		msg := ctlBytes + f.cfg.MaxName
+		if gp.reqRing, err = gp.req.PostRing(ctx, ringSlots, msg); err != nil {
+			return nil, err
+		}
+		if gp.srvRing, err = gp.srv.PostRing(ctx, ringSlots, msg); err != nil {
+			return nil, err
 		}
 		// Each VI gets its own bounce: the user proc sends on req, the
 		// daemon sends on srv — never both on one queue.
-		b1 := ctx.Malloc(ctlBytes + f.cfg.MaxName)
-		h1, err := nic.RegisterMem(ctx, b1)
-		if err != nil {
+		if gp.reqBounce, err = nic.AllocReg(ctx, msg); err != nil {
 			return nil, err
 		}
-		gp.reqBounce = regBuf{buf: b1, h: h1}
-		b2 := ctx.Malloc(ctlBytes + f.cfg.MaxName)
-		h2, err := nic.RegisterMem(ctx, b2)
-		if err != nil {
+		if gp.srvBounce, err = nic.AllocReg(ctx, msg); err != nil {
 			return nil, err
 		}
-		gp.srvBounce = regBuf{buf: b2, h: h2}
 		gp.lookups = map[string]remoteRegion{}
 		nd.peers[p] = gp
 	}
@@ -159,35 +141,17 @@ func (f *Fabric) initNode(ctx *via.Ctx, me int) (*Node, error) {
 	// Connect: for each ordered (a, b), a's req VI pairs with b's srv VI;
 	// the lower host id dials both of its directions first to keep the
 	// handshake order deterministic.
-	connect := func(mine *via.Vi, peerHost int, disc string, dial bool) error {
-		if dial {
-			return mine.ConnectRequest(ctx, f.sys.Host(peerHost).ID(), disc, f.cfg.Timeout)
-		}
-		req, err := nic.ConnectWait(ctx, disc, f.cfg.Timeout)
-		if err != nil {
-			return err
-		}
-		return req.Accept(ctx, mine)
-	}
 	for p := 0; p < f.n; p++ {
 		if p == me {
 			continue
 		}
 		gp := nd.peers[p]
-		discMine := fmt.Sprintf("gp-%d-%d", me, p) // my requests toward p
-		discTheir := fmt.Sprintf("gp-%d-%d", p, me)
-		if me < p {
-			if err := connect(gp.req, p, discMine, true); err != nil {
-				return nil, err
+		for _, dial := range []bool{me < p, me > p} {
+			vi, disc := gp.srv, fmt.Sprintf("gp-%d-%d", p, me)
+			if dial { // my requests toward p
+				vi, disc = gp.req, fmt.Sprintf("gp-%d-%d", me, p)
 			}
-			if err := connect(gp.srv, p, discTheir, false); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := connect(gp.srv, p, discTheir, false); err != nil {
-				return nil, err
-			}
-			if err := connect(gp.req, p, discMine, true); err != nil {
+			if err := via.Pair(ctx, vi, f.sys.Host(p).ID(), disc, dial, f.cfg.Timeout); err != nil {
 				return nil, err
 			}
 		}
@@ -202,22 +166,16 @@ func (f *Fabric) initNode(ctx *via.Ctx, me int) (*Node, error) {
 	return nd, nil
 }
 
-// regBuf is a registered buffer.
-type regBuf struct {
-	buf *vmem.Buffer
-	h   via.MemHandle
-}
-
 // gpPeer is the per-peer connection state.
 type gpPeer struct {
 	req       *via.Vi // this node requests / puts / reads
 	srv       *via.Vi // the peer requests; our daemon responds
-	reqRing   []regBuf
-	srvRing   []regBuf
+	reqRing   []via.Reg
+	srvRing   []via.Reg
 	reqRingAt int
 	srvRingAt int
-	reqBounce regBuf // user-proc staging (requests)
-	srvBounce regBuf // daemon staging (responses)
+	reqBounce via.Reg // user-proc staging (requests)
+	srvBounce via.Reg // daemon staging (responses)
 
 	lookups map[string]remoteRegion
 }
@@ -227,12 +185,6 @@ type remoteRegion struct {
 	addr   vmem.Addr
 	handle via.MemHandle
 	length int
-}
-
-// exposed is a locally exported region.
-type exposed struct {
-	buf    *vmem.Buffer
-	handle via.MemHandle
 }
 
 // opState tracks one in-flight user operation awaiting a daemon-routed

@@ -14,7 +14,7 @@ func runFabric(t *testing.T, m *provider.Model, n int, fn func(ctx *via.Ctx, nd 
 	t.Helper()
 	sys := via.NewSystem(m, n, 1)
 	f := NewFabric(sys, DefaultConfig())
-	f.Run(func(ctx *via.Ctx, nd *Node) {
+	f.Run(func(err error) { t.Error(err) }, func(ctx *via.Ctx, nd *Node) {
 		if err := fn(ctx, nd); err != nil {
 			t.Errorf("node %d: %v", nd.Me(), err)
 		}
@@ -189,7 +189,7 @@ func TestThreeNodeSharing(t *testing.T) {
 	sys := via.NewSystem(provider.CLAN(), 3, 1)
 	f := NewFabric(sys, DefaultConfig())
 	step := make([]bool, 3)
-	f.Run(func(ctx *via.Ctx, nd *Node) {
+	f.Run(func(err error) { t.Error(err) }, func(ctx *via.Ctx, nd *Node) {
 		nic := ctx.OpenNic()
 		switch nd.Me() {
 		case 1:
@@ -246,7 +246,7 @@ func TestGetPutDeterminism(t *testing.T) {
 		f := NewFabric(sys, DefaultConfig())
 		var end sim.Time
 		var ready bool
-		f.Run(func(ctx *via.Ctx, nd *Node) {
+		f.Run(func(err error) { t.Error(err) }, func(ctx *via.Ctx, nd *Node) {
 			nic := ctx.OpenNic()
 			if nd.Me() == 1 {
 				region := ctx.Malloc(8192)

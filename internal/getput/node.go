@@ -19,7 +19,7 @@ type Node struct {
 
 	peers   []*gpPeer
 	byVi    map[int]viRef
-	regions map[string]exposed
+	regions map[string]via.Reg
 	pending map[uint32]*opState
 	nextReq uint32
 
@@ -54,7 +54,7 @@ func (nd *Node) Expose(ctx *via.Ctx, name string, buf *vmem.Buffer) error {
 	if err != nil {
 		return err
 	}
-	nd.regions[name] = exposed{buf: buf, handle: h}
+	nd.regions[name] = via.Reg{Buf: buf, H: h}
 	return nil
 }
 
@@ -63,10 +63,10 @@ func (nd *Node) Expose(ctx *via.Ctx, name string, buf *vmem.Buffer) error {
 const memcpyPerByte = 10 * sim.Nanosecond
 
 // local returns the locally exposed region, for self-targeted operations.
-func (nd *Node) local(name string) (exposed, error) {
+func (nd *Node) local(name string) (via.Reg, error) {
 	r, ok := nd.regions[name]
 	if !ok {
-		return exposed{}, fmt.Errorf("getput: region %q not exposed locally", name)
+		return via.Reg{}, fmt.Errorf("getput: region %q not exposed locally", name)
 	}
 	return r, nil
 }
@@ -80,10 +80,10 @@ func (nd *Node) Put(ctx *via.Ctx, peer int, name string, off int, src *vmem.Buff
 		if err != nil {
 			return err
 		}
-		if off < 0 || off+n > r.buf.Len() {
+		if off < 0 || off+n > r.Buf.Len() {
 			return fmt.Errorf("getput: put [%d,+%d) outside region %q", off, n, name)
 		}
-		copy(r.buf.Bytes()[off:off+n], src.Bytes()[:n])
+		copy(r.Buf.Bytes()[off:off+n], src.Bytes()[:n])
 		ctx.Compute(sim.Duration(n) * memcpyPerByte)
 		nd.Puts++
 		return nil
@@ -125,10 +125,10 @@ func (nd *Node) Get(ctx *via.Ctx, peer int, name string, off, n int, dst *vmem.B
 		if err != nil {
 			return err
 		}
-		if off < 0 || off+n > r.buf.Len() {
+		if off < 0 || off+n > r.Buf.Len() {
 			return fmt.Errorf("getput: get [%d,+%d) outside region %q", off, n, name)
 		}
-		copy(dst.Bytes()[:n], r.buf.Bytes()[off:off+n])
+		copy(dst.Bytes()[:n], r.Buf.Bytes()[off:off+n])
 		ctx.Compute(sim.Duration(n) * memcpyPerByte)
 		return nil
 	}
@@ -227,9 +227,9 @@ func (nd *Node) await(ctx *via.Ctx, st *opState) {
 // sendReq stages and sends a control message on the request VI (the
 // application process is its only sender).
 func (nd *Node) sendReq(ctx *via.Ctx, gp *gpPeer, c *ctl) error {
-	n := c.encode(gp.reqBounce.buf.Bytes())
+	n := c.encode(gp.reqBounce.Buf.Bytes())
 	d := &via.Descriptor{Op: via.OpSend, Segs: []via.DataSegment{{
-		Addr: gp.reqBounce.buf.Addr(), Handle: gp.reqBounce.h, Length: n}}}
+		Addr: gp.reqBounce.Buf.Addr(), Handle: gp.reqBounce.H, Length: n}}}
 	if err := gp.req.PostSend(ctx, d); err != nil {
 		return err
 	}
@@ -272,7 +272,7 @@ func (nd *Node) daemon(ctx *via.Ctx) {
 		if !got || d.Status != via.StatusSuccess {
 			continue
 		}
-		var rb regBuf
+		var rb via.Reg
 		if ref.isSrv {
 			rb = gp.srvRing[gp.srvRingAt%ringSlots]
 			gp.srvRingAt++
@@ -280,9 +280,9 @@ func (nd *Node) daemon(ctx *via.Ctx) {
 			rb = gp.reqRing[gp.reqRingAt%ringSlots]
 			gp.reqRingAt++
 		}
-		c := decode(rb.buf.Bytes())
+		c := decode(rb.Buf.Bytes())
 		// Repost the slot before servicing.
-		if err := comp.Vi.PostRecv(ctx, via.SimpleRecv(rb.buf, rb.h, rb.buf.Len())); err != nil {
+		if err := comp.Vi.PostRecv(ctx, via.SimpleRecv(rb.Buf, rb.H, rb.Buf.Len())); err != nil {
 			return
 		}
 		if ref.isSrv {
@@ -301,20 +301,20 @@ func (nd *Node) serve(ctx *via.Ctx, gp *gpPeer, c ctl) {
 		resp := ctl{kind: opLookupResp, req: c.req, status: stNotFound}
 		if r, ok := nd.regions[c.name]; ok {
 			resp.status = stOK
-			resp.addr = r.buf.Addr()
-			resp.handle = r.handle
-			resp.n = r.buf.Len()
+			resp.addr = r.Buf.Addr()
+			resp.handle = r.H
+			resp.n = r.Buf.Len()
 		}
 		nd.respond(ctx, gp, &resp)
 	case opGetReq:
 		resp := ctl{kind: opGetDone, req: c.req, status: stNotFound}
 		if r, ok := nd.regions[c.name]; ok {
-			if c.off < 0 || c.off+c.n > r.buf.Len() {
+			if c.off < 0 || c.off+c.n > r.Buf.Len() {
 				resp.status = stRange
 			} else {
 				wr := &via.Descriptor{
 					Op:     via.OpRdmaWrite,
-					Segs:   []via.DataSegment{{Addr: r.buf.AddrAt(c.off), Handle: r.handle, Length: c.n}},
+					Segs:   []via.DataSegment{{Addr: r.Buf.AddrAt(c.off), Handle: r.H, Length: c.n}},
 					Remote: &via.AddressSegment{Addr: c.addr, Handle: c.handle},
 				}
 				if err := gp.srv.PostSend(ctx, wr); err == nil {
@@ -334,9 +334,9 @@ func (nd *Node) serve(ctx *via.Ctx, gp *gpPeer, c ctl) {
 }
 
 func (nd *Node) respond(ctx *via.Ctx, gp *gpPeer, c *ctl) {
-	n := c.encode(gp.srvBounce.buf.Bytes())
+	n := c.encode(gp.srvBounce.Buf.Bytes())
 	d := &via.Descriptor{Op: via.OpSend, Segs: []via.DataSegment{{
-		Addr: gp.srvBounce.buf.Addr(), Handle: gp.srvBounce.h, Length: n}}}
+		Addr: gp.srvBounce.Buf.Addr(), Handle: gp.srvBounce.H, Length: n}}}
 	if err := gp.srv.PostSend(ctx, d); err != nil {
 		return
 	}

@@ -81,16 +81,16 @@ func overheads(cfg core.Config) (osUs, orUs, rttUs float64, err error) {
 				fail(e)
 				return
 			}
-			if e := vi.ConnectRequest(ctx, 1, "logp", tmo); e != nil {
+			if e := via.Pair(ctx, vi, 1, "logp", true, tmo); e != nil {
 				fail(e)
 				return
 			}
-			buf := ctx.Malloc(MessageSize)
-			h, e := nic.RegisterMem(ctx, buf)
+			r, e := nic.AllocReg(ctx, MessageSize)
 			if e != nil {
 				fail(e)
 				return
 			}
+			buf, h := r.Buf, r.H
 			var osSum sim.Duration
 			var t0 sim.Time
 			for i := 0; i < iters; i++ {
@@ -132,22 +132,13 @@ func overheads(cfg core.Config) (osUs, orUs, rttUs float64, err error) {
 				fail(e)
 				return
 			}
-			buf := ctx.Malloc(MessageSize)
-			h, e := nic.RegisterMem(ctx, buf)
+			ring, e := vi.PostRing(ctx, 1, MessageSize)
 			if e != nil {
 				fail(e)
 				return
 			}
-			if e := vi.PostRecv(ctx, via.SimpleRecv(buf, h, MessageSize)); e != nil {
-				fail(e)
-				return
-			}
-			req, e := nic.ConnectWait(ctx, "logp", tmo)
-			if e != nil {
-				fail(e)
-				return
-			}
-			if e := req.Accept(ctx, vi); e != nil {
+			buf, h := ring[0].Buf, ring[0].H
+			if e := via.Pair(ctx, vi, 0, "logp", false, tmo); e != nil {
 				fail(e)
 				return
 			}

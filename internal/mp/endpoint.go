@@ -59,7 +59,7 @@ func (ep *Endpoint) send(ctx *via.Ctx, dst int, tag int32, buf *vmem.Buffer, n i
 		if err := ep.waitCredit(ctx, p); err != nil {
 			return err
 		}
-		hdr := p.bounce.buf.Bytes()
+		hdr := p.bounce.Buf.Bytes()
 		putHeader(hdr, kindEager, tag, 0, n)
 		copy(hdr[headerBytes:], buf.Bytes()[:n])
 		ctx.Compute(sim.Duration(n) * memcpyPerByte)
@@ -77,7 +77,7 @@ func (ep *Endpoint) send(ctx *via.Ctx, dst int, tag int32, buf *vmem.Buffer, n i
 	if err := ep.waitCredit(ctx, p); err != nil {
 		return err
 	}
-	hdr := p.bounce.buf.Bytes()
+	hdr := p.bounce.Buf.Bytes()
 	putHeader(hdr, kindRTS, tag, req, n)
 	putAddr(hdr, buf.Addr(), h)
 	if err := ep.postBounce(ctx, p, headerBytes+addrBytes); err != nil {
@@ -118,7 +118,7 @@ func (ep *Endpoint) send(ctx *via.Ctx, dst int, tag int32, buf *vmem.Buffer, n i
 	if err := ep.waitCredit(ctx, p); err != nil {
 		return err
 	}
-	putHeader(p.bounce.buf.Bytes(), kindFin, tag, req, 0)
+	putHeader(p.bounce.Buf.Bytes(), kindFin, tag, req, 0)
 	return ep.postBounce(ctx, p, headerBytes)
 }
 
@@ -167,7 +167,7 @@ func (ep *Endpoint) complete(ctx *via.Ctx, p *peer, m inbound) (*vmem.Buffer, in
 	if err := ep.waitCredit(ctx, p); err != nil {
 		return nil, 0, err
 	}
-	hdr := p.bounce.buf.Bytes()
+	hdr := p.bounce.Buf.Bytes()
 	putHeader(hdr, kindCTS, m.tag, m.req, m.n)
 	putAddr(hdr, dst.Addr(), h)
 	if err := ep.postBounce(ctx, p, headerBytes+addrBytes); err != nil {
@@ -195,18 +195,18 @@ func (ep *Endpoint) poll(ctx *via.Ctx, p *peer) error {
 	idx := p.posted[0]
 	p.posted = p.posted[1:]
 	rb := p.ring[idx]
-	kind, tag, req, n := parseHeader(rb.buf.Bytes())
+	kind, tag, req, n := parseHeader(rb.Buf.Bytes())
 
 	switch kind {
 	case kindEager:
 		data := make([]byte, n)
-		copy(data, rb.buf.Bytes()[headerBytes:headerBytes+n])
+		copy(data, rb.Buf.Bytes()[headerBytes:headerBytes+n])
 		p.unexpected = append(p.unexpected, inbound{kind: kind, tag: tag, n: n, data: data})
 	case kindRTS:
-		addr, h := parseAddr(rb.buf.Bytes())
+		addr, h := parseAddr(rb.Buf.Bytes())
 		p.unexpected = append(p.unexpected, inbound{kind: kind, tag: tag, req: req, n: n, raddr: addr, rh: h})
 	case kindCTS:
-		addr, h := parseAddr(rb.buf.Bytes())
+		addr, h := parseAddr(rb.Buf.Bytes())
 		p.cts[req] = ctsInfo{addr: addr, handle: h}
 	case kindFin:
 		p.fin[req] = true
@@ -220,7 +220,7 @@ func (ep *Endpoint) poll(ctx *via.Ctx, p *peer) error {
 	// messages themselves consume the reserve slot (waitCredit keeps one
 	// in hand), so this cannot deadlock the ring.
 	bufSize := headerBytes + ep.world.cfg.EagerLimit
-	if err := p.vi.PostRecv(ctx, via.SimpleRecv(rb.buf, rb.h, bufSize)); err != nil {
+	if err := p.vi.PostRecv(ctx, via.SimpleRecv(rb.Buf, rb.H, bufSize)); err != nil {
 		return err
 	}
 	p.posted = append(p.posted, idx)
@@ -231,7 +231,7 @@ func (ep *Endpoint) poll(ctx *via.Ctx, p *peer) error {
 		freed := p.consumed
 		p.consumed = 0
 		ep.CreditMsgs++
-		putHeader(p.bounce.buf.Bytes(), kindCredit, 0, 0, freed)
+		putHeader(p.bounce.Buf.Bytes(), kindCredit, 0, 0, freed)
 		if err := ep.postBounce(ctx, p, headerBytes); err != nil {
 			return err
 		}
@@ -255,7 +255,7 @@ func (ep *Endpoint) waitCredit(ctx *via.Ctx, p *peer) error {
 // completion so the bounce buffer can be reused.
 func (ep *Endpoint) postBounce(ctx *via.Ctx, p *peer, n int) error {
 	d := &via.Descriptor{Op: via.OpSend, Segs: []via.DataSegment{{
-		Addr: p.bounce.buf.Addr(), Handle: p.bounce.h, Length: n}}}
+		Addr: p.bounce.Buf.Addr(), Handle: p.bounce.H, Length: n}}}
 	if err := p.vi.PostSend(ctx, d); err != nil {
 		return err
 	}

@@ -82,14 +82,17 @@ func NewWorld(sys *via.System, cfg Config) *World {
 func (w *World) Size() int { return w.n }
 
 // Run spawns one process per rank, initializes the full mesh, and invokes
-// fn with the rank's endpoint. Call sys.Run() afterwards to execute.
-func (w *World) Run(fn func(ctx *via.Ctx, ep *Endpoint)) {
+// fn with the rank's endpoint. A rank whose setup fails passes the error
+// to fail instead and never calls fn. Call sys.Run() afterwards to
+// execute.
+func (w *World) Run(fail func(error), fn func(ctx *via.Ctx, ep *Endpoint)) {
 	for r := 0; r < w.n; r++ {
 		r := r
 		w.sys.Go(r, fmt.Sprintf("mp-rank%d", r), func(ctx *via.Ctx) {
 			ep, err := w.init(ctx, r)
 			if err != nil {
-				panic(fmt.Sprintf("mp: rank %d init: %v", r, err))
+				fail(fmt.Errorf("mp: rank %d init: %w", r, err))
+				return
 			}
 			fn(ctx, ep)
 		})
@@ -122,24 +125,15 @@ func (w *World) init(ctx *via.Ctx, rank int) (*Endpoint, error) {
 		}
 		pr := &peer{vi: vi, credits: w.cfg.RingSize - 2}
 		bufSize := headerBytes + w.cfg.EagerLimit
-		for i := 0; i < w.cfg.RingSize; i++ {
-			buf := ctx.Malloc(bufSize)
-			h, err := nic.RegisterMem(ctx, buf)
-			if err != nil {
-				return nil, err
-			}
-			pr.ring = append(pr.ring, regBuf{buf: buf, h: h})
-			if err := vi.PostRecv(ctx, via.SimpleRecv(buf, h, bufSize)); err != nil {
-				return nil, err
-			}
-			pr.posted = append(pr.posted, i)
-		}
-		sendBuf := ctx.Malloc(bufSize)
-		sh, err := nic.RegisterMem(ctx, sendBuf)
-		if err != nil {
+		if pr.ring, err = vi.PostRing(ctx, w.cfg.RingSize, bufSize); err != nil {
 			return nil, err
 		}
-		pr.bounce = regBuf{buf: sendBuf, h: sh}
+		for i := range pr.ring {
+			pr.posted = append(pr.posted, i)
+		}
+		if pr.bounce, err = nic.AllocReg(ctx, bufSize); err != nil {
+			return nil, err
+		}
 		pr.cts = make(map[uint32]ctsInfo)
 		pr.fin = make(map[uint32]bool)
 		ep.peers[p] = pr
@@ -149,38 +143,21 @@ func (w *World) init(ctx *via.Ctx, rank int) (*Endpoint, error) {
 		if p == rank {
 			continue
 		}
-		pr := ep.peers[p]
-		if rank < p {
-			disc := fmt.Sprintf("mp-%d-%d", rank, p)
-			if err := pr.vi.ConnectRequest(ctx, ctx.Host.System().Host(p).ID(), disc, w.cfg.Timeout); err != nil {
-				return nil, fmt.Errorf("rank %d -> %d: %w", rank, p, err)
-			}
-		} else {
-			disc := fmt.Sprintf("mp-%d-%d", p, rank)
-			req, err := nic.ConnectWait(ctx, disc, w.cfg.Timeout)
-			if err != nil {
-				return nil, fmt.Errorf("rank %d <- %d: %w", rank, p, err)
-			}
-			if err := req.Accept(ctx, pr.vi); err != nil {
-				return nil, err
-			}
+		lo, hi := min(rank, p), max(rank, p)
+		disc := fmt.Sprintf("mp-%d-%d", lo, hi)
+		if err := via.Pair(ctx, ep.peers[p].vi, ctx.Host.System().Host(p).ID(), disc, rank == lo, w.cfg.Timeout); err != nil {
+			return nil, err
 		}
 	}
 	return ep, nil
 }
 
-// regBuf is a registered buffer.
-type regBuf struct {
-	buf *vmem.Buffer
-	h   via.MemHandle
-}
-
 // peer is the per-neighbour transport state.
 type peer struct {
 	vi     *via.Vi
-	ring   []regBuf // pre-posted receive buffers
-	posted []int    // ring indices in posting order (completion order)
-	bounce regBuf   // send-side staging buffer
+	ring   []via.Reg // pre-posted receive buffers
+	posted []int     // ring indices in posting order (completion order)
+	bounce via.Reg   // send-side staging buffer
 
 	credits  int // sends allowed before the remote ring might overflow
 	consumed int // remote buffers we have freed since the last credit return

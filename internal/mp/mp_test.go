@@ -16,7 +16,7 @@ func runWorld(t *testing.T, m *provider.Model, n int, cfg Config, fn func(ctx *v
 	t.Helper()
 	sys := via.NewSystem(m, n, 1)
 	w := NewWorld(sys, cfg)
-	w.Run(func(ctx *via.Ctx, ep *Endpoint) {
+	w.Run(func(err error) { t.Error(err) }, func(ctx *via.Ctx, ep *Endpoint) {
 		if err := fn(ctx, ep); err != nil {
 			t.Errorf("rank %d: %v", ep.Rank(), err)
 		}
@@ -328,7 +328,7 @@ func TestMPDeterminism(t *testing.T) {
 		sys := via.NewSystem(provider.BVIA(), 3, 9)
 		w := NewWorld(sys, DefaultConfig())
 		var total uint64
-		w.Run(func(ctx *via.Ctx, ep *Endpoint) {
+		w.Run(func(err error) { t.Error(err) }, func(ctx *via.Ctx, ep *Endpoint) {
 			buf := ctx.Malloc(256)
 			other := (ep.Rank() + 1) % 3
 			prev := (ep.Rank() + 2) % 3

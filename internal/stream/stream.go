@@ -26,9 +26,9 @@ import (
 	"fmt"
 	"io"
 
+	"vibe/internal/fabric"
 	"vibe/internal/sim"
 	"vibe/internal/via"
-	"vibe/internal/vmem"
 )
 
 // Config tunes the stream layer.
@@ -95,31 +95,21 @@ const memcpyPerByte = 10 * sim.Nanosecond
 // service name and returns the accepted connection, mirroring a listening
 // socket's accept.
 func Listen(ctx *via.Ctx, service string, cfg Config) (*Conn, error) {
-	nic := ctx.OpenNic()
-	cfg = cfg.normalized(nic.Attributes().MaxTransferSize)
-	vi, err := newStreamVi(ctx, nic)
-	if err != nil {
-		return nil, err
-	}
-	c, err := newConn(ctx, nic, vi, cfg)
-	if err != nil {
-		return nil, err
-	}
-	req, err := nic.ConnectWait(ctx, "stream:"+service, cfg.Timeout)
-	if err != nil {
-		return nil, err
-	}
-	if err := req.Accept(ctx, vi); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return open(ctx, 0, service, cfg, false)
 }
 
 // Dial connects to a listening service on the remote host.
 func Dial(ctx *via.Ctx, remote int, service string, cfg Config) (*Conn, error) {
+	return open(ctx, ctx.Host.System().Host(remote).ID(), service, cfg, true)
+}
+
+// open sets up one end of a stream connection: the VI and its buffers
+// first, then the connection, dialing peer when dial is set and
+// otherwise accepting whoever dials the service.
+func open(ctx *via.Ctx, peer fabric.NodeID, service string, cfg Config, dial bool) (*Conn, error) {
 	nic := ctx.OpenNic()
 	cfg = cfg.normalized(nic.Attributes().MaxTransferSize)
-	vi, err := newStreamVi(ctx, nic)
+	vi, err := nic.CreateVi(ctx, via.ViAttributes{Reliability: via.ReliableDelivery}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -127,21 +117,10 @@ func Dial(ctx *via.Ctx, remote int, service string, cfg Config) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	host := ctx.Host.System().Host(remote)
-	if err := vi.ConnectRequest(ctx, host.ID(), "stream:"+service, cfg.Timeout); err != nil {
+	if err := via.Pair(ctx, vi, peer, "stream:"+service, dial, cfg.Timeout); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-func newStreamVi(ctx *via.Ctx, nic *via.Nic) (*via.Vi, error) {
-	return nic.CreateVi(ctx, via.ViAttributes{Reliability: via.ReliableDelivery}, nil, nil)
-}
-
-// regBuf is a registered buffer.
-type regBuf struct {
-	buf *vmem.Buffer
-	h   via.MemHandle
 }
 
 // Conn is a reliable, ordered, flow-controlled byte stream.
@@ -151,7 +130,7 @@ type Conn struct {
 	vi  *via.Vi
 	cfg Config
 
-	ring   []regBuf
+	ring   []via.Reg
 	posted []int // ring indices in posting order
 
 	// unread holds arrived-but-unconsumed data as (slot, from, to) spans.
@@ -164,7 +143,7 @@ type Conn struct {
 	// freedData counts drained data slots not yet reported to the peer.
 	freedData int
 
-	bounce   [2]regBuf // alternating send staging buffers
+	bounce   [2]via.Reg // alternating send staging buffers
 	bounceI  int
 	inFlight int // staged sends not yet retired
 
@@ -193,25 +172,17 @@ func newConn(ctx *via.Ctx, nic *via.Nic, vi *via.Vi, cfg Config) (*Conn, error) 
 		dataWindow: cfg.RingSlots - ctlHeadroom,
 	}
 	slot := headerBytes + cfg.Segment
-	for i := 0; i < cfg.RingSlots; i++ {
-		buf := ctx.Malloc(slot)
-		h, err := nic.RegisterMem(ctx, buf)
-		if err != nil {
-			return nil, err
-		}
-		c.ring = append(c.ring, regBuf{buf: buf, h: h})
-		if err := vi.PostRecv(ctx, via.SimpleRecv(buf, h, slot)); err != nil {
-			return nil, err
-		}
+	var err error
+	if c.ring, err = vi.PostRing(ctx, cfg.RingSlots, slot); err != nil {
+		return nil, err
+	}
+	for i := range c.ring {
 		c.posted = append(c.posted, i)
 	}
 	for i := range c.bounce {
-		buf := ctx.Malloc(slot)
-		h, err := nic.RegisterMem(ctx, buf)
-		if err != nil {
+		if c.bounce[i], err = nic.AllocReg(ctx, slot); err != nil {
 			return nil, err
 		}
-		c.bounce[i] = regBuf{buf: buf, h: h}
 	}
 	return c, nil
 }
@@ -257,13 +228,13 @@ func (c *Conn) Write(ctx *via.Ctx, p []byte) (int, error) {
 		}
 		b := c.bounce[c.bounceI]
 		c.bounceI = (c.bounceI + 1) % len(c.bounce)
-		hdr := b.buf.Bytes()
+		hdr := b.Buf.Bytes()
 		hdr[0] = kindData
 		binary.LittleEndian.PutUint32(hdr[4:], uint32(n))
 		copy(hdr[headerBytes:], p[written:written+n])
 		ctx.Compute(sim.Duration(n) * memcpyPerByte)
 		d := &via.Descriptor{Op: via.OpSend, Segs: []via.DataSegment{{
-			Addr: b.buf.Addr(), Handle: b.h, Length: headerBytes + n}}}
+			Addr: b.Buf.Addr(), Handle: b.H, Length: headerBytes + n}}}
 		if err := c.vi.PostSend(ctx, d); err != nil {
 			return written, err
 		}
@@ -296,7 +267,7 @@ func (c *Conn) Read(ctx *via.Ctx, p []byte) (int, error) {
 	read := 0
 	for read < len(p) && len(c.unread) > 0 {
 		s := &c.unread[0]
-		data := c.ring[s.slot].buf.Bytes()[s.from:s.to]
+		data := c.ring[s.slot].Buf.Bytes()[s.from:s.to]
 		n := copy(p[read:], data)
 		ctx.Compute(sim.Duration(n) * memcpyPerByte)
 		read += n
@@ -305,7 +276,7 @@ func (c *Conn) Read(ctx *via.Ctx, p []byte) (int, error) {
 			// Slot drained: repost it and owe the sender a window update.
 			c.unread = c.unread[1:]
 			rb := c.ring[s.slot]
-			if err := c.vi.PostRecv(ctx, via.SimpleRecv(rb.buf, rb.h, headerBytes+c.cfg.Segment)); err != nil {
+			if err := c.vi.PostRecv(ctx, via.SimpleRecv(rb.Buf, rb.H, headerBytes+c.cfg.Segment)); err != nil {
 				return read, err
 			}
 			c.posted = append(c.posted, s.slot)
@@ -349,11 +320,11 @@ func (c *Conn) sendCtl(ctx *via.Ctx, kind byte, n int) error {
 	}
 	b := c.bounce[c.bounceI]
 	c.bounceI = (c.bounceI + 1) % len(c.bounce)
-	hdr := b.buf.Bytes()
+	hdr := b.Buf.Bytes()
 	hdr[0] = kind
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(n))
 	d := &via.Descriptor{Op: via.OpSend, Segs: []via.DataSegment{{
-		Addr: b.buf.Addr(), Handle: b.h, Length: headerBytes}}}
+		Addr: b.Buf.Addr(), Handle: b.H, Length: headerBytes}}}
 	if err := c.vi.PostSend(ctx, d); err != nil {
 		return err
 	}
@@ -403,7 +374,7 @@ func (c *Conn) process(ctx *via.Ctx, d *via.Descriptor) error {
 	}
 	slot := c.posted[0]
 	c.posted = c.posted[1:]
-	hdr := c.ring[slot].buf.Bytes()
+	hdr := c.ring[slot].Buf.Bytes()
 	kind := hdr[0]
 	n := int(binary.LittleEndian.Uint32(hdr[4:]))
 	switch kind {
@@ -420,7 +391,7 @@ func (c *Conn) process(ctx *via.Ctx, d *via.Descriptor) error {
 	// Control messages free their slot immediately; they are not part of
 	// the data window, so nothing is reported.
 	rb := c.ring[slot]
-	if err := c.vi.PostRecv(ctx, via.SimpleRecv(rb.buf, rb.h, headerBytes+c.cfg.Segment)); err != nil {
+	if err := c.vi.PostRecv(ctx, via.SimpleRecv(rb.Buf, rb.H, headerBytes+c.cfg.Segment)); err != nil {
 		return err
 	}
 	c.posted = append(c.posted, slot)

@@ -229,6 +229,8 @@ type (
 
 // NewMPWorld prepares a message-passing world over sys with one rank per
 // host. Use MPDefaultConfig() for production-shaped protocol settings.
+// The world's Run(fail, fn) spawns the ranks: a rank whose setup fails
+// passes the error to fail and never calls fn.
 func NewMPWorld(sys *System, cfg MPConfig) *MPWorld { return mp.NewWorld(sys, cfg) }
 
 // MPDefaultConfig returns the message-passing layer's default tuning.
@@ -246,6 +248,8 @@ type (
 )
 
 // NewGPFabric prepares a get/put fabric over sys with one node per host.
+// The fabric's Run(fail, fn) spawns the nodes: a node whose setup fails
+// passes the error to fail and never calls fn.
 func NewGPFabric(sys *System, cfg GPConfig) *GPFabric { return getput.NewFabric(sys, cfg) }
 
 // GPDefaultConfig returns the get/put layer's default tuning.
@@ -289,7 +293,10 @@ type (
 // DSMPageSize is the DSM sharing granularity in bytes.
 const DSMPageSize = dsm.PageSize
 
-// NewDSMWorld prepares a DSM world over sys with one node per host.
+// NewDSMWorld prepares a DSM world over sys with one node per host. The
+// world's Run(fail, fn) spawns the nodes: a setup error, or a send the
+// lock manager cannot complete, goes to fail, and a node whose setup
+// fails never calls fn.
 func NewDSMWorld(sys *System, cfg DSMConfig) *DSMWorld { return dsm.New(sys, cfg) }
 
 // DSMDefaultConfig returns the DSM layer's default tuning.
