@@ -1,7 +1,9 @@
 # VIBe build and verification targets. `make check` is the gate every
 # change must pass: it race-checks the parallel runner and the shared
 # metrics collector in addition to the regular suite, since bugs there
-# would silently corrupt assembled reports rather than fail loudly.
+# would silently corrupt assembled reports rather than fail loudly, and
+# it builds and runs the hostbench/ module and the examples/ programs,
+# which compile against the exported API but sit outside `go test ./...`.
 
 GO ?= go
 
@@ -79,7 +81,7 @@ hostbench:
 examples:
 	for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
-check: vet build test race
+check: vet build test race hostbench examples
 
 # Coverage over every package, with the per-package summary printed and
 # the profile left in cover.out for `go tool cover -html=cover.out`.
@@ -110,7 +112,10 @@ bench-smoke: build
 # FuzzFaultParse checks no fault plan
 # makes Parse or a fresh injector panic; FuzzScenarioSpec checks that an
 # accepted scenario file re-encodes to a fixed point with the same
-# provenance and, under a fuzzed -sweep, the same vibed cache key; and
+# provenance and, under a fuzzed -sweep, the same vibed cache key;
+# FuzzSubmission posts a raw body to vibed's POST /api/jobs and checks
+# that it never panics, answers 202/400/413/503, rejects a sweep that
+# cannot expand, and bounds an accepted job's cells; and
 # FuzzResultsRoundTrip checks that a decoded result set re-encodes to a
 # fixed point with the same provenance. A failing input is written under
 # the package's testdata/fuzz/ and replays in every later `go test`.
@@ -119,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSet$$' -fuzztime 10s ./internal/provider/
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioSpec$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmission$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzResultsRoundTrip$$' -fuzztime 10s ./internal/results/
 
 # Microbenchmarks for the simulation engine hot paths.

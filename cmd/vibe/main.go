@@ -228,7 +228,6 @@ func main() {
 		spanSample   = flag.Int("span-sample", 1, "with -metrics/-trace-out, record every Nth message's lifecycle span (1 = every message, 0 = disable)")
 		profileOut   = flag.String("profile-out", "", "write a folded-stack virtual-time profile (flamegraph/pprof input)")
 		topo         = flag.String("topo", "", "fabric topology: crossbar, fattree, dragonfly, torus3d (shorthand for -set NetTopology=...)")
-		route        = flag.String("route", "", "multipath route policy: failover, adaptive (shorthand for -set NetRoutePolicy=...)")
 	)
 	flag.Var(&sets, "set", "override a model parameter, e.g. -set DoorbellCost=2us (repeatable; see provider catalog)")
 	flag.Var(&sweeps, "sweep", "sweep a parameter over values, e.g. -sweep TLBCapacity=8,32,128 (repeatable; cells form a grid)")
@@ -239,13 +238,10 @@ func main() {
 		fatal(err)
 	}
 
-	// -topo and -route are -set shorthands, applied after the -set flags.
+	// -topo is a -set shorthand, applied after the -set flags.
 	overrides := []string(sets)
 	if *topo != "" {
 		overrides = append(overrides, "NetTopology="+*topo)
-	}
-	if *route != "" {
-		overrides = append(overrides, "NetRoutePolicy="+*route)
 	}
 	run := runner.Request{
 		ScenarioPath: *scenarioPath,

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"vibe/internal/provider"
@@ -93,17 +95,31 @@ func TestExpandSweeps(t *testing.T) {
 		t.Fatal("sweep cells share the override map")
 	}
 
-	for _, bad := range [][]string{
-		{"TLBCapacity"},         // no '='
-		{"TLBCapacity="},        // no values
-		{"NoSuchKnob=1,2"},      // unknown parameter
-		{"TLBCapacity=8,,32"},   // empty value
-		{"TLBCapacity=8,large"}, // invalid value
+	for _, bad := range []struct {
+		sweeps []string
+		want   string // error substring naming the cause
+	}{
+		{[]string{"TLBCapacity"}, "bad -sweep"},
+		{[]string{"TLBCapacity="}, "bad -sweep"},
+		{[]string{"NoSuchKnob=1,2"}, "NoSuchKnob"},
+		{[]string{"TLBCapacity=8,,32"}, "empty value"},
+		{[]string{"TLBCapacity=8,large"}, "large"},
+		{[]string{"TLBCapacity=8,32", "tlbcapacity=64"}, "repeats parameter TLBCapacity"},
+		{[]string{"TLBCapacity=" + sweepList(64), "WireMTU=" + sweepList(65)}, "exceeds 4096 cells"},
 	} {
-		if _, err := ExpandSweeps(ScenarioSpec{}, bad); err == nil {
-			t.Errorf("ExpandSweeps(%v) accepted", bad)
+		if _, err := ExpandSweeps(ScenarioSpec{}, bad.sweeps); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("ExpandSweeps(%v) = %v, want error containing %q", bad.sweeps, err, bad.want)
 		}
 	}
+}
+
+// sweepList renders n distinct valid values for a sweep axis.
+func sweepList(n int) string {
+	vs := make([]string, n)
+	for i := range vs {
+		vs[i] = strconv.Itoa(1000 + i)
+	}
+	return strings.Join(vs, ",")
 }
 
 // TestScenarioFileRoundTripRunsIdentically is the round-trip property the
@@ -189,6 +205,8 @@ func TestLoadScenarioRejectsBadInput(t *testing.T) {
 		"misspelled run key": `{"run": {"itres": 5}}`,
 		"misspelled faults":  `{"fault": {"fualts": [{"kind": "drop-nth", "nth": 40}]}}`,
 		"trailing data":      `{"base": "clan"} {"base": "mvia"}`,
+		"removed route knob": `{"set": {"NetRoutePolicy": "adaptive"}}`,
+		"removed RTO knob":   `{"set": {"AdaptiveRTO": "true"}}`,
 	} {
 		if _, err := LoadScenario(writeFile(t, content), true); err == nil {
 			t.Errorf("%s: %s loaded", name, content)

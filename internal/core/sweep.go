@@ -7,13 +7,18 @@ import (
 	"vibe/internal/provider"
 )
 
+// MaxSweepCells bounds the grid ExpandSweeps builds, so a long sweep
+// list is rejected before any cell is allocated.
+const MaxSweepCells = 4096
+
 // ExpandSweeps turns repeated "param=v1,v2,v3" sweep directives into the
 // cross-product grid of scenario specs derived from base. Parameter names
 // and values are validated against the provider catalog up front, so a
 // typo fails before any cell runs. Cell order is the natural grid order:
 // the first directive varies slowest. Each cell's Name records its
 // coordinates ("TLBCapacity=8,WireMTU=1500"), prefixed by the base
-// scenario's name when it has one.
+// scenario's name when it has one. A parameter may label one axis only,
+// and the grid may hold at most MaxSweepCells cells.
 func ExpandSweeps(base ScenarioSpec, sweeps []string) ([]ScenarioSpec, error) {
 	if len(sweeps) == 0 {
 		return []ScenarioSpec{base}, nil
@@ -33,8 +38,16 @@ func ExpandSweeps(base ScenarioSpec, sweeps []string) ([]ScenarioSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		var values []string
-		for _, v := range strings.Split(list, ",") {
+		for _, a := range axes {
+			if a.name == p.Name {
+				return nil, fmt.Errorf("core: -sweep repeats parameter %s", p.Name)
+			}
+		}
+		values := strings.Split(list, ",")
+		if cells *= len(values); cells > MaxSweepCells {
+			return nil, fmt.Errorf("core: -sweep grid exceeds %d cells", MaxSweepCells)
+		}
+		for i, v := range values {
 			v = strings.TrimSpace(v)
 			if v == "" {
 				return nil, fmt.Errorf("core: empty value in -sweep %q", s)
@@ -42,10 +55,9 @@ func ExpandSweeps(base ScenarioSpec, sweeps []string) ([]ScenarioSpec, error) {
 			if _, err := provider.CompileOverrides(map[string]string{p.Name: v}); err != nil {
 				return nil, err
 			}
-			values = append(values, v)
+			values[i] = v
 		}
 		axes = append(axes, axis{name: p.Name, values: values})
-		cells *= len(values)
 	}
 
 	specs := make([]ScenarioSpec, 0, cells)

@@ -65,26 +65,7 @@ type Params struct {
 	// (whose Send return value moves out accordingly). 0 means unbounded
 	// ideal switches — the crossbar baseline behavior.
 	SwitchBufPkts int
-
-	// RoutePolicy selects how Send picks among a topology's candidate
-	// paths: "" or "failover" (deterministic — the primary path unless an
-	// element oracle reports a switch or inter-switch link down, then the
-	// first alive alternate in candidate order), or "adaptive"
-	// (least-queued — the alive candidate whose output ports carry the
-	// least pending work, ties to the lowest candidate index). With no
-	// oracle installed, failover is byte-identical to the pre-multipath
-	// single-path routing.
-	RoutePolicy string
 }
-
-// Route policies (see Params.RoutePolicy).
-const (
-	RouteFailover = "failover"
-	RouteAdaptive = "adaptive"
-)
-
-// RoutePolicyNames lists the route policies in canonical order.
-func RoutePolicyNames() []string { return []string{RouteFailover, RouteAdaptive} }
 
 // SerializationTime reports how long a payload of n bytes occupies a link.
 func (p *Params) SerializationTime(n int) sim.Duration {
@@ -342,19 +323,16 @@ type Network struct {
 	topo     Topology
 	switches []*swNode
 
-	// route/path/alt are per-Send scratch (the engine is single-threaded).
+	// route/path are per-Send scratch (the engine is single-threaded).
 	route []SwitchID
 	path  []*outPort
-	alt   []SwitchID
 
 	dropFilter DropFilter
 	injectors  []PacketInjector
 
 	// oracle (when installed) reports dead switches/links at route-pick
-	// time; adaptive selects the least-queued candidate path instead of
-	// the deterministic failover order.
-	oracle   ElementOracle
-	adaptive bool
+	// time.
+	oracle ElementOracle
 
 	// firstReroute is the instant the first packet left its primary path
 	// (valid when hasReroute).
@@ -376,7 +354,7 @@ type Network struct {
 	Corrupted  uint64 // packets marked corrupt in flight
 
 	// Rerouted counts packets sent over a non-primary candidate path
-	// (failover around a dead element, or an adaptive least-queued pick);
+	// (failover around a dead element);
 	// Unroutable counts packets dropped because every candidate path
 	// crossed a dead element. Unroutable drops are included in Dropped
 	// under DropCauseFault.
@@ -400,13 +378,6 @@ func New(e *sim.Engine, n int, params Params) *Network {
 		panic("fabric: need at least one node")
 	}
 	nw := &Network{eng: e, params: params}
-	switch params.RoutePolicy {
-	case "", RouteFailover:
-	case RouteAdaptive:
-		nw.adaptive = true
-	default:
-		panic(fmt.Sprintf("fabric: unknown route policy %q", params.RoutePolicy))
-	}
 	for i := 0; i < n; i++ {
 		p := &port{
 			up:   sim.NewPipe(e),
@@ -765,57 +736,34 @@ func (nw *Network) sendRouted(sp *port, d *Delivery, ser, delay sim.Duration, co
 	return txDone
 }
 
-// pickRoute resolves the switch path a packet takes right now, applying
-// the route policy. With no oracle and the default failover policy this
-// is exactly the topology's primary route — the pre-multipath behavior,
-// byte for byte. It returns nil when every candidate path crosses a dead
-// element. The returned slice is nw.route scratch.
+// pickRoute resolves the switch path a packet takes right now: the
+// topology's primary route unless an element oracle reports a switch or
+// inter-switch link on it down, then the first alive alternate in
+// candidate order. With no oracle this is exactly the primary route —
+// the pre-multipath behavior, byte for byte. It returns nil when every
+// candidate path crosses a dead element. The returned slice is nw.route
+// scratch.
 func (nw *Network) pickRoute(src, dst NodeID) []SwitchID {
-	if nw.oracle == nil && !nw.adaptive {
+	if nw.oracle == nil {
 		nw.route = nw.topo.Route(nw.route[:0], src, dst)
 		return nw.route
 	}
 	now := nw.eng.Now()
-	n := nw.topo.AltRoutes(src, dst)
-	if !nw.adaptive {
-		for k := 0; k < n; k++ {
-			nw.route = nw.topo.AltRoute(nw.route[:0], src, dst, k)
-			if nw.pathAlive(nw.route, now) {
-				if k > 0 {
-					nw.noteReroute(now)
-				}
-				return nw.route
+	for k, n := 0, nw.topo.AltRoutes(src, dst); k < n; k++ {
+		nw.route = nw.topo.AltRoute(nw.route[:0], src, dst, k)
+		if nw.pathAlive(nw.route, now) {
+			if k > 0 {
+				nw.noteReroute(now)
 			}
-		}
-		return nil
-	}
-	best := -1
-	var bestCost sim.Duration
-	for k := 0; k < n; k++ {
-		nw.alt = nw.topo.AltRoute(nw.alt[:0], src, dst, k)
-		if !nw.pathAlive(nw.alt, now) {
-			continue
-		}
-		if c := nw.pathCost(nw.alt, dst, now); best < 0 || c < bestCost {
-			best, bestCost = k, c
+			return nw.route
 		}
 	}
-	if best < 0 {
-		return nil
-	}
-	if best > 0 {
-		nw.noteReroute(now)
-	}
-	nw.route = nw.topo.AltRoute(nw.route[:0], src, dst, best)
-	return nw.route
+	return nil
 }
 
 // pathAlive reports whether every switch and inter-switch link on the
-// route is up according to the oracle (trivially true without one).
+// route is up according to the installed oracle.
 func (nw *Network) pathAlive(route []SwitchID, now sim.Time) bool {
-	if nw.oracle == nil {
-		return true
-	}
 	for i, s := range route {
 		if nw.oracle.SwitchDown(int(s), now) {
 			return false
@@ -825,35 +773,6 @@ func (nw *Network) pathAlive(route []SwitchID, now sim.Time) bool {
 		}
 	}
 	return true
-}
-
-// pathCost is the adaptive policy's congestion estimate for a candidate
-// path: the pending transmit work on each hop's output port (serializer
-// busy time past now plus the residual occupancy of every claimed buffer
-// slot). Ports no traffic has used yet cost nothing; the map is read
-// without instantiating them, so probing a path leaves no trace.
-func (nw *Network) pathCost(route []SwitchID, dst NodeID, now sim.Time) sim.Duration {
-	var cost sim.Duration
-	hops := len(route)
-	for i, s := range route {
-		key := len(nw.switches) + int(dst)
-		if i+1 < hops {
-			key = int(route[i+1])
-		}
-		q := nw.switches[s].outs[key]
-		if q == nil {
-			continue
-		}
-		if free := q.pipe.FreeAt(); free > now {
-			cost += free.Sub(now)
-		}
-		for _, r := range q.rel {
-			if r > now && r != timeNever {
-				cost += r.Sub(now)
-			}
-		}
-	}
-	return cost
 }
 
 // noteReroute accounts one packet leaving its primary path.

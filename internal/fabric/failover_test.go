@@ -245,36 +245,6 @@ func TestUnroutableDropAccounted(t *testing.T) {
 	}
 }
 
-func TestAdaptivePrefersIdlePath(t *testing.T) {
-	// Two back-to-back sends under the adaptive policy: the first takes the
-	// primary spine (all candidates idle, ties to candidate 0), the second
-	// sees its pending work and diverts to the idle spine.
-	p := failoverParams()
-	p.RoutePolicy = RouteAdaptive
-	nw := runFailover(t, p, nil, []sim.Time{0, 0})
-	if nw.Delivered != 2 || nw.Rerouted != 1 {
-		t.Fatalf("delivered=%d rerouted=%d", nw.Delivered, nw.Rerouted)
-	}
-	if s2, s3 := nw.SwitchStats(2), nw.SwitchStats(3); s2.TxPackets != 1 || s3.TxPackets != 1 {
-		t.Fatalf("spine tx = %d,%d, want 1,1 (load spread)", s2.TxPackets, s3.TxPackets)
-	}
-}
-
-func TestAdaptiveSkipsDeadPath(t *testing.T) {
-	// Adaptive with the alternate spine dead: both sends must squeeze
-	// through the primary however queued it is.
-	p := failoverParams()
-	p.RoutePolicy = RouteAdaptive
-	o := fakeOracle{swDown: func(s int, _ sim.Time) bool { return s == 3 }}
-	nw := runFailover(t, p, o, []sim.Time{0, 0})
-	if nw.Delivered != 2 || nw.Rerouted != 0 || nw.Unroutable != 0 {
-		t.Fatalf("delivered=%d rerouted=%d unroutable=%d", nw.Delivered, nw.Rerouted, nw.Unroutable)
-	}
-	if s := nw.SwitchStats(3); s.TxPackets != 0 {
-		t.Fatalf("dead spine forwarded %d packets", s.TxPackets)
-	}
-}
-
 func TestFailoverSameFabricTimingAsPrimary(t *testing.T) {
 	// The alternate spine is the same distance as the primary, so a
 	// diverted packet arrives at exactly the primary-path instant: failover
@@ -299,15 +269,4 @@ func TestFailoverSameFabricTimingAsPrimary(t *testing.T) {
 	if clean != diverted {
 		t.Fatalf("diverted arrival %v != clean arrival %v", diverted, clean)
 	}
-}
-
-func TestUnknownRoutePolicyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on unknown route policy")
-		}
-	}()
-	p := testParams()
-	p.RoutePolicy = "zigzag"
-	New(sim.NewEngine(1), 2, p)
 }

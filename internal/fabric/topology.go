@@ -29,8 +29,8 @@ type Topology interface {
 
 	// AltRoutes reports how many candidate paths the topology enumerates
 	// from src to dst (always >= 1). Candidate 0 is the primary path
-	// Route returns; higher candidates are deterministic alternates the
-	// routing policy can fail over to (other fat-tree spines, the other
+	// Route returns; higher candidates are deterministic alternates
+	// routing can fail over to (other fat-tree spines, the other
 	// torus ring direction, dragonfly detours through a third router or
 	// group). Alternates need not be minimal, but obey the same physical-
 	// link contract as Route.
@@ -162,7 +162,7 @@ func (t *FatTree) AltRoutes(src, dst NodeID) int {
 
 // AltRoute implements Topology: candidate k rotates the spine selection
 // to (dst+k) mod arity, so candidate 0 is the D-mod-k primary and the
-// remaining k-1 spines are the failover/adaptive alternates that put the
+// remaining k-1 spines are the failover alternates that put the
 // otherwise-idle spines to work.
 func (t *FatTree) AltRoute(buf []SwitchID, src, dst NodeID, k int) []SwitchID {
 	ls, ld := t.HostSwitch(src), t.HostSwitch(dst)

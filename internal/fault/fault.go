@@ -464,10 +464,6 @@ func (inj *Injector) Stall(site Site, node int, now sim.Time) sim.Duration {
 	return total
 }
 
-// HasStalls reports whether any stall spec exists, so NIC hot paths can
-// skip the hook entirely for packet-only plans.
-func (inj *Injector) HasStalls() bool { return len(inj.stall) > 0 }
-
 // HasElementFaults reports whether the plan declares any switch or
 // inter-switch-link outage, so systems only install the routing oracle
 // when one exists (an oracle-free fabric routes on the exact

@@ -198,9 +198,6 @@ func TestStallSitesAndHasStalls(t *testing.T) {
 		{Kind: KindDoorbellStall, Delay: "30us", Port: pint(1)},
 		{Kind: KindDMAStall, Delay: "20us"},
 	}})
-	if !inj.HasStalls() {
-		t.Fatal("HasStalls false with stall specs")
-	}
 	if d := inj.Stall(SiteDoorbell, 1, 0); d != 30*sim.Microsecond {
 		t.Fatalf("doorbell stall on node 1 = %v", d)
 	}
@@ -212,8 +209,10 @@ func TestStallSitesAndHasStalls(t *testing.T) {
 	}
 
 	packetOnly := mustInjector(t, &Plan{Faults: []Spec{{Kind: KindDrop}}})
-	if packetOnly.HasStalls() {
-		t.Fatal("HasStalls true for packet-only plan")
+	for _, site := range []Site{SiteDoorbell, SiteDMA} {
+		if d := packetOnly.Stall(site, 1, 0); d != 0 {
+			t.Fatalf("packet-only plan stalls site %v for %v", site, d)
+		}
 	}
 }
 

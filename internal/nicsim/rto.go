@@ -12,16 +12,13 @@ const rtoBackoffCap = 6
 // RTO is the retransmission-timeout policy for one reliable connection:
 // it tracks forward progress of the oldest unacked sequence, escalates
 // the timeout exponentially (with a cap) while the window is stalled,
-// and decides when the sender must give up. With Adaptive set it also
-// runs the classic Jacobson/Karn estimator (SRTT + 4·RTTVAR from ack
-// round-trip samples of never-retransmitted packets) instead of the
-// fixed base timeout.
+// and decides when the sender must give up. The base timeout is fixed,
+// like the firmware timers of the modeled providers.
 //
 // The zero value is unusable; initialize with Init.
 type RTO struct {
-	// Base is the configured retransmission timeout — the fixed interval
-	// in legacy mode, the estimator's starting point and clamp anchor in
-	// adaptive mode.
+	// Base is the configured retransmission timeout: the interval before
+	// backoff.
 	Base sim.Duration
 
 	// MaxStalls is the give-up threshold: the connection is declared
@@ -29,17 +26,10 @@ type RTO struct {
 	// oldest unacked sequence advancing.
 	MaxStalls int
 
-	// Adaptive enables the RTT estimator.
-	Adaptive bool
-
 	// lastSeq / stalls implement the no-progress policy. lastSeq starts
 	// at a sentinel so the first timeout always counts from zero.
 	lastSeq uint64
 	stalls  int
-
-	// Estimator state (adaptive mode).
-	srtt, rttvar sim.Duration
-	sampled      bool
 
 	// Backoffs counts timeouts that fired with an escalated interval —
 	// every consecutive stall past the first.
@@ -47,47 +37,9 @@ type RTO struct {
 }
 
 // Init configures the policy and resets all state.
-func (r *RTO) Init(base sim.Duration, maxStalls int, adaptive bool) {
-	*r = RTO{Base: base, MaxStalls: maxStalls, Adaptive: adaptive}
+func (r *RTO) Init(base sim.Duration, maxStalls int) {
+	*r = RTO{Base: base, MaxStalls: maxStalls}
 	r.lastSeq = ^uint64(0) // sentinel: no timeout observed yet
-}
-
-// Timeout returns the current retransmission interval before backoff:
-// the fixed base, or the estimator's SRTT + 4·RTTVAR clamped to
-// [Base/4, Base<<rtoBackoffCap] once a sample exists.
-func (r *RTO) Timeout() sim.Duration {
-	if !r.Adaptive || !r.sampled {
-		return r.Base
-	}
-	d := r.srtt + 4*r.rttvar
-	if min := r.Base / 4; d < min {
-		d = min
-	}
-	if max := r.Base << rtoBackoffCap; d > max {
-		d = max
-	}
-	return d
-}
-
-// Sample feeds one ack round-trip measurement to the estimator. Callers
-// must apply Karn's algorithm: only sample packets that were never
-// retransmitted, so a retransmission's ack cannot be mis-attributed.
-func (r *RTO) Sample(rtt sim.Duration) {
-	if !r.Adaptive || rtt < 0 {
-		return
-	}
-	if !r.sampled {
-		r.srtt = rtt
-		r.rttvar = rtt / 2
-		r.sampled = true
-		return
-	}
-	diff := r.srtt - rtt
-	if diff < 0 {
-		diff = -diff
-	}
-	r.rttvar += (diff - r.rttvar) / 4
-	r.srtt += (rtt - r.srtt) / 8
 }
 
 // Stalled records one timeout of the window's oldest unacked sequence
@@ -105,12 +57,12 @@ func (r *RTO) Stalled(oldestSeq uint64) (giveUp bool) {
 }
 
 // Backoff returns the interval to wait before the next retransmission
-// check: the current timeout left-shifted once per consecutive stall
+// check: Base left-shifted once per consecutive stall
 // beyond the first, capped at Base << rtoBackoffCap. It must be called
 // after Stalled on the same timeout event; escalated intervals count in
 // Backoffs.
 func (r *RTO) Backoff() sim.Duration {
-	d := r.Timeout()
+	d := r.Base
 	if r.stalls > 1 {
 		r.Backoffs++
 		d <<= uint(r.stalls - 1)
@@ -122,5 +74,5 @@ func (r *RTO) Backoff() sim.Duration {
 }
 
 func (r *RTO) String() string {
-	return fmt.Sprintf("rto{timeout=%s stalls=%d adaptive=%v}", r.Timeout(), r.stalls, r.Adaptive)
+	return fmt.Sprintf("rto{timeout=%s stalls=%d}", r.Base, r.stalls)
 }

@@ -9,11 +9,7 @@ import (
 func TestRTOLegacyBackoffLadder(t *testing.T) {
 	var r RTO
 	base := sim.Millisecond
-	r.Init(base, 6, false)
-	if r.Timeout() != base {
-		t.Fatalf("Timeout = %v, want %v", r.Timeout(), base)
-	}
-
+	r.Init(base, 6)
 	// Consecutive timeouts of the same stuck sequence escalate 1, 2, 4,
 	// ... up to the cap; the first interval is not a backoff.
 	want := []sim.Duration{
@@ -43,7 +39,7 @@ func TestRTOLegacyBackoffLadder(t *testing.T) {
 
 func TestRTOProgressResetsStalls(t *testing.T) {
 	var r RTO
-	r.Init(sim.Millisecond, 3, false)
+	r.Init(sim.Millisecond, 3)
 	for i := 0; i < 3; i++ {
 		if r.Stalled(10) {
 			t.Fatalf("gave up after %d stalls with MaxStalls=3", i+1)
@@ -59,67 +55,15 @@ func TestRTOProgressResetsStalls(t *testing.T) {
 	}
 }
 
-func TestRTOAdaptiveEstimator(t *testing.T) {
-	var r RTO
-	base := sim.Millisecond
-	r.Init(base, 6, true)
-
-	// Before any sample the adaptive policy falls back to the base.
-	if r.Timeout() != base {
-		t.Fatalf("unsampled Timeout = %v, want %v", r.Timeout(), base)
-	}
-
-	// First sample seeds SRTT = rtt, RTTVAR = rtt/2 -> rtt + 4*(rtt/2).
-	rtt := 100 * sim.Microsecond
-	r.Sample(rtt)
-	if want := rtt + 4*(rtt/2); r.Timeout() != want {
-		t.Fatalf("after first sample Timeout = %v, want %v", r.Timeout(), want)
-	}
-
-	// Steady identical samples shrink RTTVAR toward zero; with SRTT at
-	// 100us the timeout lands on the Base/4 floor.
-	for i := 0; i < 100; i++ {
-		r.Sample(rtt)
-	}
-	if d := r.Timeout(); d != base/4 {
-		t.Fatalf("converged Timeout = %v, want floor %v", d, base/4)
-	}
-
-	// A huge sample cannot push the timeout past the cap.
-	for i := 0; i < 50; i++ {
-		r.Sample(10 * sim.Second)
-	}
-	if d, max := r.Timeout(), base<<rtoBackoffCap; d != max {
-		t.Fatalf("Timeout after spike = %v, want cap %v", d, max)
-	}
-
-	// Negative samples (clock confusion) are ignored.
-	before := r.Timeout()
-	r.Sample(-sim.Millisecond)
-	if r.Timeout() != before {
-		t.Fatal("negative sample changed the estimator")
-	}
-}
-
-func TestRTOSampleIgnoredWhenLegacy(t *testing.T) {
-	var r RTO
-	r.Init(sim.Millisecond, 6, false)
-	r.Sample(5 * sim.Microsecond)
-	if r.Timeout() != sim.Millisecond {
-		t.Fatalf("legacy Timeout moved to %v after Sample", r.Timeout())
-	}
-}
-
 func TestRTOInitResets(t *testing.T) {
 	var r RTO
-	r.Init(sim.Millisecond, 2, true)
-	r.Sample(50 * sim.Microsecond)
+	r.Init(sim.Millisecond, 2)
 	r.Stalled(3)
 	r.Stalled(3)
 	r.Backoff()
-	r.Init(2*sim.Millisecond, 4, false)
-	if r.Timeout() != 2*sim.Millisecond || r.Backoffs != 0 {
-		t.Fatalf("Init did not reset: %v backoffs=%d", r.Timeout(), r.Backoffs)
+	r.Init(2*sim.Millisecond, 4)
+	if r.Base != 2*sim.Millisecond || r.Backoffs != 0 {
+		t.Fatalf("Init did not reset: %v backoffs=%d", r.Base, r.Backoffs)
 	}
 	// The sentinel makes the first post-Init timeout count as a fresh
 	// stall even for sequence 0... including the max sentinel value.

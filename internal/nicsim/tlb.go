@@ -41,9 +41,6 @@ func NewTLB(capacity int, policy TLBPolicy) *TLB {
 	return &TLB{capacity: capacity, policy: policy, pos: make(map[uint64]int)}
 }
 
-// Capacity returns the cache capacity in entries.
-func (t *TLB) Capacity() int { return t.capacity }
-
 // Len returns the number of cached translations.
 func (t *TLB) Len() int { return len(t.order) }
 

@@ -135,14 +135,8 @@ type Model struct {
 
 	AckProcessing     sim.Duration // NIC cost to create or absorb an ack
 	AckBytes          int
-	RetransmitTimeout sim.Duration
+	RetransmitTimeout sim.Duration // fixed, like paper-era firmware timers
 	MaxRetries        int
-
-	// AdaptiveRTO switches the reliable transport from the fixed
-	// RetransmitTimeout to the Jacobson/Karn RTT estimator (SRTT +
-	// 4·RTTVAR, clamped around RetransmitTimeout). Off in every built-in
-	// model: the paper-era interconnects used fixed firmware timeouts.
-	AdaptiveRTO bool
 
 	// --- VIA attributes ---
 

@@ -234,27 +234,6 @@ func buildCatalog() []Param {
 			func(m *Model) *int { return &m.Network.TopologyDegree }),
 		intParam("NetSwitchBufPkts", "packets", "per-output-port switch buffer bound; 0 = unbounded (full queues withhold credit upstream)",
 			func(m *Model) *int { return &m.Network.SwitchBufPkts }),
-		{
-			Name: "NetRoutePolicy", Kind: KindEnum,
-			Unit: strings.Join(fabric.RoutePolicyNames(), "|"),
-			Doc:  "multipath route selection: failover (deterministic, default) or adaptive (least-queued candidate)",
-			get: func(m *Model) string {
-				if m.Network.RoutePolicy == "" {
-					return fabric.RouteFailover
-				}
-				return m.Network.RoutePolicy
-			},
-			set: func(m *Model, v string) error {
-				t := strings.ToLower(strings.TrimSpace(v))
-				for _, name := range fabric.RoutePolicyNames() {
-					if t == name {
-						m.Network.RoutePolicy = t
-						return nil
-					}
-				}
-				return fmt.Errorf("bad route policy %q (%s)", v, strings.Join(fabric.RoutePolicyNames(), "|"))
-			},
-		},
 
 		// Non-data-transfer costs.
 		durParam("ViCreate", "VI creation cost",
@@ -389,8 +368,6 @@ func buildCatalog() []Param {
 			func(m *Model) *sim.Duration { return &m.RetransmitTimeout }),
 		intParam("MaxRetries", "count", "retransmission attempts before failure",
 			func(m *Model) *int { return &m.MaxRetries }),
-		boolParam("AdaptiveRTO", "adaptive (Jacobson/Karn) retransmission timeout",
-			func(m *Model) *bool { return &m.AdaptiveRTO }),
 
 		// VIA attributes.
 		intParam("MaxTransferSize", "bytes", "largest single-descriptor transfer",

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"vibe/internal/core"
@@ -134,7 +135,8 @@ func Compile(req Request) (*Plan, error) {
 	return p, nil
 }
 
-// selectExperiments returns Custom, the named registry entries, or all.
+// selectExperiments returns Custom, the named registry entries (each at
+// most once), or all.
 func selectExperiments(req Request) ([]*core.Experiment, error) {
 	if req.Custom != nil {
 		return req.Custom, nil
@@ -147,6 +149,9 @@ func selectExperiments(req Request) ([]*core.Experiment, error) {
 		e, err := core.ExperimentByID(strings.ToUpper(id))
 		if err != nil {
 			return nil, err
+		}
+		if slices.ContainsFunc(exps, func(x *core.Experiment) bool { return x.ID == e.ID }) {
+			return nil, fmt.Errorf("runner: experiment %s selected twice", e.ID)
 		}
 		exps = append(exps, e)
 	}

@@ -59,6 +59,9 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := s.Submit(Submission{Experiments: []string{"NOPE"}}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
+	if _, err := s.Submit(Submission{Experiments: []string{"T1", "t1"}}); err == nil {
+		t.Error("repeated experiment accepted")
+	}
 	if _, err := s.Submit(Submission{Set: map[string]string{"NotAParam": "1"}}); err == nil {
 		t.Error("unknown -set parameter accepted")
 	}
@@ -693,6 +696,56 @@ func FuzzScenarioSpec(f *testing.F) {
 		}
 		if k, k2 := key(spec), key(again); k != k2 {
 			t.Fatalf("round-tripped spec changed the cache key under sweep %q", sweep)
+		}
+	})
+}
+
+// FuzzSubmission posts raw bytes to POST /api/jobs on a server whose
+// dispatcher never runs. No body may panic the handler, and the status is
+// 202, 400, 413 or 503. A body whose sweeps cannot expand is a 400, and an
+// accepted job's grid is bounded by MaxSweepCells cells per registry
+// experiment. The corpus starts from the smoke and host-benchmark
+// submission shapes, a sweep that repeats a parameter, and a sweep grid
+// one axis too large.
+func FuzzSubmission(f *testing.F) {
+	list := func(n int) string {
+		vs := make([]string, n)
+		for i := range vs {
+			vs[i] = fmt.Sprint(1000 + i)
+		}
+		return strings.Join(vs, ",")
+	}
+	f.Add([]byte(`{"quick": true, "label": "vibed-smoke"}`))
+	f.Add([]byte(`{"set": {"ViCreate": "20us"}, "experiments": ["F2", "XFAULT", "XMTU", "XINCAST"], "quick": true}`))
+	f.Add([]byte(`{"sweeps": ["ViCreate=27us"], "experiments": ["XFAILOVER", "PMEAGER", "XASY", "T1"], "quick": true, "trace": true, "profile": true}`))
+	f.Add([]byte(`{"quick": true, "experiments": ["T1"], "sweeps": ["TLBCapacity=8,32", "tlbcapacity=64"]}`))
+	f.Add([]byte(`{"quick": true, "experiments": ["T1"], "sweeps": ["TLBCapacity=` + list(64) + `", "WireMTU=` + list(65) + `"]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := New(Options{})
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/jobs", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusAccepted, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		var sub Submission
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&sub) == nil {
+			if _, err := core.ExpandSweeps(core.ScenarioSpec{}, sub.Sweeps); err != nil && rec.Code != http.StatusBadRequest {
+				t.Fatalf("sweeps %q: %v, but status %d", sub.Sweeps, err, rec.Code)
+			}
+		}
+		if rec.Code != http.StatusAccepted {
+			return
+		}
+		var job Job
+		if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil {
+			t.Fatalf("accepted job does not decode: %v", err)
+		}
+		if max := core.MaxSweepCells * len(core.Experiments()); job.Cells < 1 || job.Cells > max {
+			t.Fatalf("accepted job has %d cells, want 1..%d", job.Cells, max)
 		}
 	})
 }

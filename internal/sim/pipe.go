@@ -30,6 +30,3 @@ func (pp *Pipe) OccupyFrom(earliest Time, d Duration) Time {
 	pp.free = end
 	return end
 }
-
-// FreeAt reports the first instant the pipe is idle.
-func (pp *Pipe) FreeAt() Time { return pp.free }

@@ -40,7 +40,7 @@ type connState struct {
 	// rto is the retransmission-timeout policy: backoff, the give-up
 	// threshold (the connection fails only after MaxRetries consecutive
 	// timeouts during which the oldest unacked sequence made no
-	// progress), and optionally the adaptive RTT estimator.
+	// progress).
 	rto nicsim.RTO
 }
 
@@ -208,6 +208,6 @@ func newConnState(m *provider.Model, peer fabric.NodeID, peerVi int) *connState 
 		peerVi:           peerVi,
 		outstandingReads: make(map[uint64]*readState),
 	}
-	cs.rto.Init(m.RetransmitTimeout, m.MaxRetries, m.AdaptiveRTO)
+	cs.rto.Init(m.RetransmitTimeout, m.MaxRetries)
 	return cs
 }

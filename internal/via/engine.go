@@ -882,11 +882,6 @@ func (rm *recvMachine) Step(pc int) (sim.Duration, int) {
 		}
 		conn := rm.conn
 		for _, pend := range conn.window.Ack(pkt.ackSeq) {
-			// Karn's algorithm: only never-retransmitted packets yield RTT
-			// samples, so a retransmission's ack cannot be mis-attributed.
-			if conn.rto.Adaptive && pend.Retries == 0 {
-				conn.rto.Sample(rm.now().Sub(pend.SentAt))
-			}
 			ref := pend.Item.(*sendRef)
 			if ref.desc != nil {
 				n.completeSend(ref.vi, ref.desc, StatusSuccess, ref.total)
@@ -1028,12 +1023,12 @@ func (n *Nic) failConn(vi *Vi) {
 // --- Retransmission ---
 
 // armRTO schedules a retransmission check for the VI's window if one is
-// not already pending, at the policy's current timeout.
+// not already pending, at the policy's base timeout.
 func (n *Nic) armRTO(vi *Vi) {
 	if vi.conn == nil {
 		return
 	}
-	n.armRTOAfter(vi, vi.conn.rto.Timeout())
+	n.armRTOAfter(vi, vi.conn.rto.Base)
 }
 
 func (n *Nic) armRTOAfter(vi *Vi, d sim.Duration) {
@@ -1056,11 +1051,11 @@ func (n *Nic) rtoFire(vi *Vi) {
 	}
 	eng := n.host.sys.Eng
 	oldest := conn.window.Oldest()
-	if age := eng.Now().Sub(oldest.SentAt); age < conn.rto.Timeout() {
+	if age := eng.Now().Sub(oldest.SentAt); age < conn.rto.Base {
 		// Acks have been flowing; check again when the oldest packet
 		// actually times out.
 		conn.rtoArmed = true
-		eng.After(conn.rto.Timeout()-age, func() { n.rtoFire(vi) })
+		eng.After(conn.rto.Base-age, func() { n.rtoFire(vi) })
 		return
 	}
 	// Give up only after MaxRetries consecutive timeouts with no forward
