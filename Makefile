@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos failover-smoke vibed-smoke hostbench examples check cover bench-smoke bench-sim fuzz-smoke quick clean
+.PHONY: all build vet test race chaos failover-smoke vibed-smoke hostbench examples check cover bench-smoke bench-sim fuzz-smoke quick loc clean
 
 all: check
 
@@ -114,8 +114,9 @@ bench-smoke: build
 # accepted scenario file re-encodes to a fixed point with the same
 # provenance and, under a fuzzed -sweep, the same vibed cache key;
 # FuzzSubmission posts a raw body to vibed's POST /api/jobs and checks
-# that it never panics, answers 202/400/413/503, rejects a sweep that
-# cannot expand, and bounds an accepted job's cells; and
+# that it never panics, answers 202/400/413/503, rejects a body that is
+# not exactly one JSON value and a sweep that cannot expand, and bounds
+# an accepted job's cells; and
 # FuzzResultsRoundTrip checks that a decoded result set re-encodes to a
 # fixed point with the same provenance. A failing input is written under
 # the package's testdata/fuzz/ and replays in every later `go test`.
@@ -134,6 +135,12 @@ bench-sim:
 # Smoke-run the full registry in quick mode.
 quick: build
 	$(GO) run ./cmd/vibe -bench suite -quick
+
+# Go line counts under cmd/ and internal/, non-test and test files
+# apart: the size a simplification is measured by.
+loc:
+	@printf 'non-test Go lines: '; find cmd internal -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'test Go lines:     '; find cmd internal -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 clean:
 	$(GO) clean ./...

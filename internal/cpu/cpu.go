@@ -50,18 +50,6 @@ func (c *CPU) SpinWait(p *sim.Proc, sig *sim.Signal) {
 	c.spinWaits++
 }
 
-// SpinWaitTimeout is SpinWait with a deadline; it reports false on timeout.
-// Either way the elapsed wait is busy time.
-func (c *CPU) SpinWaitTimeout(p *sim.Proc, sig *sim.Signal, d sim.Duration) bool {
-	start := p.Now()
-	ok := sig.WaitTimeout(p, d)
-	w := p.Now().Sub(start)
-	c.busy += w
-	c.spin += w
-	c.spinWaits++
-	return ok
-}
-
 // BlockWait parks p until sig fires with the CPU idle, then accounts
 // wakeCost busy time for the interrupt/reschedule path.
 func (c *CPU) BlockWait(p *sim.Proc, sig *sim.Signal, wakeCost sim.Duration) {

@@ -97,18 +97,17 @@ func TestTimeoutVariants(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := New(e)
 	s := sim.NewSignal(e)
-	var spinOK, blockOK bool
+	var blockOK bool
 	e.Spawn("p", func(p *sim.Proc) {
-		spinOK = c.SpinWaitTimeout(p, s, 50)
 		blockOK = c.BlockWaitTimeout(p, s, 50, 5)
 	})
 	e.MustRun()
-	if spinOK || blockOK {
-		t.Errorf("timeouts should report false: spin=%v block=%v", spinOK, blockOK)
+	if blockOK {
+		t.Error("timeout should report false")
 	}
-	// 50 spin + 5 wake cost; the blocked 50ns are idle.
-	if c.Busy() != 55 {
-		t.Errorf("busy = %v, want 55ns", c.Busy())
+	// Only the 5ns wake cost is busy; the blocked 50ns are idle.
+	if c.Busy() != 5 {
+		t.Errorf("busy = %v, want 5ns", c.Busy())
 	}
 }
 

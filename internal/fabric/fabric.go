@@ -98,20 +98,12 @@ type Delivery struct {
 	recycled bool
 }
 
-// DropFilter decides whether a particular packet should be lost. It runs
-// after the injector chain and before the random drop check; returning
-// true drops the packet. The index is a global packet sequence number, so
-// tests can target exact packets.
-type DropFilter func(index uint64, d Delivery) bool
-
 // DropCause classifies why the fabric dropped a packet.
 type DropCause int
 
 const (
-	// DropCauseFault: an injector chain verdict (fault plans, link outages).
+	// DropCauseFault: the injector's verdict (fault plans, link outages).
 	DropCauseFault DropCause = iota
-	// DropCauseFilter: the SetDropFilter callback.
-	DropCauseFilter
 	// DropCauseRate: the probabilistic Params.DropRate coin.
 	DropCauseRate
 
@@ -123,8 +115,6 @@ func (c DropCause) String() string {
 	switch c {
 	case DropCauseFault:
 		return "fault"
-	case DropCauseFilter:
-		return "filter"
 	case DropCauseRate:
 		return "rate"
 	}
@@ -132,8 +122,7 @@ func (c DropCause) String() string {
 }
 
 // PacketFault is an injector's verdict on one packet. The zero value means
-// "deliver untouched". Verdicts from a chain of injectors combine: any
-// drop wins, corruption and duplication accumulate, delays add.
+// "deliver untouched".
 type PacketFault struct {
 	Drop       bool
 	Corrupt    bool
@@ -141,18 +130,10 @@ type PacketFault struct {
 	Delay      sim.Duration
 }
 
-// merge combines two verdicts on the same packet.
-func (f PacketFault) merge(g PacketFault) PacketFault {
-	f.Drop = f.Drop || g.Drop
-	f.Corrupt = f.Corrupt || g.Corrupt
-	f.Duplicates += g.Duplicates
-	f.Delay += g.Delay
-	return f
-}
-
 // PacketInjector inspects every packet entering the fabric and returns a
-// fault verdict. Injectors run on the sender's side before loss checks;
-// index is the same global packet sequence number DropFilter sees.
+// fault verdict. The injector runs on the sender's side before the
+// random loss check; index is a global packet sequence number, so a
+// verdict can target exact packets.
 type PacketInjector interface {
 	InjectPacket(index uint64, now sim.Time, d *Delivery) PacketFault
 }
@@ -218,10 +199,9 @@ type LinkStats struct {
 	// discards them before protocol processing.
 	RxCorrupt uint64
 
-	Dropped       uint64
-	DroppedFault  uint64 // injector chain (fault plans, link outages)
-	DroppedFilter uint64 // SetDropFilter callback
-	DroppedRate   uint64 // probabilistic Params.DropRate
+	Dropped      uint64
+	DroppedFault uint64 // packet injector (fault plans, link outages)
+	DroppedRate  uint64 // probabilistic Params.DropRate
 }
 
 // timeNever marks an output-queue slot as occupied while its release
@@ -327,8 +307,7 @@ type Network struct {
 	route []SwitchID
 	path  []*outPort
 
-	dropFilter DropFilter
-	injectors  []PacketInjector
+	injector PacketInjector
 
 	// oracle (when installed) reports dead switches/links at route-pick
 	// time.
@@ -350,7 +329,7 @@ type Network struct {
 	Delivered  uint64
 	Dropped    uint64
 	BytesSent  uint64
-	Duplicated uint64 // extra copies scheduled by injectors
+	Duplicated uint64 // extra copies scheduled by the injector
 	Corrupted  uint64 // packets marked corrupt in flight
 
 	// Rerouted counts packets sent over a non-primary candidate path
@@ -401,9 +380,6 @@ func (nw *Network) Params() Params { return nw.params }
 // Nodes reports the number of attached nodes.
 func (nw *Network) Nodes() int { return len(nw.ports) }
 
-// Topology returns the switch graph packets route over.
-func (nw *Network) Topology() Topology { return nw.topo }
-
 // Switches reports the number of switches in the topology.
 func (nw *Network) Switches() int { return len(nw.switches) }
 
@@ -413,16 +389,9 @@ func (nw *Network) Inbox(id NodeID) *sim.Queue[*Delivery] {
 	return nw.port(id).in
 }
 
-// SetDropFilter installs (or, with nil, removes) a deterministic loss
-// filter.
-func (nw *Network) SetDropFilter(f DropFilter) { nw.dropFilter = f }
-
-// AddInjector appends an injector to the fault chain. Injectors run in
-// installation order on every packet, before the drop filter and the
-// random loss check.
-func (nw *Network) AddInjector(inj PacketInjector) {
-	nw.injectors = append(nw.injectors, inj)
-}
+// SetInjector installs (or, with nil, removes) the packet injector. It
+// runs on every packet, before the random loss check.
+func (nw *Network) SetInjector(inj PacketInjector) { nw.injector = inj }
 
 // SetElementOracle installs (or, with nil, removes) the fabric-element
 // liveness oracle consulted at route-pick time.
@@ -448,11 +417,10 @@ func (nw *Network) LinkStats(id NodeID) LinkStats {
 	return LinkStats{
 		TxPackets: p.txPkts, TxBytes: p.txBytes,
 		RxPackets: p.rxPkts, RxBytes: p.rxBytes,
-		RxCorrupt:     p.rxCorrupt,
-		Dropped:       p.drops[DropCauseFault] + p.drops[DropCauseFilter] + p.drops[DropCauseRate],
-		DroppedFault:  p.drops[DropCauseFault],
-		DroppedFilter: p.drops[DropCauseFilter],
-		DroppedRate:   p.drops[DropCauseRate],
+		RxCorrupt:    p.rxCorrupt,
+		Dropped:      p.drops[DropCauseFault] + p.drops[DropCauseRate],
+		DroppedFault: p.drops[DropCauseFault],
+		DroppedRate:  p.drops[DropCauseRate],
 	}
 }
 
@@ -579,7 +547,7 @@ var (
 // Loopback (src == dst) is NIC-local: the frame serializes once through
 // the adapter's transmit path and is handed straight to its own receive
 // path — no switch traversal, no link propagation, no PropTime. Loopback
-// packets still run the injector chain and the loss checks.
+// packets still run the injector and the loss check.
 func (nw *Network) Send(src, dst NodeID, size int, payload interface{}) sim.Time {
 	sp := nw.port(src)
 	ser := nw.params.SerializationTime(size)
@@ -599,18 +567,16 @@ func (nw *Network) Send(src, dst NodeID, size int, payload interface{}) sim.Time
 		nw.eng.Trace(nw.eng.Now(), 0, traceLinkTx, int(src), int(dst), size)
 	}
 
-	// Fault chain first: an injected drop models a deliberate outage and
+	// Injector first: an injected drop models a deliberate outage and
 	// pre-empts the (rng-consuming) random loss check. Dropped packets
 	// still cost serialization time on the source link.
 	var f PacketFault
-	for _, inj := range nw.injectors {
-		f = f.merge(inj.InjectPacket(idx, nw.eng.Now(), d))
+	if nw.injector != nil {
+		f = nw.injector.InjectPacket(idx, nw.eng.Now(), d)
 	}
 	switch {
 	case f.Drop:
 		return nw.drop(sp, d, DropCauseFault, ser)
-	case nw.dropFilter != nil && nw.dropFilter(idx, *d):
-		return nw.drop(sp, d, DropCauseFilter, ser)
 	case nw.params.DropRate > 0 && nw.eng.Rand().Float64() < nw.params.DropRate:
 		return nw.drop(sp, d, DropCauseRate, ser)
 	}
@@ -737,15 +703,14 @@ func (nw *Network) sendRouted(sp *port, d *Delivery, ser, delay sim.Duration, co
 }
 
 // pickRoute resolves the switch path a packet takes right now: the
-// topology's primary route unless an element oracle reports a switch or
-// inter-switch link on it down, then the first alive alternate in
-// candidate order. With no oracle this is exactly the primary route —
-// the pre-multipath behavior, byte for byte. It returns nil when every
-// candidate path crosses a dead element. The returned slice is nw.route
-// scratch.
+// topology's primary route (AltRoute candidate 0) unless an element
+// oracle reports a switch or inter-switch link on it down, then the
+// first alive alternate in candidate order. With no oracle this is
+// exactly the primary route. It returns nil when every candidate path
+// crosses a dead element. The returned slice is nw.route scratch.
 func (nw *Network) pickRoute(src, dst NodeID) []SwitchID {
 	if nw.oracle == nil {
-		nw.route = nw.topo.Route(nw.route[:0], src, dst)
+		nw.route = nw.topo.AltRoute(nw.route[:0], src, dst, 0)
 		return nw.route
 	}
 	now := nw.eng.Now()

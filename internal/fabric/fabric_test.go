@@ -101,28 +101,6 @@ func TestDistinctSourcesContendOnDownlink(t *testing.T) {
 	}
 }
 
-func TestDropFilter(t *testing.T) {
-	e := sim.NewEngine(1)
-	nw := New(e, 2, testParams())
-	nw.SetDropFilter(func(index uint64, d Delivery) bool { return index == 0 })
-	received := 0
-	e.At(0, func() {
-		nw.Send(0, 1, 100, "lost")
-		nw.Send(0, 1, 100, "kept")
-	})
-	e.Spawn("rx", func(p *sim.Proc) {
-		d := nw.Inbox(1).Pop(p)
-		if d.Payload.(string) != "kept" {
-			t.Errorf("got dropped packet %v", d.Payload)
-		}
-		received++
-	})
-	e.MustRun()
-	if received != 1 || nw.Dropped != 1 || nw.Sent != 2 || nw.Delivered != 1 {
-		t.Fatalf("received=%d dropped=%d sent=%d delivered=%d", received, nw.Dropped, nw.Sent, nw.Delivered)
-	}
-}
-
 func TestRandomDropRateIsDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) uint64 {
 		e := sim.NewEngine(seed)
@@ -269,7 +247,7 @@ func (ti *testInjector) InjectPacket(index uint64, _ sim.Time, _ *Delivery) Pack
 func TestRxCorruptAccounting(t *testing.T) {
 	e := sim.NewEngine(1)
 	nw := New(e, 2, testParams())
-	nw.AddInjector(&testInjector{corrupt: map[uint64]bool{1: true}})
+	nw.SetInjector(&testInjector{corrupt: map[uint64]bool{1: true}})
 	e.At(0, func() {
 		nw.Send(0, 1, 100, "clean")
 		nw.Send(0, 1, 100, "doomed")
@@ -295,7 +273,7 @@ func TestConservationUnderDropsAndDuplicates(t *testing.T) {
 	p := testParams()
 	p.DropRate = 0.3
 	nw := New(e, 3, p)
-	nw.AddInjector(&testInjector{dup: map[uint64]int{4: 1, 9: 2}})
+	nw.SetInjector(&testInjector{dup: map[uint64]int{4: 1, 9: 2}})
 	e.At(0, func() {
 		for i := 0; i < 30; i++ {
 			nw.Send(NodeID(i%2), 2, 64, i)
@@ -311,7 +289,7 @@ func TestConservationUnderDropsAndDuplicates(t *testing.T) {
 func TestRecycleSharedNeverRepooled(t *testing.T) {
 	e := sim.NewEngine(1)
 	nw := New(e, 2, testParams())
-	nw.AddInjector(&testInjector{dup: map[uint64]int{0: 1}})
+	nw.SetInjector(&testInjector{dup: map[uint64]int{0: 1}})
 	var got []*Delivery
 	e.At(0, func() { nw.Send(0, 1, 100, "dup") })
 	e.Spawn("rx", func(p *sim.Proc) {

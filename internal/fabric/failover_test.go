@@ -22,9 +22,8 @@ func (o fakeOracle) SwitchLinkDown(a, b int, now sim.Time) bool {
 }
 
 // TestAltRouteContracts sweeps every topology over every host pair and
-// every candidate index, checking the AltRoute contract: candidate 0 is
-// exactly Route, every candidate spans the endpoint host switches, and no
-// candidate contains a self-loop hop.
+// every candidate index, checking the AltRoute contract: every candidate
+// spans the endpoint host switches and none contains a self-loop hop.
 func TestAltRouteContracts(t *testing.T) {
 	for _, tc := range []struct {
 		topo  Topology
@@ -47,13 +46,8 @@ func TestAltRouteContracts(t *testing.T) {
 				if n < 1 {
 					t.Fatalf("%s: AltRoutes(%d,%d) = %d", tc.topo.Name(), src, dst, n)
 				}
-				primary := tc.topo.Route(nil, src, dst)
 				for k := 0; k < n; k++ {
 					r := tc.topo.AltRoute(nil, src, dst, k)
-					if k == 0 && !reflect.DeepEqual(r, primary) {
-						t.Fatalf("%s: candidate 0 of %d->%d = %v, Route = %v",
-							tc.topo.Name(), src, dst, r, primary)
-					}
 					if len(r) == 0 || r[0] != tc.topo.HostSwitch(src) || r[len(r)-1] != tc.topo.HostSwitch(dst) {
 						t.Fatalf("%s: candidate %d of %d->%d = %v does not span host switches",
 							tc.topo.Name(), k, src, dst, r)

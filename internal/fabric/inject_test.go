@@ -16,29 +16,31 @@ func (f fnInjector) InjectPacket(index uint64, now sim.Time, d *Delivery) Packet
 func TestDropCauseAccounting(t *testing.T) {
 	e := sim.NewEngine(1)
 	nw := New(e, 3, testParams())
-	nw.AddInjector(fnInjector(func(index uint64, _ sim.Time, _ *Delivery) PacketFault {
+	nw.SetInjector(fnInjector(func(index uint64, _ sim.Time, _ *Delivery) PacketFault {
 		return PacketFault{Drop: index == 0}
 	}))
-	nw.SetDropFilter(func(index uint64, d Delivery) bool { return index == 1 })
 	e.At(0, func() {
-		nw.Send(0, 2, 100, "by-fault")
-		nw.Send(1, 2, 100, "by-filter")
-		nw.Send(0, 2, 100, "through")
+		nw.Send(0, 2, 100, "lost")
+		nw.Send(1, 2, 100, "kept")
+	})
+	var got []string
+	e.Spawn("rx", func(p *sim.Proc) {
+		got = append(got, nw.Inbox(2).Pop(p).Payload.(string))
 	})
 	e.MustRun()
-	if nw.Dropped != 2 || nw.Delivered != 1 {
-		t.Fatalf("dropped=%d delivered=%d", nw.Dropped, nw.Delivered)
+	if nw.Sent != 2 || nw.Dropped != 1 || nw.Delivered != 1 || len(got) != 1 || got[0] != "kept" {
+		t.Fatalf("sent=%d dropped=%d delivered=%d got=%v", nw.Sent, nw.Dropped, nw.Delivered, got)
 	}
-	if nw.DroppedBy(DropCauseFault) != 1 || nw.DroppedBy(DropCauseFilter) != 1 || nw.DroppedBy(DropCauseRate) != 0 {
-		t.Fatalf("per-cause drops: fault=%d filter=%d rate=%d",
-			nw.DroppedBy(DropCauseFault), nw.DroppedBy(DropCauseFilter), nw.DroppedBy(DropCauseRate))
+	if nw.DroppedBy(DropCauseFault) != 1 || nw.DroppedBy(DropCauseRate) != 0 {
+		t.Fatalf("per-cause drops: fault=%d rate=%d",
+			nw.DroppedBy(DropCauseFault), nw.DroppedBy(DropCauseRate))
 	}
 	// Drops are attributed to the transmitting link.
 	s0, s1 := nw.LinkStats(0), nw.LinkStats(1)
-	if s0.DroppedFault != 1 || s0.DroppedFilter != 0 || s0.Dropped != 1 {
+	if s0.DroppedFault != 1 || s0.Dropped != 1 {
 		t.Fatalf("link 0 stats: %+v", s0)
 	}
-	if s1.DroppedFilter != 1 || s1.Dropped != 1 {
+	if s1.Dropped != 0 {
 		t.Fatalf("link 1 stats: %+v", s1)
 	}
 	if s := nw.LinkStats(2); s.Dropped != 0 {
@@ -46,60 +48,56 @@ func TestDropCauseAccounting(t *testing.T) {
 	}
 }
 
-// Satellite check for the drop-accounting split: a drop filter and a
-// probabilistic DropRate compose — the filter runs first and claims its
-// packets, the rate coin only sees the survivors, and the split counters
-// sum to the total.
-func TestDropFilterDropRateInteraction(t *testing.T) {
-	e := sim.NewEngine(7)
-	p := testParams()
-	p.DropRate = 1.0 // every packet surviving the filter is rate-dropped
-	nw := New(e, 2, p)
-	nw.SetDropFilter(func(index uint64, d Delivery) bool { return index%2 == 0 })
-	const n = 100
-	e.At(0, func() {
-		for i := 0; i < n; i++ {
-			nw.Send(0, 1, 10, i)
+// An injector drop must not draw the DropRate coin: after the injector
+// claims the first k packets, the rate coin sees packet k exactly as a
+// same-seed fabric without the injector sees packet 0.
+func TestInjectorDropDrawsNoRateCoin(t *testing.T) {
+	const k, n = 5, 64
+	run := func(withInjector bool) (*Network, []bool) {
+		e := sim.NewEngine(7)
+		p := testParams()
+		p.DropRate = 0.5
+		nw := New(e, 2, p)
+		if withInjector {
+			nw.SetInjector(fnInjector(func(index uint64, _ sim.Time, _ *Delivery) PacketFault {
+				return PacketFault{Drop: index < k}
+			}))
 		}
-	})
-	e.MustRun()
-	if nw.DroppedBy(DropCauseFilter) != n/2 || nw.DroppedBy(DropCauseRate) != n/2 {
-		t.Fatalf("filter=%d rate=%d, want %d each",
-			nw.DroppedBy(DropCauseFilter), nw.DroppedBy(DropCauseRate), n/2)
+		var dropped []bool
+		e.At(0, func() {
+			for i := 0; i < n; i++ {
+				before := nw.DroppedBy(DropCauseRate)
+				nw.Send(0, 1, 10, i)
+				dropped = append(dropped, nw.DroppedBy(DropCauseRate) > before)
+			}
+		})
+		e.MustRun()
+		return nw, dropped
 	}
-	if nw.Dropped != n || nw.Delivered != 0 {
-		t.Fatalf("dropped=%d delivered=%d", nw.Dropped, nw.Delivered)
+	plain, want := run(false)
+	injected, got := run(true)
+	for i := 0; i < k; i++ {
+		if got[i] {
+			t.Fatalf("packet %d: injector-dropped packet also counted as a rate drop", i)
+		}
 	}
-	s := nw.LinkStats(0)
-	if s.Dropped != s.DroppedFault+s.DroppedFilter+s.DroppedRate {
-		t.Fatalf("link split does not sum: %+v", s)
+	for i := k; i < n; i++ {
+		if got[i] != want[i-k] {
+			t.Fatalf("packet %d: rate drop %v, want %v (packet %d of the plain fabric)", i, got[i], want[i-k], i-k)
+		}
 	}
-}
-
-// An injector drop must not consume the DropRate coin, and it claims the
-// packet before the filter sees it.
-func TestInjectorDropWinsOverFilter(t *testing.T) {
-	e := sim.NewEngine(1)
-	nw := New(e, 2, testParams())
-	nw.AddInjector(fnInjector(func(index uint64, _ sim.Time, _ *Delivery) PacketFault {
-		return PacketFault{Drop: true}
-	}))
-	filterCalls := 0
-	nw.SetDropFilter(func(index uint64, d Delivery) bool { filterCalls++; return true })
-	e.At(0, func() { nw.Send(0, 1, 10, nil) })
-	e.MustRun()
-	if nw.DroppedBy(DropCauseFault) != 1 || nw.DroppedBy(DropCauseFilter) != 0 {
-		t.Fatalf("fault=%d filter=%d", nw.DroppedBy(DropCauseFault), nw.DroppedBy(DropCauseFilter))
+	if plain.DroppedBy(DropCauseRate) == 0 || injected.DroppedBy(DropCauseFault) != k {
+		t.Fatalf("plain rate drops=%d, injected fault drops=%d", plain.DroppedBy(DropCauseRate), injected.DroppedBy(DropCauseFault))
 	}
-	if filterCalls != 0 {
-		t.Fatalf("drop filter ran %d times on fault-dropped packets", filterCalls)
+	if s := injected.LinkStats(0); s.Dropped != s.DroppedFault+s.DroppedRate || s.Dropped != injected.Dropped {
+		t.Fatalf("link split does not sum: %+v, total %d", s, injected.Dropped)
 	}
 }
 
 func TestInjectedCorruptionDeliversMarked(t *testing.T) {
 	e := sim.NewEngine(1)
 	nw := New(e, 2, testParams())
-	nw.AddInjector(fnInjector(func(index uint64, _ sim.Time, _ *Delivery) PacketFault {
+	nw.SetInjector(fnInjector(func(index uint64, _ sim.Time, _ *Delivery) PacketFault {
 		return PacketFault{Corrupt: index == 0}
 	}))
 	var got []*Delivery
@@ -126,7 +124,7 @@ func TestInjectedCorruptionDeliversMarked(t *testing.T) {
 func TestInjectedDuplicationSharesPayload(t *testing.T) {
 	e := sim.NewEngine(1)
 	nw := New(e, 2, testParams())
-	nw.AddInjector(fnInjector(func(index uint64, _ sim.Time, _ *Delivery) PacketFault {
+	nw.SetInjector(fnInjector(func(index uint64, _ sim.Time, _ *Delivery) PacketFault {
 		return PacketFault{Duplicates: 1}
 	}))
 	var got []*Delivery
@@ -158,7 +156,7 @@ func TestInjectedDelayPostponesArrival(t *testing.T) {
 		e := sim.NewEngine(1)
 		nw := New(e, 2, testParams())
 		if delay > 0 {
-			nw.AddInjector(fnInjector(func(uint64, sim.Time, *Delivery) PacketFault {
+			nw.SetInjector(fnInjector(func(uint64, sim.Time, *Delivery) PacketFault {
 				return PacketFault{Delay: delay}
 			}))
 		}
@@ -175,33 +173,5 @@ func TestInjectedDelayPostponesArrival(t *testing.T) {
 	delayed := run(3 * sim.Microsecond)
 	if want := base.Add(3 * sim.Microsecond); delayed != want {
 		t.Fatalf("delayed arrival = %v, want %v (base %v)", delayed, want, base)
-	}
-}
-
-// Verdicts from a chain of injectors combine: drops win, delays add.
-func TestInjectorChainMergesVerdicts(t *testing.T) {
-	e := sim.NewEngine(1)
-	nw := New(e, 2, testParams())
-	nw.AddInjector(fnInjector(func(uint64, sim.Time, *Delivery) PacketFault {
-		return PacketFault{Delay: sim.Microsecond}
-	}))
-	nw.AddInjector(fnInjector(func(uint64, sim.Time, *Delivery) PacketFault {
-		return PacketFault{Delay: 2 * sim.Microsecond, Corrupt: true}
-	}))
-	var got *Delivery
-	var arrival sim.Time
-	e.At(0, func() { nw.Send(0, 1, 1000, nil) })
-	e.Spawn("rx", func(p *sim.Proc) {
-		got = nw.Inbox(1).Pop(p)
-		arrival = p.Now()
-	})
-	e.MustRun()
-	if !got.Corrupted {
-		t.Fatal("corruption verdict lost in merge")
-	}
-	// 18500ns base end-to-end time for 1000B (see TestEndToEndDeliveryTime)
-	// plus the two added delays.
-	if want := sim.Time(18500).Add(3 * sim.Microsecond); arrival != want {
-		t.Fatalf("arrival = %v, want %v", arrival, want)
 	}
 }

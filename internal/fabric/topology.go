@@ -20,25 +20,19 @@ type Topology interface {
 	// HostSwitch returns the switch host h attaches to.
 	HostSwitch(h NodeID) SwitchID
 
-	// Route appends the switch path from src to dst to buf and returns
-	// the extended slice. The path starts at HostSwitch(src), ends at
-	// HostSwitch(dst), and every consecutive pair is a physical
-	// switch-to-switch link. It is never empty and never called with
-	// src == dst (loopback is NIC-local and skips the fabric).
-	Route(buf []SwitchID, src, dst NodeID) []SwitchID
-
 	// AltRoutes reports how many candidate paths the topology enumerates
-	// from src to dst (always >= 1). Candidate 0 is the primary path
-	// Route returns; higher candidates are deterministic alternates
-	// routing can fail over to (other fat-tree spines, the other
-	// torus ring direction, dragonfly detours through a third router or
-	// group). Alternates need not be minimal, but obey the same physical-
-	// link contract as Route.
+	// from src to dst (always >= 1). Candidate 0 is the primary path;
+	// higher candidates are deterministic alternates routing can fail
+	// over to (other fat-tree spines, the other torus ring direction,
+	// dragonfly detours through a third router or group).
 	AltRoutes(src, dst NodeID) int
 
 	// AltRoute appends candidate k (0 <= k < AltRoutes(src, dst)) of the
-	// src->dst paths to buf and returns the extended slice. AltRoute with
-	// k == 0 is exactly Route.
+	// src->dst switch paths to buf and returns the extended slice. Every
+	// candidate starts at HostSwitch(src), ends at HostSwitch(dst), and
+	// every consecutive pair is a physical switch-to-switch link;
+	// alternates need not be minimal. It is never empty and never called
+	// with src == dst (loopback is NIC-local and skips the fabric).
 	AltRoute(buf []SwitchID, src, dst NodeID, k int) []SwitchID
 }
 
@@ -100,11 +94,6 @@ func (Crossbar) Switches() int { return 1 }
 // HostSwitch implements Topology.
 func (Crossbar) HostSwitch(NodeID) SwitchID { return 0 }
 
-// Route implements Topology.
-func (Crossbar) Route(buf []SwitchID, _, _ NodeID) []SwitchID {
-	return append(buf, 0)
-}
-
 // AltRoutes implements Topology: a single switch has a single path.
 func (Crossbar) AltRoutes(_, _ NodeID) int { return 1 }
 
@@ -142,15 +131,6 @@ func (t *FatTree) Switches() int { return t.leaves + t.arity }
 // HostSwitch implements Topology: hosts fill leaves in order.
 func (t *FatTree) HostSwitch(h NodeID) SwitchID { return SwitchID(int(h) / t.arity) }
 
-// Route implements Topology with deterministic up/down routing: same
-// leaf is one hop; otherwise up to the spine selected by the destination
-// (D-mod-k), then down. Destination-based spine selection concentrates
-// all traffic toward one host on one spine — the worst case for incast,
-// which is exactly the congestion the routed fabric exists to surface.
-func (t *FatTree) Route(buf []SwitchID, src, dst NodeID) []SwitchID {
-	return t.AltRoute(buf, src, dst, 0)
-}
-
 // AltRoutes implements Topology: cross-leaf pairs have one candidate per
 // spine (every leaf uplinks to every spine), same-leaf pairs just one.
 func (t *FatTree) AltRoutes(src, dst NodeID) int {
@@ -160,10 +140,14 @@ func (t *FatTree) AltRoutes(src, dst NodeID) int {
 	return t.arity
 }
 
-// AltRoute implements Topology: candidate k rotates the spine selection
-// to (dst+k) mod arity, so candidate 0 is the D-mod-k primary and the
-// remaining k-1 spines are the failover alternates that put the
-// otherwise-idle spines to work.
+// AltRoute implements Topology with deterministic up/down routing: same
+// leaf is one hop; otherwise up to a spine, then down. Candidate k
+// selects spine (dst+k) mod arity, so candidate 0 is the destination-
+// selected (D-mod-k) primary and the remaining k-1 spines are the
+// failover alternates that put the otherwise-idle spines to work.
+// Destination-based spine selection concentrates all traffic toward one
+// host on one spine — the worst case for incast, which is exactly the
+// congestion the routed fabric exists to surface.
 func (t *FatTree) AltRoute(buf []SwitchID, src, dst NodeID, k int) []SwitchID {
 	ls, ld := t.HostSwitch(src), t.HostSwitch(dst)
 	if ls == ld {
@@ -216,13 +200,6 @@ func (t *Dragonfly) gateway(g, j int) SwitchID {
 	return SwitchID(g*t.a + r)
 }
 
-// Route implements Topology with minimal routing: intra-group pairs use
-// the direct local link; inter-group pairs hop to the source group's
-// gateway, cross the global link, and hop to the destination router.
-func (t *Dragonfly) Route(buf []SwitchID, src, dst NodeID) []SwitchID {
-	return t.AltRoute(buf, src, dst, 0)
-}
-
 // AltRoutes implements Topology. Same-router pairs have one path.
 // Intra-group pairs can detour through any third router of the group
 // (full local connectivity). Inter-group pairs can take a Valiant-style
@@ -238,8 +215,10 @@ func (t *Dragonfly) AltRoutes(src, dst NodeID) int {
 	return 1 + t.groups - 2 // minimal plus one detour per intermediate group
 }
 
-// AltRoute implements Topology: candidate 0 is the minimal route;
-// candidate k > 0 is the k-th detour in ascending router/group index
+// AltRoute implements Topology: candidate 0 is the minimal route —
+// intra-group pairs use the direct local link; inter-group pairs hop to
+// the source group's gateway, cross the global link, and hop to the
+// destination router. Candidate k > 0 is the k-th detour in ascending router/group index
 // order (skipping the endpoints), deduplicating consecutive repeats when
 // a gateway coincides with an endpoint router.
 func (t *Dragonfly) AltRoute(buf []SwitchID, src, dst NodeID, k int) []SwitchID {
@@ -343,22 +322,6 @@ func (t *Torus3D) id(x, y, z int) SwitchID {
 	return SwitchID((z*t.side+y)*t.side + x)
 }
 
-// step moves one ring position from v toward goal the shorter way
-// around; ties break toward +, so routes are deterministic.
-func (t *Torus3D) step(v, goal int) int {
-	fwd := ((goal - v) + t.side) % t.side
-	if fwd <= t.side-fwd {
-		return (v + 1) % t.side
-	}
-	return (v - 1 + t.side) % t.side
-}
-
-// Route implements Topology with dimension-order routing, appending
-// every intermediate switch on the walk.
-func (t *Torus3D) Route(buf []SwitchID, src, dst NodeID) []SwitchID {
-	return t.AltRoute(buf, src, dst, 0)
-}
-
 // AltRoutes implements Topology: one candidate per combination of ring
 // directions over the dimensions the route moves in. On a side-2 ring
 // both directions are the same single hop, so only sides > 2 contribute
@@ -382,11 +345,12 @@ func (t *Torus3D) AltRoutes(src, dst NodeID) int {
 	return n
 }
 
-// AltRoute implements Topology: k is a bitmask over the moving
+// AltRoute implements Topology with dimension-order routing, appending
+// every intermediate switch on the walk. k is a bitmask over the moving
 // dimensions in X, Y, Z order; a set bit walks that ring the other way
 // around (the non-minimal direction, a disjoint set of links). Candidate
-// 0 takes every ring the shorter way with ties toward +1 — exactly
-// Route's dimension-order walk.
+// 0 takes every ring the shorter way, ties breaking toward +1 so routes
+// are deterministic.
 func (t *Torus3D) AltRoute(buf []SwitchID, src, dst NodeID, k int) []SwitchID {
 	cur, goal := t.HostSwitch(src), t.HostSwitch(dst)
 	buf = append(buf, cur)

@@ -9,7 +9,7 @@ import (
 
 func routeOf(t *testing.T, topo Topology, src, dst NodeID) []SwitchID {
 	t.Helper()
-	r := topo.Route(nil, src, dst)
+	r := topo.AltRoute(nil, src, dst, 0)
 	if len(r) == 0 {
 		t.Fatalf("%s: empty route %d->%d", topo.Name(), src, dst)
 	}
@@ -103,7 +103,7 @@ func TestTorusRoutes(t *testing.T) {
 	if multi.HostSwitch(3) != 1 || multi.HostSwitch(15) != 7 {
 		t.Fatalf("host mapping = %d,%d, want 1,7", multi.HostSwitch(3), multi.HostSwitch(15))
 	}
-	// Same-switch hosts never call Route in the fabric; spot-check the
+	// Same-switch hosts never route through the fabric; spot-check the
 	// adjacent-switch case still holds with hostsPer > 1.
 	if got, want := routeOf(t, multi, 0, 2), []SwitchID{0, 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("route 0->2 = %v, want %v", got, want)

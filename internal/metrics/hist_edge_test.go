@@ -66,6 +66,7 @@ func TestCollectorMergeSemanticsByKind(t *testing.T) {
 	r1.Add("work.items", 10)
 	r1.Gauge("peak.depth", 9)
 	r1.Gauge("only.first", 5)
+	r1.Gauge("below.zero", -3) // first sighting: taken as-is, not max'd with 0
 	r2 := New()
 	r2.Add("work.items", 32)
 	r2.Gauge("peak.depth", 4) // smaller: must NOT win
@@ -83,6 +84,7 @@ func TestCollectorMergeSemanticsByKind(t *testing.T) {
 		{"peak.depth", 9},  // gauge: max, not last-write
 		{"only.first", 5},  // singleton gauge survives
 		{"only.second", 1}, // singleton counter survives
+		{"below.zero", -3}, // singleton negative gauge survives
 	} {
 		if v, ok := s.Get(tc.key); !ok || v != tc.want {
 			t.Errorf("%s = %v (ok=%v), want %v", tc.key, v, ok, tc.want)
@@ -93,7 +95,7 @@ func TestCollectorMergeSemanticsByKind(t *testing.T) {
 	// still see gauge vs counter to emit the right TYPE line.
 	for _, x := range s {
 		switch x.Key {
-		case "peak.depth", "only.first":
+		case "peak.depth", "only.first", "below.zero":
 			if x.Kind != Gauge {
 				t.Errorf("%s merged as %v, want Gauge", x.Key, x.Kind)
 			}

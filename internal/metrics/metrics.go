@@ -221,51 +221,48 @@ func formatValue(v float64) string {
 type Collector struct {
 	mu      sync.Mutex
 	systems int
-	idx     map[string]int
-	s       []Sample
+	reg     Registry
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Merge folds one system's snapshot into the aggregate: counters sum,
-// gauges keep the maximum observed (high-water semantics), histograms
-// merge bucket-wise so percentiles aggregate across workers.
+// Merge folds one system's snapshot into the aggregate: a key seen for the
+// first time takes the sample as-is; after that counters sum, gauges keep
+// the maximum observed (high-water semantics), and histograms merge
+// bucket-wise so percentiles aggregate across workers.
 func (c *Collector) Merge(snap Snapshot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.systems++
-	if c.idx == nil {
-		c.idx = make(map[string]int)
-	}
 	for _, x := range snap {
-		i, ok := c.idx[x.Key]
-		if !ok {
-			c.idx[x.Key] = len(c.s)
+		n := len(c.reg.s)
+		s := c.reg.slot(x.Key, x.Kind)
+		if len(c.reg.s) > n {
+			*s = x
 			if x.Hist != nil {
 				// Own a private copy: later merges mutate it, and the
 				// caller's snapshot must stay immutable.
-				x.Hist = x.Hist.Clone()
+				s.Hist = x.Hist.Clone()
 			}
-			c.s = append(c.s, x)
 			continue
 		}
 		switch x.Kind {
 		case Counter:
-			c.s[i].Value += x.Value
+			s.Value += x.Value
 		case Histogram:
 			if x.Hist == nil {
 				break
 			}
-			if c.s[i].Hist == nil {
-				c.s[i].Hist = x.Hist.Clone()
+			if s.Hist == nil {
+				s.Hist = x.Hist.Clone()
 			} else {
-				c.s[i].Hist.MergeFrom(x.Hist)
+				s.Hist.MergeFrom(x.Hist)
 			}
-			c.s[i].Value = float64(c.s[i].Hist.Count())
+			s.Value = float64(s.Hist.Count())
 		default:
-			if x.Value > c.s[i].Value {
-				c.s[i].Value = x.Value
+			if x.Value > s.Value {
+				s.Value = x.Value
 			}
 		}
 	}
@@ -283,13 +280,5 @@ func (c *Collector) Systems() int {
 func (c *Collector) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(Snapshot, len(c.s))
-	copy(out, c.s)
-	for i := range out {
-		if out[i].Hist != nil {
-			out[i].Hist = out[i].Hist.Clone()
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	return c.reg.Snapshot()
 }

@@ -85,22 +85,6 @@ func (w *Window) ForEachUnacked(fn func(*Pending) bool) {
 	}
 }
 
-// MarkResent stamps every pending packet as retransmitted at the given
-// instant and bumps retry counts. It returns the highest retry count, so
-// the caller can give up after a limit.
-func (w *Window) MarkResent(at sim.Time) int {
-	w.Retransmits += uint64(len(w.pending))
-	max := 0
-	for _, p := range w.pending {
-		p.SentAt = at
-		p.Retries++
-		if p.Retries > max {
-			max = p.Retries
-		}
-	}
-	return max
-}
-
 // Reset drops all pending state (connection teardown).
 func (w *Window) Reset() { w.pending = nil }
 

@@ -28,6 +28,13 @@ func TestWindowAddAck(t *testing.T) {
 	if w.Acked != 2 {
 		t.Fatalf("Acked = %d", w.Acked)
 	}
+	if w.String() == "" {
+		t.Fatal("String")
+	}
+	w.Reset()
+	if w.Outstanding() != 0 || w.Oldest() != nil {
+		t.Fatal("Reset left packets pending")
+	}
 }
 
 func TestWindowAckIdempotent(t *testing.T) {
@@ -41,31 +48,6 @@ func TestWindowAckIdempotent(t *testing.T) {
 	}
 	if w.Oldest() != nil {
 		t.Fatal("Oldest on empty window")
-	}
-}
-
-func TestWindowMarkResent(t *testing.T) {
-	var w Window
-	w.Add("a", 5)
-	w.Add("b", 6)
-	max := w.MarkResent(sim.Time(100))
-	if max != 1 || w.Retransmits != 2 {
-		t.Fatalf("max=%d retransmits=%d", max, w.Retransmits)
-	}
-	for _, p := range w.Unacked() {
-		if p.SentAt != 100 || p.Retries != 1 {
-			t.Fatalf("pending not restamped: %+v", p)
-		}
-	}
-	if w.MarkResent(sim.Time(200)) != 2 {
-		t.Fatal("second resend max retries")
-	}
-	w.Reset()
-	if w.Outstanding() != 0 {
-		t.Fatal("Reset")
-	}
-	if w.String() == "" {
-		t.Fatal("String")
 	}
 }
 

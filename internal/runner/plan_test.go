@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vibe/internal/core"
+	"vibe/internal/provider"
 	"vibe/internal/results"
 )
 
@@ -98,9 +99,10 @@ func TestProfileOnlyMatchesInstrumented(t *testing.T) {
 	}
 }
 
-// TestMergeSpecPrecedence checks the spec merge: -set entries win over
-// the scenario's, later entries win over earlier ones, and the caller's
-// override map is left untouched.
+// TestMergeSpecPrecedence checks the spec merge: -set entries and -sweep
+// cells win over the scenario's, whatever case the scenario spells a
+// name in; later entries win over earlier ones; a scenario may not name
+// one parameter twice; and the caller's override map is left untouched.
 func TestMergeSpecPrecedence(t *testing.T) {
 	var base core.ScenarioSpec
 	base.Base = "clan"
@@ -117,6 +119,33 @@ func TestMergeSpecPrecedence(t *testing.T) {
 	}
 	if _, err := mergeSpec(Request{Set: []string{"NotAParam=1"}}); err == nil {
 		t.Error("unknown -set parameter accepted")
+	}
+
+	// A scenario key spelled in another case names the same parameter, so
+	// -set and every -sweep cell still win over it.
+	lower := core.ScenarioSpec{Set: map[string]string{"tlbcapacity": "8"}}
+	p, err := Compile(Request{Scenario: lower, Set: []string{"TLBCapacity=64"}, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Scenarios[0].Model(provider.BVIA()).TLBCapacity; got != 64 {
+		t.Errorf("-set TLBCapacity=64 over scenario tlbcapacity=8: capacity %d", got)
+	}
+	p, err = Compile(Request{Scenario: lower, Sweeps: []string{"TLBCapacity=16,1024"}, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{16, 1024} {
+		if got := p.Scenarios[i].Model(provider.BVIA()).TLBCapacity; got != want {
+			t.Errorf("sweep cell %d over scenario tlbcapacity=8: capacity %d, want %d", i, got, want)
+		}
+	}
+	if lower.Set["tlbcapacity"] != "8" || len(lower.Set) != 1 {
+		t.Errorf("caller's map was modified: %v", lower.Set)
+	}
+	twice := core.ScenarioSpec{Set: map[string]string{"tlbcapacity": "8", "TLBCapacity": "16"}}
+	if _, err := mergeSpec(Request{Scenario: twice}); err == nil {
+		t.Error("scenario naming TLBCapacity twice accepted")
 	}
 }
 

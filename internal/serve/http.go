@@ -58,6 +58,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("serve: bad submission: %w", err))
 		return
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		httpError(w, http.StatusBadRequest, errors.New("serve: bad submission: trailing data after the submission"))
+		return
+	}
 	j, err := s.Submit(req)
 	switch {
 	case errors.Is(err, errQueueFull):

@@ -588,6 +588,30 @@ func TestSubmitBodyLimit(t *testing.T) {
 	}
 }
 
+// TestSubmitTrailingData checks a POST /api/jobs body holding anything
+// after the submission object is refused with 400, like a scenario or
+// fault file with trailing data: no job ID is minted and nothing counts.
+func TestSubmitTrailingData(t *testing.T) {
+	s := New(Options{})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	body := `{"quick":true,"experiments":["T1"]} {"experiments":["F3"]}`
+	resp, err := http.Post(hs.URL+"/api/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("submission with trailing data -> %d, want 400", resp.StatusCode)
+	}
+	s.mu.Lock()
+	submits, nextID := s.submits, s.nextID
+	s.mu.Unlock()
+	if submits != 0 || nextID != 0 {
+		t.Errorf("after trailing data: submits=%d nextID=%d, want 0 and 0", submits, nextID)
+	}
+}
+
 // TestSweepArtifactsMatchCLI runs a two-cell sweep with trace and profile
 // on the daemon and requires every artifact to be byte-identical to what
 // the shared pipeline gives vibe-report for the same run
@@ -702,11 +726,12 @@ func FuzzScenarioSpec(f *testing.F) {
 
 // FuzzSubmission posts raw bytes to POST /api/jobs on a server whose
 // dispatcher never runs. No body may panic the handler, and the status is
-// 202, 400, 413 or 503. A body whose sweeps cannot expand is a 400, and an
-// accepted job's grid is bounded by MaxSweepCells cells per registry
-// experiment. The corpus starts from the smoke and host-benchmark
-// submission shapes, a sweep that repeats a parameter, and a sweep grid
-// one axis too large.
+// 202, 400, 413 or 503. A body that is not exactly one JSON value is a 400
+// or 413, a body whose sweeps cannot expand is a 400, and an accepted
+// job's grid is bounded by MaxSweepCells cells per registry experiment.
+// The corpus starts from the smoke and host-benchmark submission shapes,
+// a sweep that repeats a parameter, a sweep grid one axis too large, and
+// a submission followed by a second object.
 func FuzzSubmission(f *testing.F) {
 	list := func(n int) string {
 		vs := make([]string, n)
@@ -720,6 +745,7 @@ func FuzzSubmission(f *testing.F) {
 	f.Add([]byte(`{"sweeps": ["ViCreate=27us"], "experiments": ["XFAILOVER", "PMEAGER", "XASY", "T1"], "quick": true, "trace": true, "profile": true}`))
 	f.Add([]byte(`{"quick": true, "experiments": ["T1"], "sweeps": ["TLBCapacity=8,32", "tlbcapacity=64"]}`))
 	f.Add([]byte(`{"quick": true, "experiments": ["T1"], "sweeps": ["TLBCapacity=` + list(64) + `", "WireMTU=` + list(65) + `"]}`))
+	f.Add([]byte(`{"quick":true,"experiments":["T1"]} {"experiments":["F3"]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := New(Options{})
 		rec := httptest.NewRecorder()
@@ -728,6 +754,9 @@ func FuzzSubmission(f *testing.F) {
 		case http.StatusAccepted, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
 		default:
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		if !json.Valid(body) && rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("body is not one JSON value, but status %d", rec.Code)
 		}
 		var sub Submission
 		dec := json.NewDecoder(bytes.NewReader(body))

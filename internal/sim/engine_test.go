@@ -223,29 +223,6 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestQueuePopTimeout(t *testing.T) {
-	e := NewEngine(1)
-	q := NewQueue[int](e)
-	var ok1, ok2 bool
-	e.Spawn("c", func(p *Proc) {
-		_, ok1 = q.PopTimeout(p, 5)
-		_, ok2 = q.PopTimeout(p, 50)
-	})
-	e.Spawn("prod", func(p *Proc) {
-		p.Sleep(20)
-		q.Push(1)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok1 {
-		t.Error("first pop should have timed out")
-	}
-	if !ok2 {
-		t.Error("second pop should have succeeded")
-	}
-}
-
 func TestQueueTryPop(t *testing.T) {
 	e := NewEngine(1)
 	q := NewQueue[int](e)

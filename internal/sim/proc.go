@@ -58,23 +58,11 @@ func (e *Engine) register(p *Proc) {
 // current virtual time. fn runs concurrently with the caller in virtual
 // time but never in parallel in real time.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.spawnAt(e.now, name, fn)
-}
-
-// SpawnAfter is Spawn with the start delayed by d.
-func (e *Engine) SpawnAfter(d Duration, name string, fn func(p *Proc)) *Proc {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.spawnAt(e.now.Add(d), name, fn)
-}
-
-func (e *Engine) spawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, fn: fn}
 	p.w.p = p
 	e.live++
 	e.register(p)
-	e.atWake(t, p) // the first wake of an unstarted process starts it
+	e.atWake(e.now, p) // the first wake of an unstarted process starts it
 	return p
 }
 

@@ -141,7 +141,8 @@ func TestProcPanicPropagatesFromRun(t *testing.T) {
 		})
 	}
 	e.Spawn("oneshot", func(p *Proc) {})
-	e.SpawnAfter(5, "bad", func(p *Proc) {
+	e.Spawn("bad", func(p *Proc) {
+		p.Sleep(5)
 		q.Push(1)
 		p.Sleep(1)
 		panic("kaboom")

@@ -56,22 +56,6 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	return q.take()
 }
 
-// PopTimeout is Pop with a deadline; ok reports whether an item arrived in
-// time.
-func (q *Queue[T]) PopTimeout(p *Proc, d Duration) (v T, ok bool) {
-	deadline := q.eng.now.Add(d)
-	for q.Len() == 0 {
-		remaining := deadline.Sub(q.eng.now)
-		if remaining <= 0 {
-			return v, false
-		}
-		if !q.avail.WaitTimeout(p, remaining) {
-			return v, false
-		}
-	}
-	return q.take(), true
-}
-
 // TryPop removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryPop() (v T, ok bool) {
 	if q.Len() == 0 {

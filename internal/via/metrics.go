@@ -115,7 +115,6 @@ func (s *System) CollectMetrics() metrics.Snapshot {
 		r.AddUint(metrics.Join(linkK, "rx_corrupt"), ls.RxCorrupt)
 		r.AddUint(metrics.Join(linkK, "dropped"), ls.Dropped)
 		r.AddUint(metrics.Join(linkK, "dropped_fault"), ls.DroppedFault)
-		r.AddUint(metrics.Join(linkK, "dropped_filter"), ls.DroppedFilter)
 		r.AddUint(metrics.Join(linkK, "dropped_rate"), ls.DroppedRate)
 	}
 
@@ -136,7 +135,6 @@ func (s *System) CollectMetrics() metrics.Snapshot {
 	r.AddUint("fabric.delivered", s.Net.Delivered)
 	r.AddUint("fabric.dropped", s.Net.Dropped)
 	r.AddUint("fabric.dropped_fault", s.Net.DroppedBy(fabric.DropCauseFault))
-	r.AddUint("fabric.dropped_filter", s.Net.DroppedBy(fabric.DropCauseFilter))
 	r.AddUint("fabric.dropped_rate", s.Net.DroppedBy(fabric.DropCauseRate))
 	r.AddUint("fabric.duplicated", s.Net.Duplicated)
 	r.AddUint("fabric.corrupted", s.Net.Corrupted)

@@ -70,7 +70,7 @@ func (s *System) InstallFaults(p *fault.Plan) {
 	}
 	inj := p.NewInjector()
 	s.faults = inj
-	s.Net.AddInjector(inj)
+	s.Net.SetInjector(inj)
 	if inj.HasElementFaults() {
 		// Switch/link outages hook route selection: the fabric steers each
 		// packet around dead elements (or drops it when no candidate path

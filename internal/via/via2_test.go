@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"vibe/internal/fabric"
 	"vibe/internal/provider"
 	"vibe/internal/sim"
 )
@@ -227,8 +226,8 @@ func TestWaitOnEmptyQueueIsInvalid(t *testing.T) {
 // --- reliability ---
 
 func TestReliableLossScripted(t *testing.T) {
-	// Like the above but wiring the drop filter into the actual system the
-	// endpoints run on.
+	// A test packet injector drops data fragments 1 and 3 once each; the
+	// reliable VI must retransmit them and deliver the message intact.
 	for _, lv := range []ReliabilityLevel{ReliableDelivery, ReliableReception} {
 		lv := lv
 		t.Run(lv.String(), func(t *testing.T) {
@@ -259,17 +258,16 @@ func TestReliableLossScripted(t *testing.T) {
 					}
 				})
 			dropped := map[int]bool{}
-			env.sys.Net.SetDropFilter(func(idx uint64, d fabric.Delivery) bool {
-				pkt := d.Payload.(*wirePacket)
+			env.sys.Net.SetInjector(dropInjector(func(pkt *wirePacket) bool {
 				if pkt.kind == pktData && (pkt.frag.Index == 1 || pkt.frag.Index == 3) && !dropped[pkt.frag.Index] {
 					dropped[pkt.frag.Index] = true
 					return true
 				}
 				return false
-			})
+			}))
 			env.run()
 			if len(dropped) != 2 {
-				t.Fatalf("drop filter fired %d times", len(dropped))
+				t.Fatalf("drop injector fired %d times", len(dropped))
 			}
 		})
 	}
@@ -296,14 +294,13 @@ func TestReliableAckLossRecovered(t *testing.T) {
 				t.Error(err)
 			}
 		})
-	env.sys.Net.SetDropFilter(func(idx uint64, d fabric.Delivery) bool {
-		pkt := d.Payload.(*wirePacket)
+	env.sys.Net.SetInjector(dropInjector(func(pkt *wirePacket) bool {
 		if pkt.kind == pktAck && !dropOnce {
 			dropOnce = true
 			return true
 		}
 		return false
-	})
+	}))
 	env.run()
 	if !dropOnce {
 		t.Fatal("no ack was dropped")
@@ -339,17 +336,16 @@ func TestUnreliableLossDropsMessageSilently(t *testing.T) {
 			}
 		})
 	var fired bool
-	env.sys.Net.SetDropFilter(func(idx uint64, d fabric.Delivery) bool {
-		pkt := d.Payload.(*wirePacket)
+	env.sys.Net.SetInjector(dropInjector(func(pkt *wirePacket) bool {
 		if pkt.kind == pktData && pkt.msgID == 1 && pkt.frag.Index == 2 && !fired {
 			fired = true
 			return true
 		}
 		return false
-	})
+	}))
 	env.run()
 	if !fired {
-		t.Fatal("drop filter never fired")
+		t.Fatal("drop injector never fired")
 	}
 }
 
@@ -375,8 +371,6 @@ func TestTransportFailureBreaksConnection(t *testing.T) {
 			}
 		},
 		func(ctx *Ctx, vi *Vi, nic *Nic) {})
-	env.sys.Net.SetDropFilter(func(idx uint64, d fabric.Delivery) bool {
-		return d.Payload.(*wirePacket).kind == pktData
-	})
+	env.sys.Net.SetInjector(dropInjector(func(pkt *wirePacket) bool { return pkt.kind == pktData }))
 	env.run()
 }

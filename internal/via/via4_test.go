@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"vibe/internal/fabric"
 	"vibe/internal/provider"
 	"vibe/internal/sim"
 )
@@ -198,9 +197,7 @@ func TestSendOnErroredViRejectedEventually(t *testing.T) {
 			}
 		},
 		func(ctx *Ctx, vi *Vi, nic *Nic) {})
-	env.sys.Net.SetDropFilter(func(idx uint64, d fabric.Delivery) bool {
-		return d.Payload.(*wirePacket).kind == pktData
-	})
+	env.sys.Net.SetInjector(dropInjector(func(pkt *wirePacket) bool { return pkt.kind == pktData }))
 	env.run()
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"vibe/internal/fabric"
 	"vibe/internal/provider"
 	"vibe/internal/sim"
 )
@@ -64,6 +65,14 @@ func (e *pairEnv) run() {
 	if err := e.sys.Run(); err != nil {
 		e.t.Fatal(err)
 	}
+}
+
+// dropInjector is a test fabric.PacketInjector that drops every packet it
+// reports true for.
+type dropInjector func(pkt *wirePacket) bool
+
+func (f dropInjector) InjectPacket(_ uint64, _ sim.Time, d *fabric.Delivery) fabric.PacketFault {
+	return fabric.PacketFault{Drop: f(d.Payload.(*wirePacket))}
 }
 
 // --- basic transfer ---
