@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"vibe/internal/provider"
@@ -23,6 +24,39 @@ func bwAt(t *testing.T, m *provider.Model, size int, o XferOpts) XferResult {
 		t.Fatalf("bandwidth %s %d: %v", m.Name, size, err)
 	}
 	return r
+}
+
+// TestXferHeapBytes gates the host heap one 64 KiB cLAN point costs. The
+// benchmark never writes its buffers, so the NIC moves their zero ranges as
+// lengths: neither side's buffer is materialized and no fragment carries a
+// payload slice. Gathering or scattering real bytes again costs a
+// bandwidth point about 1.9 MiB and a latency point about 400 KiB.
+// Heap bytes are deterministic on any machine, unlike a wall-time gate.
+func TestXferHeapBytes(t *testing.T) {
+	const size = 64 << 10
+	for _, c := range []struct {
+		name  string
+		run   func(Config, int, XferOpts) (XferResult, error)
+		limit uint64
+	}{
+		{"Bandwidth", Bandwidth, 640 << 10},
+		{"Latency", Latency, 160 << 10},
+	} {
+		cfg := DefaultConfig(provider.CLAN())
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := c.run(cfg, size, XferOpts{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		d := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s(%d): allocated %d KiB", c.name, size, d>>10)
+		if d >= c.limit {
+			t.Errorf("%s(%d) allocated %d KiB, want < %d KiB", c.name, size, d>>10, c.limit>>10)
+		}
+	}
 }
 
 // --- Figure 3 shapes: base latency and bandwidth with polling ---

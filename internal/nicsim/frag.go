@@ -37,6 +37,19 @@ func Fragments(n, mtu int) []Fragment {
 	return frags
 }
 
+// FragmentAt returns Fragments(n, mtu)[i] without allocating.
+func FragmentAt(n, mtu, i int) Fragment {
+	if n < 0 {
+		panic(fmt.Sprintf("nicsim: negative message size %d", n))
+	}
+	count := NumFragments(n, mtu)
+	if i < 0 || i >= count {
+		panic(fmt.Sprintf("nicsim: fragment %d of %d", i, count))
+	}
+	off := i * mtu
+	return Fragment{Offset: off, Size: min(mtu, n-off), Index: i, Last: i == count-1}
+}
+
 // NumFragments reports how many fragments Fragments would return, without
 // allocating.
 func NumFragments(n, mtu int) int {

@@ -56,6 +56,41 @@ func TestFragmentsPanics(t *testing.T) {
 	}
 }
 
+// FragmentAt(n, mtu, i) is Fragments(n, mtu)[i] for every i, around the
+// MTU boundaries, and it does not allocate.
+func TestFragmentAtMatchesFragments(t *testing.T) {
+	for _, mtu := range []int{1, 7, 1500, 4096} {
+		for _, n := range []int{0, 1, mtu - 1, mtu, mtu + 1, 3 * mtu, 3*mtu + 1} {
+			frags := Fragments(n, mtu)
+			if got := NumFragments(n, mtu); got != len(frags) {
+				t.Errorf("NumFragments(%d, %d) = %d, want %d", n, mtu, got, len(frags))
+			}
+			for i, want := range frags {
+				if got := FragmentAt(n, mtu, i); got != want {
+					t.Errorf("FragmentAt(%d, %d, %d) = %+v, want %+v", n, mtu, i, got, want)
+				}
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { FragmentAt(10000, 1500, 3) }); a != 0 {
+		t.Errorf("FragmentAt allocates %v times per call", a)
+	}
+	for _, f := range []func(){
+		func() { FragmentAt(10, 4, 3) },
+		func() { FragmentAt(10, 4, -1) },
+		func() { FragmentAt(-1, 4, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic")
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 // Property: fragments tile the message exactly, in order, sizes within
 // MTU, and NumFragments agrees.
 func TestFragmentsTileMessage(t *testing.T) {

@@ -483,3 +483,30 @@ func ParseSet(args []string) (map[string]string, error) {
 	}
 	return set, nil
 }
+
+// CanonicalSet copies an override map with every key rewritten to its
+// catalog name, so "tlbcapacity" and "TLBCapacity" name one key and layer
+// by precedence. A map that names one parameter twice is an error: unlike
+// an ordered -set list, it has no later entry to win.
+func CanonicalSet(in map[string]string) (map[string]string, error) {
+	if len(in) == 0 {
+		return in, nil
+	}
+	keys := make([]string, 0, len(in))
+	for k := range in {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys) // the first unknown name is the one reported
+	out := make(map[string]string, len(in))
+	for _, k := range keys {
+		p, err := ParamByName(k)
+		if err != nil {
+			return nil, err
+		}
+		if _, dup := out[p.Name]; dup {
+			return nil, fmt.Errorf("provider: parameter %s set twice", p.Name)
+		}
+		out[p.Name] = in[k]
+	}
+	return out, nil
+}

@@ -170,7 +170,7 @@ func mergeSpec(req Request) (core.ScenarioSpec, error) {
 		}
 		spec = s
 	}
-	set, err := canonicalSet(spec.Set)
+	set, err := provider.CanonicalSet(spec.Set)
 	if err != nil {
 		return spec, err
 	}
@@ -193,33 +193,6 @@ func mergeSpec(req Request) (core.ScenarioSpec, error) {
 		spec.Fault = f
 	}
 	return spec, nil
-}
-
-// canonicalSet copies a scenario's overrides with every key rewritten to
-// its catalog name, so a file's "tlbcapacity" and a -set or -sweep
-// "TLBCapacity" name one key and layer by precedence. A set that names
-// one parameter twice is an error.
-func canonicalSet(in map[string]string) (map[string]string, error) {
-	if len(in) == 0 {
-		return in, nil
-	}
-	keys := make([]string, 0, len(in))
-	for k := range in {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys) // the first unknown name is the one reported
-	out := make(map[string]string, len(in))
-	for _, k := range keys {
-		p, err := provider.ParamByName(k)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := out[p.Name]; dup {
-			return nil, fmt.Errorf("runner: scenario sets parameter %s twice", p.Name)
-		}
-		out[p.Name] = in[k]
-	}
-	return out, nil
 }
 
 // Artifact is one named, encoded output of a run.

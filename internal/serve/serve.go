@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"vibe/internal/metrics"
+	"vibe/internal/provider"
 	"vibe/internal/results"
 	"vibe/internal/runner"
 )
@@ -116,9 +117,15 @@ func (s *Server) Close() {
 // returns a new job that is already done, sharing the original's
 // artifacts and result bytes.
 func (s *Server) Submit(req Submission) (*Job, error) {
+	// A map has no order for a later entry to win by, so one parameter
+	// named twice (in two spellings) is rejected, not resolved.
+	set, err := provider.CanonicalSet(req.Set)
+	if err != nil {
+		return nil, err
+	}
 	plan, err := runner.Compile(runner.Request{
 		Scenario:    req.Scenario,
-		Set:         setPairs(req.Set),
+		Set:         setPairs(set),
 		Sweeps:      req.Sweeps,
 		Quick:       req.Quick,
 		Experiments: req.Experiments,

@@ -18,6 +18,7 @@ import (
 
 	"vibe/internal/core"
 	"vibe/internal/fault"
+	"vibe/internal/provider"
 	"vibe/internal/results"
 	"vibe/internal/runner"
 )
@@ -612,6 +613,37 @@ func TestSubmitTrailingData(t *testing.T) {
 	}
 }
 
+// TestSubmitSetNamesParameterTwice checks a submission whose set map names
+// one parameter in two spellings is refused with 400 instead of letting
+// one spelling win silently, while one spelling in any case is accepted.
+func TestSubmitSetNamesParameterTwice(t *testing.T) {
+	s := New(Options{})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	body := `{"quick":true,"experiments":["T1"],"set":{"TLBCapacity":"16","tlbcapacity":"8"}}`
+	resp, err := http.Post(hs.URL+"/api/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("set naming TLBCapacity twice -> %d, want 400", resp.StatusCode)
+	}
+	s.mu.Lock()
+	submits := s.submits
+	s.mu.Unlock()
+	if submits != 0 {
+		t.Errorf("after the duplicate set: submits=%d, want 0", submits)
+	}
+	j, err := s.Submit(Submission{Quick: true, Experiments: []string{"T1"}, Set: map[string]string{"tlbcapacity": "8"}})
+	if err != nil {
+		t.Fatalf("lowercase set: %v", err)
+	}
+	if got := j.plan.Scenarios[0].Model(provider.BVIA()).TLBCapacity; got != 8 {
+		t.Errorf("set tlbcapacity=8: capacity %d", got)
+	}
+}
+
 // TestSweepArtifactsMatchCLI runs a two-cell sweep with trace and profile
 // on the daemon and requires every artifact to be byte-identical to what
 // the shared pipeline gives vibe-report for the same run
@@ -746,6 +778,7 @@ func FuzzSubmission(f *testing.F) {
 	f.Add([]byte(`{"quick": true, "experiments": ["T1"], "sweeps": ["TLBCapacity=8,32", "tlbcapacity=64"]}`))
 	f.Add([]byte(`{"quick": true, "experiments": ["T1"], "sweeps": ["TLBCapacity=` + list(64) + `", "WireMTU=` + list(65) + `"]}`))
 	f.Add([]byte(`{"quick":true,"experiments":["T1"]} {"experiments":["F3"]}`))
+	f.Add([]byte(`{"quick": true, "experiments": ["T1"], "set": {"TLBCapacity": "16", "tlbcapacity": "8"}}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := New(Options{})
 		rec := httptest.NewRecorder()

@@ -108,7 +108,7 @@ const (
 type nicEngine interface {
 	Step(pc int) (sim.Duration, int)
 	// emit builds and transmits the packet for fragment f, whose payload
-	// has been gathered into data.
+	// has been gathered into data (nil for a zero range).
 	emit(f nicsim.Fragment, data []byte)
 	// sent runs after the loop's last fragment and ends the item.
 	sent() (sim.Duration, int)
@@ -125,25 +125,29 @@ type datapath struct {
 	n     *Nic
 	owner nicEngine
 
-	// The current DMA: size bytes at logical offset off of runs. src is
-	// the inbound payload, scattered into runs once the DMA has run; nil
-	// means outbound (the loop gathers the fragment when it sends it). sp
-	// is charged the stall, translation and DMA time; rsp, the receive
-	// descriptor's own span on the send/receive path, is charged too, its
-	// stall counting as reassembly. ret is the engine state to continue
-	// at.
+	// The current DMA: size bytes at logical offset off of runs. An
+	// inbound DMA scatters its payload src into runs once the DMA has run
+	// (nil src lands zeros); an outbound one moves nothing, since the loop
+	// gathers the fragment when it sends it. sp is charged the stall,
+	// translation and DMA time; rsp, the receive descriptor's own span on
+	// the send/receive path, is charged too, its stall counting as
+	// reassembly. ret is the engine state to continue at. pages is the
+	// translation walk's scratch.
 	runs      []segRun
 	off, size int
+	in        bool
 	src       []byte
 	sp, rsp   *msgSpan
 	ret       int
 	xd, dd    sim.Duration
+	pages     []uint64
 
-	// The outbound fragment loop: the message in msg, cut into frags,
-	// charged to msgSp; fi is the fragment in hand.
+	// The outbound fragment loop: total bytes of msg, charged to msgSp;
+	// frag is fragment fi, the one in hand.
 	msg   []segRun
-	frags []nicsim.Fragment
+	total int
 	fi    int
+	frag  nicsim.Fragment
 	msgSp *msgSpan
 }
 
@@ -152,8 +156,8 @@ func (dp *datapath) now() sim.Time { return dp.n.host.sys.Eng.Now() }
 // dma starts the DMA sub-chain and continues at the engine's state ret
 // once the data has moved. Like ackThen, it consults the fault plan first
 // and falls through inline when no stall is injected.
-func (dp *datapath) dma(runs []segRun, off, size int, src []byte, sp, rsp *msgSpan, ret int) (sim.Duration, int) {
-	dp.runs, dp.off, dp.size, dp.src = runs, off, size, src
+func (dp *datapath) dma(runs []segRun, off, size int, in bool, src []byte, sp, rsp *msgSpan, ret int) (sim.Duration, int) {
+	dp.runs, dp.off, dp.size, dp.in, dp.src = runs, off, size, in, src
 	dp.sp, dp.rsp, dp.ret = sp, rsp, ret
 	if d := dp.n.stallD(fault.SiteDMA); d > 0 {
 		return d, dmaStallDone
@@ -164,15 +168,14 @@ func (dp *datapath) dma(runs []segRun, off, size int, src []byte, sp, rsp *msgSp
 // sendFrags starts the outbound fragment loop over the total bytes of
 // msg, charging sp.
 func (dp *datapath) sendFrags(msg []segRun, total int, sp *msgSpan) (sim.Duration, int) {
-	m := dp.n.model
-	dp.msg, dp.frags, dp.fi, dp.msgSp = msg, nicsim.Fragments(total, m.WireMTU), 0, sp
-	return m.PerFragment, fragDone
+	dp.msg, dp.total, dp.fi, dp.msgSp = msg, total, 0, sp
+	return dp.n.model.PerFragment, fragDone
 }
 
 // reset drops the references the last item left behind.
 func (dp *datapath) reset() {
 	dp.runs, dp.src, dp.sp, dp.rsp = nil, nil, nil, nil
-	dp.msg, dp.frags, dp.msgSp = nil, nil, nil
+	dp.msg, dp.msgSp = nil, nil
 }
 
 // step runs the shared states; the engines' Step delegates every state
@@ -184,7 +187,8 @@ func (dp *datapath) step(pc int) (sim.Duration, int) {
 	case dmaStallDone:
 		dp.sp.mark(phaseDMA, dp.now()) // injected DMA stall, if any
 		dp.rsp.mark(phaseReassembly, dp.now())
-		dp.xd = n.xlateCost(pagesIn(dp.runs, dp.off, dp.size))
+		dp.pages = pagesIn(dp.runs, dp.off, dp.size, dp.pages)
+		dp.xd = n.xlateCost(dp.pages)
 		return dp.xd, dmaXlateDone
 
 	case dmaXlateDone:
@@ -198,31 +202,30 @@ func (dp *datapath) step(pc int) (sim.Duration, int) {
 		n.BusyDMA += dp.dd
 		dp.sp.add(phaseDMA, dp.dd, dp.now())
 		dp.rsp.add(phaseDMA, dp.dd, dp.now())
-		if dp.src != nil {
+		if dp.in {
 			n.DMABytesIn += uint64(dp.size)
-			scatter(dp.runs, dp.off, dp.src)
+			scatter(dp.runs, dp.off, dp.size, dp.src)
 		} else {
 			n.DMABytesOut += uint64(dp.size)
 		}
 		return dp.owner.Step(dp.ret)
 
 	case fragDone:
-		f := dp.frags[dp.fi]
+		f := nicsim.FragmentAt(dp.total, m.WireMTU, dp.fi)
+		dp.frag = f
 		n.BusyFrag += m.PerFragment
 		dp.msgSp.add(phaseFrag, m.PerFragment, dp.now())
 		n.FragsSent++
 		if f.Size > 0 {
-			return dp.dma(dp.msg, f.Offset, f.Size, nil, dp.msgSp, nil, fragReady)
+			return dp.dma(dp.msg, f.Offset, f.Size, false, nil, dp.msgSp, nil, fragReady)
 		}
 		return dp.step(fragReady)
 
 	case fragReady:
-		f := dp.frags[dp.fi]
-		data := n.host.sys.bufs.Get(f.Size)
-		gather(dp.msg, f.Offset, data)
-		dp.owner.emit(f, data)
+		f := dp.frag
+		dp.owner.emit(f, gather(dp.msg, f.Offset, f.Size, n.host.sys.bufs))
 		dp.fi++
-		if dp.fi < len(dp.frags) {
+		if !f.Last {
 			return m.PerFragment, fragDone
 		}
 		return dp.owner.sent()
@@ -753,7 +756,7 @@ func (rm *recvMachine) Step(pc int) (sim.Duration, int) {
 		rm.msgDone = done
 		rm.tailCopy = 0
 		if ok && pkt.frag.Size > 0 {
-			return rm.dp.dma(conn.curRecvRuns, pkt.frag.Offset, pkt.frag.Size, pkt.data, rm.sp, rm.rsp, rDataLanded)
+			return rm.dp.dma(conn.curRecvRuns, pkt.frag.Offset, pkt.frag.Size, true, pkt.data, rm.sp, rm.rsp, rDataLanded)
 		}
 		return rm.Step(rDataStored)
 
@@ -793,10 +796,9 @@ func (rm *recvMachine) Step(pc int) (sim.Duration, int) {
 		done, ok := rm.conn.rdmaReasm.Accept(pkt.msgID, pkt.frag, pkt.msgTotal)
 		rm.msgDone = done
 		if ok && pkt.frag.Size > 0 {
-			data, err := n.host.AS.Resolve(rm.addr, pkt.frag.Size)
-			if err == nil {
-				rm.one[0] = segRun{addr: rm.addr, data: data}
-				return rm.dp.dma(rm.one[:], 0, pkt.frag.Size, pkt.data, rm.sp, nil, rWriteStored)
+			if r, err := locateRun(n.host.AS, rm.addr, pkt.frag.Size); err == nil {
+				rm.one[0] = r
+				return rm.dp.dma(rm.one[:], 0, pkt.frag.Size, true, pkt.data, rm.sp, nil, rWriteStored)
 			}
 		}
 		return rm.Step(rWriteStored)
@@ -842,11 +844,11 @@ func (rm *recvMachine) Step(pc int) (sim.Duration, int) {
 		// send direction of the connection. The responder stays on the
 		// receive engine: moving it to the send engine would reorder
 		// events.
-		data, err := n.host.AS.Resolve(pkt.remoteAddr, pkt.msgTotal)
+		r, err := locateRun(n.host.AS, pkt.remoteAddr, pkt.msgTotal)
 		if err != nil {
 			return rm.tail()
 		}
-		rm.one[0] = segRun{addr: pkt.remoteAddr, data: data}
+		rm.one[0] = r
 		return rm.dp.sendFrags(rm.one[:], pkt.msgTotal, rm.sp)
 
 	// --- pktRdmaReadResp ---
@@ -861,7 +863,7 @@ func (rm *recvMachine) Step(pc int) (sim.Duration, int) {
 		done, ok := conn.readReasm.Accept(pkt.readReq, pkt.frag, pkt.msgTotal)
 		rm.msgDone = done
 		if ok && pkt.frag.Size > 0 {
-			return rm.dp.dma(rs.runs, pkt.frag.Offset, pkt.frag.Size, pkt.data, rm.sp, nil, rRespStored)
+			return rm.dp.dma(rs.runs, pkt.frag.Offset, pkt.frag.Size, true, pkt.data, rm.sp, nil, rRespStored)
 		}
 		return rm.Step(rRespStored)
 

@@ -69,7 +69,7 @@ type wirePacket struct {
 	msgID    uint64
 	frag     nicsim.Fragment
 	msgTotal int
-	data     []byte // snapshot of the fragment payload
+	data     []byte // snapshot of the fragment payload; nil for a zero range
 
 	immediate    uint32
 	hasImmediate bool
@@ -101,7 +101,7 @@ type wirePacket struct {
 func (p *wirePacket) wireSize(ackBytes int) int {
 	switch p.kind {
 	case pktData, pktRdmaWrite, pktRdmaReadResp:
-		return dataHeaderBytes + len(p.data)
+		return dataHeaderBytes + p.frag.Size
 	case pktAck, pktErrAck:
 		return ackBytes
 	case pktRdmaReadReq:

@@ -55,7 +55,10 @@ func NumPages(addr Addr, length int) int {
 // Buffer is a contiguous allocation in a simulated address space. Its
 // storage is allocated, zeroed, on first touch by Bytes, Slice, Fill,
 // FillPattern, CheckPattern or AddressSpace.Resolve; until then the buffer
-// costs one small struct and reads as zeros.
+// costs one small struct and reads as zeros. Simulated DMA keeps untouched
+// memory untouched: the NIC looks buffers up with AddressSpace.Locate and
+// moves a zero range between untouched buffers as a length, so a buffer
+// the host never touches keeps no storage however much traffic it carries.
 type Buffer struct {
 	addr Addr
 	n    int
@@ -68,6 +71,10 @@ func (b *Buffer) Addr() Addr { return b.addr }
 
 // Len returns the buffer length in bytes.
 func (b *Buffer) Len() int { return b.n }
+
+// HasStorage reports whether the buffer's storage has been materialized.
+// An untouched buffer reads as zeros.
+func (b *Buffer) HasStorage() bool { return b.data != nil }
 
 // Bytes returns the backing storage, materializing it on first use.
 // Mutations are visible to simulated DMA, exactly as host memory would be.
@@ -155,7 +162,7 @@ func (a Addr) Advance(n int) Addr { return Addr(uint64(a) + uint64(n)) }
 // allocation, with the same errors Resolve returns, without materializing
 // the buffer's storage.
 func (as *AddressSpace) Check(addr Addr, n int) error {
-	_, _, err := as.locate(addr, n)
+	_, _, err := as.Locate(addr, n)
 	return err
 }
 
@@ -163,15 +170,17 @@ func (as *AddressSpace) Check(addr Addr, n int) error {
 // fails if the range is unmapped or spans an allocation boundary, the
 // simulated equivalent of a fault during DMA.
 func (as *AddressSpace) Resolve(addr Addr, n int) ([]byte, error) {
-	b, off, err := as.locate(addr, n)
+	b, off, err := as.Locate(addr, n)
 	if err != nil {
 		return nil, err
 	}
 	return b.Bytes()[off : off+n], nil
 }
 
-// locate finds the buffer holding [addr, addr+n) and addr's offset in it.
-func (as *AddressSpace) locate(addr Addr, n int) (*Buffer, int, error) {
+// Locate finds the buffer holding [addr, addr+n) and addr's offset in it,
+// with the same errors Resolve returns, without materializing the
+// buffer's storage.
+func (as *AddressSpace) Locate(addr Addr, n int) (*Buffer, int, error) {
 	b := as.find(addr)
 	if b == nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrBadAddress, addr)

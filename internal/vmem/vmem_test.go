@@ -241,7 +241,10 @@ func TestAllocIsLazy(t *testing.T) {
 	if as.Owner(b.AddrAt(b.Len()-1)) != b {
 		t.Error("Owner missed last byte of untouched buffer")
 	}
-	if b.data != nil {
+	if got, off, err := as.Locate(b.AddrAt(1<<20), 1<<20); got != b || off != 1<<20 || err != nil {
+		t.Errorf("Locate = %p, %d, %v; want %p, %d, nil", got, off, err, b, 1<<20)
+	}
+	if b.HasStorage() {
 		t.Fatal("metadata accessors materialized the buffer")
 	}
 
@@ -268,7 +271,7 @@ func TestAllocIsLazy(t *testing.T) {
 	if err != nil || len(got) != 8 || got[0] != 0 {
 		t.Errorf("Resolve of untouched buffer: %v %v", got, err)
 	}
-	if fresh.data == nil {
+	if !fresh.HasStorage() {
 		t.Error("Resolve did not materialize the buffer")
 	}
 }
@@ -290,10 +293,13 @@ func TestCheckMatchesResolve(t *testing.T) {
 	}
 	for _, c := range cases {
 		checkErr := as.Check(c.addr, c.n)
+		_, _, locateErr := as.Locate(c.addr, c.n)
 		_, resolveErr := as.Resolve(c.addr, c.n)
-		if (checkErr == nil) != (resolveErr == nil) ||
-			checkErr != nil && checkErr.Error() != resolveErr.Error() {
-			t.Errorf("[%v,+%d): Check = %v, Resolve = %v", c.addr, c.n, checkErr, resolveErr)
+		for _, err := range []error{checkErr, locateErr} {
+			if (err == nil) != (resolveErr == nil) ||
+				err != nil && err.Error() != resolveErr.Error() {
+				t.Errorf("[%v,+%d): Check = %v, Locate = %v, Resolve = %v", c.addr, c.n, checkErr, locateErr, resolveErr)
+			}
 		}
 	}
 }
