@@ -1,6 +1,8 @@
 package results
 
 import (
+	"bytes"
+	"os"
 	"testing"
 
 	"vibe/internal/core"
@@ -30,14 +32,21 @@ func TestFullBaselineUnchanged(t *testing.T) {
 }
 
 // checkBaseline reruns the registry in the given mode and requires every
-// value to match the saved set exactly (tolerance 0).
+// value to match the saved set exactly (tolerance 0), then requires the
+// regenerated set, under the saved set's label and scenario, to encode to
+// the saved file byte for byte: Compare reads numbers only, so this is
+// what pins text cells and the on-disk schema.
 func checkBaseline(t *testing.T, path string, quick bool) {
 	t.Helper()
-	base, err := Load(path)
+	saved, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := &Set{Label: "regenerated"}
+	base, err := decode(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := &Set{Label: base.Label, Scenario: base.Scenario}
 	for _, e := range core.Experiments() {
 		rep, err := e.Run(core.DefaultScenario(quick))
 		if err != nil {
@@ -49,7 +58,14 @@ func checkBaseline(t *testing.T, path string, quick bool) {
 	for _, d := range diffs {
 		t.Errorf("%s %s: %.6g -> %.6g", d.Experiment, d.Where, d.Base, d.New)
 	}
-	if len(diffs) > 0 {
+	enc, err := Encode(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, saved) {
+		t.Errorf("regenerated set encodes to %d bytes that differ from %s (%d bytes)", len(enc), path, len(saved))
+	}
+	if t.Failed() {
 		t.Log("intentional change? regenerate the baseline (see the test's comment)")
 	}
 }
