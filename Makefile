@@ -43,18 +43,22 @@ chaos:
 	VIBE_CHAOS_PLANS=$(CHAOS_PLANS) $(GO) test -race -run 'TestChaosSoak|TestChaosSoakRouted|TestSpanIntegrityUnderFaults' -timeout 10m ./internal/via/
 
 # Failover smoke: rerun the XFAILOVER spine-outage experiment in quick
-# mode and require byte-identical results against the committed baseline
-# (-tol 0), with the trace and virtual-time profile written alongside for
-# CI artifact upload. A diff here means failover routing, the element
-# oracle, or the recovery path changed behavior.
+# mode, compare it against the committed baseline at -tol 0 (numbers,
+# text cells such as "Conn broken", and table and series shape), then
+# require the saved result set to equal the baseline file byte for byte.
+# The trace and virtual-time profile are written alongside for CI artifact
+# upload. A diff here means failover routing, the element oracle, or the
+# recovery path changed behavior.
 failover-smoke: build
 	mkdir -p artifacts
 	$(GO) run ./cmd/vibe-report -quick -exp XFAILOVER \
+	  -label baseline-xfailover-quick -json artifacts/xfailover.json \
 	  -trace-out artifacts/xfailover_trace.json \
 	  -profile-out artifacts/xfailover_profile.folded \
 	  -compare internal/results/testdata/baseline-xfailover-quick.json -tol 0 \
 	  > artifacts/xfailover_report.txt
 	tail -n 30 artifacts/xfailover_report.txt
+	cmp artifacts/xfailover.json internal/results/testdata/baseline-xfailover-quick.json
 
 # Daemon smoke: boot the vibed service on a random port, submit the full
 # quick registry over HTTP, follow the SSE stream to completion, scrape
@@ -122,7 +126,9 @@ bench-smoke: build
 # not exactly one JSON value and a sweep that cannot expand, and bounds
 # an accepted job's cells; and
 # FuzzResultsRoundTrip checks that a decoded result set re-encodes to a
-# fixed point with the same provenance. A failing input is written under
+# fixed point with the same provenance and that Compare finds no
+# difference between it and itself (a malformed set must be rejected by
+# decoding, not panic in Compare). A failing input is written under
 # the package's testdata/fuzz/ and replays in every later `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDuration$$' -fuzztime 10s ./internal/provider/

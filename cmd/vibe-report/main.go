@@ -30,14 +30,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 
-	"vibe/internal/bench"
 	"vibe/internal/core"
 	"vibe/internal/results"
 	"vibe/internal/runner"
-	"vibe/internal/table"
 )
 
 // repeatedFlag collects every occurrence of a repeatable string flag.
@@ -133,16 +130,10 @@ func main() {
 					fmt.Println()
 					continue
 				}
-				t := groupTable(g)
-				t.Render(os.Stdout)
+				g.Table().Render(os.Stdout)
 				fmt.Println()
 				if *chart {
-					c := table.NewChart(g.Title, g.Series[0].XLabel, g.Series[0].YLabel)
-					for _, s := range g.Series {
-						xs, ys := s.XY()
-						c.Add(s.Name, xs, ys)
-					}
-					c.Render(os.Stdout, 72, 16)
+					g.RenderChart(os.Stdout, 72, 16)
 					fmt.Println()
 				}
 			}
@@ -187,39 +178,6 @@ func main() {
 		save(runner.ProfileArtifact, *profileOut)
 	}
 	os.Exit(exitCode)
-}
-
-// groupTable renders a series group as a wide table: the x column plus one
-// column per series, rows being the union of x values.
-func groupTable(g *bench.Group) *table.Table {
-	headers := []string{g.Series[0].XLabel}
-	for _, s := range g.Series {
-		headers = append(headers, s.Name)
-	}
-	t := table.New(g.Title+" ("+g.Series[0].YLabel+")", headers...)
-	xset := map[float64]bool{}
-	for _, s := range g.Series {
-		for _, p := range s.Points {
-			xset[p.X] = true
-		}
-	}
-	xs := make([]float64, 0, len(xset))
-	for x := range xset {
-		xs = append(xs, x)
-	}
-	sort.Float64s(xs)
-	for _, x := range xs {
-		row := []interface{}{x}
-		for _, s := range g.Series {
-			if y, ok := s.At(x); ok {
-				row = append(row, y)
-			} else {
-				row = append(row, "")
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t
 }
 
 func fatal(err error) {

@@ -60,8 +60,8 @@ func benches() []benchSpec {
 			}
 			t := table.New(fmt.Sprintf("%s latency (%s)", a.cfg.Model.Name, a.o.Mode),
 				"size (bytes)", "latency (us)", "CPU (%)")
-			for i, p := range lat.Points {
-				t.AddRow(int(p.X), p.Y, cpuU.Points[i].Y)
+			for i, x := range lat.X {
+				t.AddRow(int(x), lat.Y[i], cpuU.Y[i])
 			}
 			return &core.Report{Tables: []*table.Table{t}}, nil
 		}},
@@ -72,8 +72,8 @@ func benches() []benchSpec {
 			}
 			t := table.New(fmt.Sprintf("%s bandwidth (%s)", a.cfg.Model.Name, a.o.Mode),
 				"size (bytes)", "bandwidth (MB/s)", "CPU (%)")
-			for i, p := range bw.Points {
-				t.AddRow(int(p.X), p.Y, cpuU.Points[i].Y)
+			for i, x := range bw.X {
+				t.AddRow(int(x), bw.Y[i], cpuU.Y[i])
 			}
 			return &core.Report{Tables: []*table.Table{t}}, nil
 		}},
@@ -84,8 +84,8 @@ func benches() []benchSpec {
 			}
 			t := table.New(fmt.Sprintf("%s client-server, %dB requests", a.cfg.Model.Name, a.req),
 				"reply size (bytes)", "transactions/s")
-			for _, p := range s.Points {
-				t.AddRow(int(p.X), p.Y)
+			for i, x := range s.X {
+				t.AddRow(int(x), s.Y[i])
 			}
 			return &core.Report{Tables: []*table.Table{t}}, nil
 		}},
@@ -139,8 +139,8 @@ func benches() []benchSpec {
 			}
 			t := table.New(fmt.Sprintf("%s message-passing layer latency", a.cfg.Model.Name),
 				"size (bytes)", "latency (us)")
-			for _, p := range s.Points {
-				t.AddRow(int(p.X), p.Y)
+			for i, x := range s.X {
+				t.AddRow(int(x), s.Y[i])
 			}
 			return &core.Report{Tables: []*table.Table{t}}, nil
 		}},
@@ -161,8 +161,8 @@ func benches() []benchSpec {
 
 func regReport(model, which string, s *bench.Series) *core.Report {
 	t := table.New(fmt.Sprintf("%s %s cost", model, which), "buffer (bytes)", "cost (us)")
-	for _, p := range s.Points {
-		t.AddRow(int(p.X), p.Y)
+	for i, x := range s.X {
+		t.AddRow(int(x), s.Y[i])
 	}
 	return &core.Report{Tables: []*table.Table{t}}
 }

@@ -1,26 +1,27 @@
 // Package bench provides the sweep harness the VIBe suite reports with:
-// named (x, y) series, size ladders, and CSV export.
+// named (x, y) series, size ladders, and a group's wide-table, CSV and
+// ASCII-chart renderings. Series and Group carry the results-repository
+// JSON schema.
 package bench
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
+
+	"vibe/internal/table"
 )
 
-// Point is one measurement.
-type Point struct {
-	X float64
-	Y float64
-}
-
-// Series is a named curve, e.g. "bvia latency vs message size".
+// Series is a named curve, e.g. "bvia latency vs message size", held as
+// parallel x and y columns: the layout the results repository stores.
 type Series struct {
-	Name   string
-	XLabel string
-	YLabel string
-	Points []Point
+	Name   string    `json:"name"`
+	XLabel string    `json:"xlabel"`
+	YLabel string    `json:"ylabel"`
+	X      []float64 `json:"x"`
+	Y      []float64 `json:"y"`
 }
 
 // NewSeries returns an empty series.
@@ -29,22 +30,16 @@ func NewSeries(name, xlabel, ylabel string) *Series {
 }
 
 // Add appends a point.
-func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
-
-// XY splits the series into coordinate slices.
-func (s *Series) XY() (xs, ys []float64) {
-	for _, p := range s.Points {
-		xs = append(xs, p.X)
-		ys = append(ys, p.Y)
-	}
-	return
+func (s *Series) Add(x, y float64) {
+	s.X = append(s.X, x)
+	s.Y = append(s.Y, y)
 }
 
 // At returns the y value at exactly x, and whether it exists.
 func (s *Series) At(x float64) (float64, bool) {
-	for _, p := range s.Points {
-		if p.X == x {
-			return p.Y, true
+	for i, px := range s.X {
+		if px == x {
+			return s.Y[i], true
 		}
 	}
 	return 0, false
@@ -63,9 +58,9 @@ func (s *Series) MustAt(x float64) float64 {
 // MaxY returns the largest y value, or 0 for an empty series.
 func (s *Series) MaxY() float64 {
 	max := 0.0
-	for i, p := range s.Points {
-		if i == 0 || p.Y > max {
-			max = p.Y
+	for i, y := range s.Y {
+		if i == 0 || y > max {
+			max = y
 		}
 	}
 	return max
@@ -84,8 +79,8 @@ func SmallLadder() []int {
 
 // Group is an ordered set of series sharing axes (one figure).
 type Group struct {
-	Title  string
-	Series []*Series
+	Title  string    `json:"title"`
+	Series []*Series `json:"series"`
 }
 
 // NewGroup returns an empty group.
@@ -107,16 +102,35 @@ func (g *Group) Find(name string) *Series {
 	return nil
 }
 
-// RenderCSV writes the group as a wide CSV: one x column, one column per
-// series. X values are the union of all series' x values.
+// Table renders the group as a wide text table titled with the group and
+// its y label: the x column plus one column per series, one row per x in
+// the union of the series' x values, a blank cell where a series has no
+// point at that x.
+func (g *Group) Table() *table.Table {
+	return g.wide(table.FormatFloat)
+}
+
+// RenderCSV writes the group as a wide CSV with the rows of Table, values
+// in %g form.
 func (g *Group) RenderCSV(w io.Writer) {
 	if len(g.Series) == 0 {
 		return
 	}
+	g.wide(func(v float64) string { return fmt.Sprintf("%g", v) }).RenderCSV(w)
+}
+
+// wide lays the group out one row per x in the sorted union of the
+// series' x values, formatting every number with format.
+func (g *Group) wide(format func(float64) string) *table.Table {
+	if len(g.Series) == 0 {
+		return table.New(g.Title)
+	}
+	headers := []string{g.Series[0].XLabel}
 	xset := map[float64]bool{}
 	for _, s := range g.Series {
-		for _, p := range s.Points {
-			xset[p.X] = true
+		headers = append(headers, s.Name)
+		for _, x := range s.X {
+			xset[x] = true
 		}
 	}
 	xs := make([]float64, 0, len(xset))
@@ -124,21 +138,74 @@ func (g *Group) RenderCSV(w io.Writer) {
 		xs = append(xs, x)
 	}
 	sort.Float64s(xs)
-
-	headers := []string{g.Series[0].XLabel}
-	for _, s := range g.Series {
-		headers = append(headers, s.Name)
-	}
-	fmt.Fprintln(w, strings.Join(headers, ","))
+	t := table.New(g.Title+" ("+g.Series[0].YLabel+")", headers...)
 	for _, x := range xs {
-		row := []string{fmt.Sprintf("%g", x)}
+		row := []string{format(x)}
 		for _, s := range g.Series {
+			cell := ""
 			if y, ok := s.At(x); ok {
-				row = append(row, fmt.Sprintf("%g", y))
-			} else {
-				row = append(row, "")
+				cell = format(y)
+			}
+			row = append(row, cell)
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t
+}
+
+// RenderChart draws the group as a crude log-x ASCII chart, one mark per
+// series, for terminal inspection of curve shapes.
+func (g *Group) RenderChart(w io.Writer, width, height int) {
+	if len(g.Series) == 0 {
+		return
+	}
+	marks := "ox+*#@%&"
+	minX, maxX := math.Inf(1), math.Inf(-1)
+	minY, maxY := math.Inf(1), math.Inf(-1)
+	for _, s := range g.Series {
+		for i := range s.X {
+			minX, maxX = math.Min(minX, s.X[i]), math.Max(maxX, s.X[i])
+			minY, maxY = math.Min(minY, s.Y[i]), math.Max(maxY, s.Y[i])
+		}
+	}
+	if minY > 0 {
+		minY = 0
+	}
+	if maxX == minX {
+		maxX = minX + 1
+	}
+	if maxY == minY {
+		maxY = minY + 1
+	}
+	grid := make([][]byte, height)
+	for i := range grid {
+		grid[i] = []byte(strings.Repeat(" ", width))
+	}
+	xpos := func(x float64) int {
+		// Log scale when the x range spans more than a decade (message
+		// sizes); linear otherwise.
+		if minX > 0 && maxX/minX > 10 {
+			return int(math.Log(x/minX) / math.Log(maxX/minX) * float64(width-1))
+		}
+		return int((x - minX) / (maxX - minX) * float64(width-1))
+	}
+	for si, s := range g.Series {
+		m := marks[si%len(marks)]
+		for i := range s.X {
+			col := xpos(s.X[i])
+			row := height - 1 - int((s.Y[i]-minY)/(maxY-minY)*float64(height-1))
+			if row >= 0 && row < height && col >= 0 && col < width {
+				grid[row][col] = m
 			}
 		}
-		fmt.Fprintln(w, strings.Join(row, ","))
 	}
+	fmt.Fprintf(w, "%s (y: %s, max %.4g; x: %s, %.4g..%.4g)\n", g.Title, g.Series[0].YLabel, maxY, g.Series[0].XLabel, minX, maxX)
+	for _, row := range grid {
+		fmt.Fprintf(w, "|%s|\n", string(row))
+	}
+	var legend []string
+	for si, s := range g.Series {
+		legend = append(legend, fmt.Sprintf("%c=%s", marks[si%len(marks)], s.Name))
+	}
+	fmt.Fprintln(w, strings.Join(legend, "  "))
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -9,9 +10,8 @@ func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("lat", "size", "us")
 	s.Add(4, 10)
 	s.Add(64, 12)
-	xs, ys := s.XY()
-	if len(xs) != 2 || xs[1] != 64 || ys[0] != 10 {
-		t.Fatalf("XY = %v %v", xs, ys)
+	if len(s.X) != 2 || s.X[1] != 64 || s.Y[0] != 10 {
+		t.Fatalf("X, Y = %v %v", s.X, s.Y)
 	}
 	if y, ok := s.At(64); !ok || y != 12 {
 		t.Fatalf("At(64) = %v %v", y, ok)
@@ -88,10 +88,67 @@ func TestGroup(t *testing.T) {
 	}
 }
 
+// TestGroupTable checks the wide layout Table and RenderCSV share: rows
+// are the sorted union of the series' x values, with a blank cell where a
+// series has no point.
+func TestGroupTable(t *testing.T) {
+	a := NewSeries("a", "size", "us")
+	a.Add(64, 1.5)
+	a.Add(4, 10)
+	b := NewSeries("b", "size", "us")
+	b.Add(1024, 200)
+	b.Add(64, 2.25)
+	g := NewGroup("lat").Add(a, b)
+	tb := g.Table()
+	if tb.Title != "lat (us)" || !reflect.DeepEqual(tb.Headers, []string{"size", "a", "b"}) {
+		t.Fatalf("title %q, headers %q", tb.Title, tb.Headers)
+	}
+	want := [][]string{{"4", "10", ""}, {"64", "1.50", "2.25"}, {"1024", "", "200"}}
+	if !reflect.DeepEqual(tb.Rows, want) {
+		t.Fatalf("rows = %q, want %q", tb.Rows, want)
+	}
+	var sb strings.Builder
+	g.RenderCSV(&sb)
+	if got, want := sb.String(), "size,a,b\n4,10,\n64,1.5,2.25\n1024,,200\n"; got != want {
+		t.Fatalf("csv = %q, want %q", got, want)
+	}
+}
+
 func TestEmptyGroupCSV(t *testing.T) {
 	var sb strings.Builder
 	NewGroup("e").RenderCSV(&sb)
 	if sb.Len() != 0 {
 		t.Fatalf("empty group rendered %q", sb.String())
+	}
+}
+
+func TestChartRender(t *testing.T) {
+	one := &Series{Name: "one", XLabel: "size", YLabel: "us", X: []float64{4, 64, 1024, 28672}, Y: []float64{10, 12, 40, 300}}
+	two := &Series{Name: "two", XLabel: "size", YLabel: "us", X: []float64{4, 64, 1024, 28672}, Y: []float64{20, 25, 60, 200}}
+	var b strings.Builder
+	NewGroup("curve").Add(one, two).RenderChart(&b, 40, 8)
+	out := b.String()
+	if !strings.Contains(out, "curve") || !strings.Contains(out, "o=one") || !strings.Contains(out, "x=two") {
+		t.Fatalf("chart missing pieces:\n%s", out)
+	}
+	if strings.Count(out, "\n") < 9 {
+		t.Fatalf("chart too short:\n%s", out)
+	}
+	if !strings.Contains(out, "o") || !strings.Contains(out, "x") {
+		t.Fatal("chart has no marks")
+	}
+}
+
+func TestChartEmptyAndDegenerate(t *testing.T) {
+	var b strings.Builder
+	NewGroup("e").RenderChart(&b, 10, 4) // no series: no output
+	if b.Len() != 0 {
+		t.Fatalf("empty chart rendered %q", b.String())
+	}
+	s := NewSeries("s", "x", "y")
+	s.Add(5, 0)                                    // single point, zero ranges
+	NewGroup("flat").Add(s).RenderChart(&b, 10, 4) // must not panic or divide by zero
+	if b.Len() == 0 {
+		t.Fatal("degenerate chart rendered nothing")
 	}
 }

@@ -56,50 +56,43 @@ func Bandwidth(cfg Config, size int, o XferOpts) (XferResult, error) {
 // latency (or bandwidth) curve per buffer-reuse percentage. 100% is
 // LATbase; 0% is LATxlat.
 func ReuseSweep(cfg Config, sizes []int, reusePcts []int, bandwidthMode bool) (*bench.Group, error) {
-	title := fmt.Sprintf("%s buffer reuse: latency", cfg.Model.Name)
-	if bandwidthMode {
-		title = fmt.Sprintf("%s buffer reuse: bandwidth", cfg.Model.Name)
-	}
-	g := bench.NewGroup(title)
+	var curves []curve
 	for _, pct := range reusePcts {
-		o := XferOpts{VaryBuffers: true, ReusePct: pct}
-		var s *bench.Series
-		var err error
-		if bandwidthMode {
-			s, _, err = BandwidthSweep(cfg, sizes, o)
-		} else {
-			s, _, err = LatencySweep(cfg, sizes, o)
-		}
-		if err != nil {
-			return g, err
-		}
-		s.Name = fmt.Sprintf("%d%% reuse", pct)
-		g.Add(s)
+		curves = append(curves, curve{fmt.Sprintf("%d%% reuse", pct), XferOpts{VaryBuffers: true, ReusePct: pct}})
 	}
-	return g, nil
+	return curveGroup(cfg, sizes, "buffer reuse", bandwidthMode, curves)
 }
 
 // MultiViSweep is the §3.2.4 benchmark (Figure 6): one curve per number
 // of open VIs.
 func MultiViSweep(cfg Config, sizes []int, viCounts []int, bandwidthMode bool) (*bench.Group, error) {
-	title := fmt.Sprintf("%s multiple VIs: latency", cfg.Model.Name)
-	if bandwidthMode {
-		title = fmt.Sprintf("%s multiple VIs: bandwidth", cfg.Model.Name)
-	}
-	g := bench.NewGroup(title)
+	var curves []curve
 	for _, n := range viCounts {
-		o := XferOpts{ActiveVIs: n}
-		var s *bench.Series
-		var err error
-		if bandwidthMode {
-			s, _, err = BandwidthSweep(cfg, sizes, o)
-		} else {
-			s, _, err = LatencySweep(cfg, sizes, o)
-		}
+		curves = append(curves, curve{fmt.Sprintf("%d VIs", n), XferOpts{ActiveVIs: n}})
+	}
+	return curveGroup(cfg, sizes, "multiple VIs", bandwidthMode, curves)
+}
+
+// curve names one sweep of a curveGroup and the options it runs with.
+type curve struct {
+	name string
+	o    XferOpts
+}
+
+// curveGroup runs a latency (or bandwidth) sweep per curve and returns
+// them as the group "<model> <what>: latency" (or ": bandwidth").
+func curveGroup(cfg Config, sizes []int, what string, bandwidthMode bool, curves []curve) (*bench.Group, error) {
+	sweep, metric := LatencySweep, "latency"
+	if bandwidthMode {
+		sweep, metric = BandwidthSweep, "bandwidth"
+	}
+	g := bench.NewGroup(fmt.Sprintf("%s %s: %s", cfg.Model.Name, what, metric))
+	for _, c := range curves {
+		s, _, err := sweep(cfg, sizes, c.o)
 		if err != nil {
 			return g, err
 		}
-		s.Name = fmt.Sprintf("%d VIs", n)
+		s.Name = c.name
 		g.Add(s)
 	}
 	return g, nil
@@ -119,8 +112,8 @@ func CQOverhead(cfg Config, sizes []int) (base, withCQ, delta *bench.Series, err
 		return
 	}
 	delta = bench.NewSeries(cfg.Model.Name+" CQ overhead", "message size (bytes)", "overhead (us)")
-	for i, p := range base.Points {
-		delta.Add(p.X, withCQ.Points[i].Y-p.Y)
+	for i, x := range base.X {
+		delta.Add(x, withCQ.Y[i]-base.Y[i])
 	}
 	return
 }
@@ -153,30 +146,14 @@ func MTULadder(mtu int) []int {
 // ReliabilitySweep is the §3.2.5 reliability benchmark (LATrel/BWrel):
 // one curve per reliability level the provider supports.
 func ReliabilitySweep(cfg Config, sizes []int, bandwidthMode bool) (*bench.Group, error) {
-	title := fmt.Sprintf("%s reliability levels: latency", cfg.Model.Name)
-	if bandwidthMode {
-		title = fmt.Sprintf("%s reliability levels: bandwidth", cfg.Model.Name)
-	}
-	g := bench.NewGroup(title)
+	var curves []curve
 	for lv := uint8(0); lv < 3; lv++ {
-		if !cfg.Model.Supports(lv) {
-			continue
+		if cfg.Model.Supports(lv) {
+			r := reliabilityLevel(lv)
+			curves = append(curves, curve{r.String(), XferOpts{Reliability: r}})
 		}
-		o := XferOpts{Reliability: reliabilityLevel(lv)}
-		var s *bench.Series
-		var err error
-		if bandwidthMode {
-			s, _, err = BandwidthSweep(cfg, sizes, o)
-		} else {
-			s, _, err = LatencySweep(cfg, sizes, o)
-		}
-		if err != nil {
-			return g, err
-		}
-		s.Name = reliabilityLevel(lv).String()
-		g.Add(s)
 	}
-	return g, nil
+	return curveGroup(cfg, sizes, "reliability levels", bandwidthMode, curves)
 }
 
 func seriesName(cfg Config, o XferOpts) string {

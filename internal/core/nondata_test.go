@@ -86,8 +86,8 @@ func TestFig1MemRegistrationShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		pts := map[float64]float64{}
-		for _, p := range s.Points {
-			pts[p.X] = p.Y
+		for i, x := range s.X {
+			pts[x] = s.Y[i]
 		}
 		series[m.Name] = pts
 	}
@@ -135,18 +135,18 @@ func TestFig2MemDeregistrationShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range dereg.Points {
-				if p.Y >= 16 {
-					t.Errorf("dereg at %gB = %.1fus, paper bound is <16us", p.X, p.Y)
+			for i, y := range dereg.Y {
+				if y >= 16 {
+					t.Errorf("dereg at %gB = %.1fus, paper bound is <16us", dereg.X[i], y)
 				}
 			}
-			if dereg.MaxY() >= reg.Points[0].Y {
+			if dereg.MaxY() >= reg.Y[0] {
 				t.Errorf("dereg (%.1f) should be cheaper than 28KB registration (%.1f)",
-					dereg.MaxY(), reg.Points[0].Y)
+					dereg.MaxY(), reg.Y[0])
 			}
 			// Flat: 32MB within 2us of 16B.
-			first := dereg.Points[0].Y
-			last := dereg.Points[len(dereg.Points)-1].Y
+			first := dereg.Y[0]
+			last := dereg.Y[len(dereg.Y)-1]
 			if math.Abs(last-first) > 2 {
 				t.Errorf("dereg not flat: %.2f at 16B vs %.2f at 32MB", first, last)
 			}
@@ -155,9 +155,9 @@ func TestFig2MemDeregistrationShape(t *testing.T) {
 	bv, _ := MemDeregister(quickCfg(provider.BVIA()), []int{4096})
 	mv, _ := MemDeregister(quickCfg(provider.MVIA()), []int{4096})
 	cl, _ := MemDeregister(quickCfg(provider.CLAN()), []int{4096})
-	if !(bv.Points[0].Y > cl.Points[0].Y && cl.Points[0].Y > mv.Points[0].Y) {
+	if !(bv.Y[0] > cl.Y[0] && cl.Y[0] > mv.Y[0]) {
 		t.Errorf("dereg ordering bvia > clan > mvia violated: %.1f %.1f %.1f",
-			bv.Points[0].Y, cl.Points[0].Y, mv.Points[0].Y)
+			bv.Y[0], cl.Y[0], mv.Y[0])
 	}
 }
 

@@ -11,12 +11,10 @@ import (
 // Report is the output of one experiment: tables and/or series groups,
 // plus notes comparing against the paper.
 type Report struct {
-	ID         string
-	Title      string
-	PaperClaim string
-	Tables     []*table.Table
-	Groups     []*bench.Group
-	Notes      []string
+	Title  string
+	Tables []*table.Table
+	Groups []*bench.Group
+	Notes  []string
 }
 
 // Experiment regenerates one paper artifact (table or figure) or one
@@ -228,7 +226,7 @@ func expF5() *Experiment {
 				}
 				notes = append(notes, fmt.Sprintf(
 					"%s @28KB: 0%% reuse %.1fus vs 100%% reuse %.1fus (insensitive, not plotted, as in the paper)",
-					m.Name, g.Series[0].Points[0].Y, g.Series[1].Points[0].Y))
+					m.Name, g.Series[0].Y[0], g.Series[1].Y[0]))
 			}
 			return &Report{Groups: []*bench.Group{latG, bwG}, Notes: notes}, nil
 		},
@@ -265,7 +263,7 @@ func expF6() *Experiment {
 				}
 				notes = append(notes, fmt.Sprintf(
 					"%s @4B: 1 VI %.1fus vs 16 VIs %.1fus (insensitive, not plotted, as in the paper)",
-					m.Name, g.Series[0].Points[0].Y, g.Series[1].Points[0].Y))
+					m.Name, g.Series[0].Y[0], g.Series[1].Y[0]))
 			}
 			return &Report{Groups: []*bench.Group{latG, bwG}, Notes: notes}, nil
 		},
@@ -315,7 +313,7 @@ func expTCQ() *Experiment {
 				if err != nil {
 					return nil, err
 				}
-				t.AddRow(m.Name, d.Points[0].Y, d.Points[1].Y, d.Points[2].Y)
+				t.AddRow(m.Name, d.Y[0], d.Y[1], d.Y[2])
 			}
 			return &Report{Tables: []*table.Table{t}}, nil
 		},

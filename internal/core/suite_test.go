@@ -54,7 +54,7 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 					t.Errorf("%s: empty group %q", e.ID, g.Title)
 				}
 				for _, s := range g.Series {
-					if len(s.Points) == 0 {
+					if len(s.X) == 0 {
 						t.Errorf("%s: empty series %q in %q", e.ID, s.Name, g.Title)
 					}
 				}

@@ -86,9 +86,10 @@ func TestTopologyExperimentsQuick(t *testing.T) {
 		if len(rep.Groups) == 0 || len(rep.Groups[0].Series) == 0 {
 			t.Fatalf("%s: no series", id)
 		}
-		for _, p := range rep.Groups[0].Series[0].Points {
-			if p.Y <= 0 {
-				t.Errorf("%s: non-positive goodput at x=%v", id, p.X)
+		s := rep.Groups[0].Series[0]
+		for i, y := range s.Y {
+			if y <= 0 {
+				t.Errorf("%s: non-positive goodput at x=%v", id, s.X[i])
 			}
 		}
 	}

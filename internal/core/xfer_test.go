@@ -101,9 +101,9 @@ func TestFig3LatencyMonotonicInSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 1; i < len(lat.Points); i++ {
-			if lat.Points[i].Y <= lat.Points[i-1].Y {
-				t.Errorf("%s latency not increasing at %g", m.Name, lat.Points[i].X)
+		for i := 1; i < len(lat.Y); i++ {
+			if lat.Y[i] <= lat.Y[i-1] {
+				t.Errorf("%s latency not increasing at %g", m.Name, lat.X[i])
 			}
 		}
 	}
@@ -277,7 +277,7 @@ func TestCQOverheadBands(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		deltas[m.Name] = d.Points[0].Y
+		deltas[m.Name] = d.Y[0]
 	}
 	if deltas["bvia"] < 2 || deltas["bvia"] > 5 {
 		t.Errorf("bvia CQ overhead %.1fus outside the paper's 2-5us", deltas["bvia"])
@@ -391,13 +391,13 @@ func TestPipelineBandwidthMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(s.Points); i++ {
-		if s.Points[i].Y < s.Points[i-1].Y*0.99 {
-			t.Errorf("bandwidth fell with deeper pipeline: %v", s.Points)
+	for i := 1; i < len(s.Y); i++ {
+		if s.Y[i] < s.Y[i-1]*0.99 {
+			t.Errorf("bandwidth fell with deeper pipeline: %v", s.Y)
 		}
 	}
-	if s.Points[len(s.Points)-1].Y < s.Points[0].Y*1.5 {
-		t.Errorf("pipelining should raise bandwidth substantially: %v", s.Points)
+	if s.Y[len(s.Y)-1] < s.Y[0]*1.5 {
+		t.Errorf("pipelining should raise bandwidth substantially: %v", s.Y)
 	}
 }
 

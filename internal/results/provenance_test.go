@@ -7,6 +7,7 @@ import (
 
 	"vibe/internal/core"
 	"vibe/internal/fault"
+	"vibe/internal/table"
 )
 
 func scenario(t *testing.T, spec core.ScenarioSpec, quick bool) *core.Scenario {
@@ -170,12 +171,12 @@ func TestRelErrGuards(t *testing.T) {
 // whose baseline cell is zero (or NaN) must produce a finite, renderable
 // diff instead of NaN percentages.
 func TestCompareZeroAndNaNBaseline(t *testing.T) {
-	tbl := func(cells ...string) []Table {
+	tbl := func(cells ...string) []*table.Table {
 		rows := make([][]string, len(cells))
 		for i, c := range cells {
 			rows[i] = []string{c}
 		}
-		return []Table{{Title: "t", Headers: []string{"v"}, Rows: rows}}
+		return []*table.Table{{Title: "t", Headers: []string{"v"}, Rows: rows}}
 	}
 	base := &Set{Experiments: []Experiment{{ID: "E", Tables: tbl("0", "NaN", "5")}}}
 	cur := &Set{Experiments: []Experiment{{ID: "E", Tables: tbl("1", "2", "5")}}}

@@ -14,7 +14,9 @@ import (
 	"os"
 	"sort"
 
+	"vibe/internal/bench"
 	"vibe/internal/core"
+	"vibe/internal/table"
 )
 
 // FormatVersion identifies the on-disk schema.
@@ -35,54 +37,19 @@ type Set struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Experiment is one experiment's serialized output.
+// Experiment is one experiment's serialized output: its report's
+// tables, series groups and notes, which carry their own JSON schema.
 type Experiment struct {
-	ID     string   `json:"id"`
-	Title  string   `json:"title"`
-	Tables []Table  `json:"tables,omitempty"`
-	Groups []Group  `json:"groups,omitempty"`
-	Notes  []string `json:"notes,omitempty"`
+	ID     string         `json:"id"`
+	Title  string         `json:"title"`
+	Tables []*table.Table `json:"tables,omitempty"`
+	Groups []*bench.Group `json:"groups,omitempty"`
+	Notes  []string       `json:"notes,omitempty"`
 }
 
-// Table mirrors a text table.
-type Table struct {
-	Title   string     `json:"title"`
-	Headers []string   `json:"headers"`
-	Rows    [][]string `json:"rows"`
-}
-
-// Group mirrors a series group.
-type Group struct {
-	Title  string   `json:"title"`
-	Series []Series `json:"series"`
-}
-
-// Series is one named curve.
-type Series struct {
-	Name   string    `json:"name"`
-	XLabel string    `json:"xlabel"`
-	YLabel string    `json:"ylabel"`
-	X      []float64 `json:"x"`
-	Y      []float64 `json:"y"`
-}
-
-// FromReport converts a suite report into its serialized form.
+// FromReport files a suite report under the experiment id.
 func FromReport(id string, rep *core.Report) Experiment {
-	e := Experiment{ID: id, Title: rep.Title, Notes: rep.Notes}
-	for _, t := range rep.Tables {
-		e.Tables = append(e.Tables, Table{Title: t.Title, Headers: t.Headers, Rows: t.Rows})
-	}
-	for _, g := range rep.Groups {
-		sg := Group{Title: g.Title}
-		for _, s := range g.Series {
-			xs, ys := s.XY()
-			sg.Series = append(sg.Series, Series{
-				Name: s.Name, XLabel: s.XLabel, YLabel: s.YLabel, X: xs, Y: ys,
-			})
-		}
-		e.Groups = append(e.Groups, sg)
-	}
-	return e
+	return Experiment{ID: id, Title: rep.Title, Tables: rep.Tables, Groups: rep.Groups, Notes: rep.Notes}
 }
 
 // Encode renders the set into its canonical on-disk byte form, stamping
@@ -125,7 +92,10 @@ func Load(path string) (*Set, error) {
 	return s, nil
 }
 
-// decode parses an encoded set, rejecting unknown schema versions.
+// decode parses an encoded set, rejecting unknown schema versions and
+// anything Compare could not pair up one to one: a null table, group or
+// series, a series whose x and y columns differ in length, and a table or
+// group title, series name or x value repeated where it is the key.
 func decode(data []byte) (*Set, error) {
 	var s Set
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -134,11 +104,43 @@ func decode(data []byte) (*Set, error) {
 	if s.Version != FormatVersion {
 		return nil, fmt.Errorf("unsupported format version %d (want %d)", s.Version, FormatVersion)
 	}
+	for _, e := range s.Experiments {
+		titles := map[string]bool{}
+		for _, t := range e.Tables {
+			if t == nil || titles["table "+t.Title] {
+				return nil, fmt.Errorf("experiment %s: null or repeated table", e.ID)
+			}
+			titles["table "+t.Title] = true
+		}
+		for _, g := range e.Groups {
+			if g == nil || titles["group "+g.Title] {
+				return nil, fmt.Errorf("experiment %s: null or repeated group", e.ID)
+			}
+			titles["group "+g.Title] = true
+			names := map[string]bool{}
+			for _, sr := range g.Series {
+				if sr == nil || names[sr.Name] {
+					return nil, fmt.Errorf("experiment %s group %q: null or repeated series", e.ID, g.Title)
+				}
+				names[sr.Name] = true
+				if len(sr.X) != len(sr.Y) {
+					return nil, fmt.Errorf("experiment %s series %q: %d x values, %d y values", e.ID, sr.Name, len(sr.X), len(sr.Y))
+				}
+				xs := map[float64]bool{}
+				for _, x := range sr.X {
+					if xs[x] {
+						return nil, fmt.Errorf("experiment %s series %q: repeated x %g", e.ID, sr.Name, x)
+					}
+					xs[x] = true
+				}
+			}
+		}
+	}
 	return &s, nil
 }
 
 // Diff is one compared data point whose values disagree beyond the
-// threshold.
+// threshold, or a missing piece or changed text or shape (RelErr = +Inf).
 type Diff struct {
 	Experiment string
 	Where      string // "table Title[row][col]" or "group/series@x"
@@ -147,10 +149,11 @@ type Diff struct {
 	RelErr     float64
 }
 
-// Compare diffs two result sets experiment by experiment, reporting every
-// numeric point whose relative difference exceeds tol and every
-// experiment/series present in one set but not the other (reported with
-// RelErr = +Inf).
+// Compare diffs two result sets experiment by experiment. It reports
+// every numeric point whose relative difference exceeds tol, and with
+// RelErr = +Inf every text cell that differs, every experiment present in
+// one set but not the other, and every base table, group, series, row or
+// point missing from cur or differing from it in size.
 func Compare(base, cur *Set, tol float64) []Diff {
 	var diffs []Diff
 	baseBy := map[string]Experiment{}
@@ -185,31 +188,42 @@ func Compare(base, cur *Set, tol float64) []Diff {
 	return diffs
 }
 
-func compareTables(id string, base, cur []Table, tol float64) []Diff {
+// mismatch is a Diff with no numbers to compare, for a missing piece or
+// a changed shape or text.
+func mismatch(id, format string, args ...interface{}) Diff {
+	return Diff{Experiment: id, Where: fmt.Sprintf(format, args...), RelErr: math.Inf(1)}
+}
+
+func compareTables(id string, base, cur []*table.Table, tol float64) []Diff {
 	var diffs []Diff
-	curBy := map[string]Table{}
+	curBy := map[string]*table.Table{}
 	for _, t := range cur {
 		curBy[t.Title] = t
 	}
 	for _, bt := range base {
 		ct, ok := curBy[bt.Title]
 		if !ok {
-			diffs = append(diffs, Diff{Experiment: id, Where: "table " + bt.Title + " (missing)", RelErr: math.Inf(1)})
+			diffs = append(diffs, mismatch(id, "table %s (missing)", bt.Title))
 			continue
 		}
+		if len(bt.Rows) != len(ct.Rows) {
+			diffs = append(diffs, mismatch(id, "table %s: %d rows -> %d", bt.Title, len(bt.Rows), len(ct.Rows)))
+		}
 		for r := 0; r < len(bt.Rows) && r < len(ct.Rows); r++ {
-			for col := 0; col < len(bt.Rows[r]) && col < len(ct.Rows[r]); col++ {
-				bv, bNum := parseNum(bt.Rows[r][col])
-				cv, cNum := parseNum(ct.Rows[r][col])
+			brow, crow := bt.Rows[r], ct.Rows[r]
+			if len(brow) != len(crow) {
+				diffs = append(diffs, mismatch(id, "table %s[%d]: %d cells -> %d", bt.Title, r, len(brow), len(crow)))
+			}
+			for col := 0; col < len(brow) && col < len(crow); col++ {
+				bv, bNum := parseNum(brow[col])
+				cv, cNum := parseNum(crow[col])
 				if !bNum || !cNum {
-					continue
-				}
-				if re := relErr(bv, cv); re > tol {
-					diffs = append(diffs, Diff{
-						Experiment: id,
-						Where:      fmt.Sprintf("table %s[%d][%d]", bt.Title, r, col),
-						Base:       bv, New: cv, RelErr: re,
-					})
+					if brow[col] != crow[col] {
+						diffs = append(diffs, mismatch(id, "table %s[%d][%d]: %q -> %q", bt.Title, r, col, brow[col], crow[col]))
+					}
+				} else if re := relErr(bv, cv); re > tol {
+					diffs = append(diffs, Diff{Experiment: id, Where: fmt.Sprintf("table %s[%d][%d]", bt.Title, r, col),
+						Base: bv, New: cv, RelErr: re})
 				}
 			}
 		}
@@ -217,44 +231,33 @@ func compareTables(id string, base, cur []Table, tol float64) []Diff {
 	return diffs
 }
 
-func compareGroups(id string, base, cur []Group, tol float64) []Diff {
+func compareGroups(id string, base, cur []*bench.Group, tol float64) []Diff {
 	var diffs []Diff
-	curBy := map[string]Group{}
+	curBy := map[string]*bench.Group{}
 	for _, g := range cur {
 		curBy[g.Title] = g
 	}
 	for _, bg := range base {
 		cg, ok := curBy[bg.Title]
 		if !ok {
-			diffs = append(diffs, Diff{Experiment: id, Where: "group " + bg.Title + " (missing)", RelErr: math.Inf(1)})
+			diffs = append(diffs, mismatch(id, "group %s (missing)", bg.Title))
 			continue
 		}
-		curSeries := map[string]Series{}
-		for _, s := range cg.Series {
-			curSeries[s.Name] = s
-		}
 		for _, bs := range bg.Series {
-			cs, ok := curSeries[bs.Name]
-			if !ok {
-				diffs = append(diffs, Diff{Experiment: id,
-					Where: "series " + bg.Title + "/" + bs.Name + " (missing)", RelErr: math.Inf(1)})
+			cs := cg.Find(bs.Name)
+			if cs == nil {
+				diffs = append(diffs, mismatch(id, "series %s/%s (missing)", bg.Title, bs.Name))
 				continue
 			}
-			curAt := map[float64]float64{}
-			for i := range cs.X {
-				curAt[cs.X[i]] = cs.Y[i]
+			if len(bs.X) != len(cs.X) {
+				diffs = append(diffs, mismatch(id, "series %s/%s: %d points -> %d", bg.Title, bs.Name, len(bs.X), len(cs.X)))
 			}
-			for i := range bs.X {
-				cv, ok := curAt[bs.X[i]]
-				if !ok {
-					continue
-				}
-				if re := relErr(bs.Y[i], cv); re > tol {
-					diffs = append(diffs, Diff{
-						Experiment: id,
-						Where:      fmt.Sprintf("%s/%s@%g", bg.Title, bs.Name, bs.X[i]),
-						Base:       bs.Y[i], New: cv, RelErr: re,
-					})
+			for i, x := range bs.X {
+				if cv, ok := cs.At(x); !ok {
+					diffs = append(diffs, mismatch(id, "%s/%s@%g (missing)", bg.Title, bs.Name, x))
+				} else if re := relErr(bs.Y[i], cv); re > tol {
+					diffs = append(diffs, Diff{Experiment: id, Where: fmt.Sprintf("%s/%s@%g", bg.Title, bs.Name, x),
+						Base: bs.Y[i], New: cv, RelErr: re})
 				}
 			}
 		}

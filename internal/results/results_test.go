@@ -118,6 +118,66 @@ func TestCompareMissingPieces(t *testing.T) {
 	}
 }
 
+// TestCompareShapeAndText checks the pieces a numeric comparison cannot
+// see: a changed text cell, a dropped row or cell, and dropped series
+// points are each reported with RelErr = +Inf.
+func TestCompareShapeAndText(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(e *Experiment)
+		where  string
+	}{
+		{"text cell", func(e *Experiment) { e.Tables[0].Rows[0][0] = "destroy" }, `table costs[0][0]: "create" -> "destroy"`},
+		{"dropped row", func(e *Experiment) { e.Tables[0].Rows = nil }, "table costs: 1 rows -> 0"},
+		{"dropped cell", func(e *Experiment) { e.Tables[0].Rows[0] = e.Tables[0].Rows[0][:1] }, "table costs[0]: 2 cells -> 1"},
+		{"dropped points", func(e *Experiment) {
+			e.Groups[0].Series[0].X = e.Groups[0].Series[0].X[:1]
+			e.Groups[0].Series[0].Y = e.Groups[0].Series[0].Y[:1]
+		}, "latency/clan@1024 (missing)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, cur := sampleSet(8.9), sampleSet(8.9)
+			tc.mutate(&cur.Experiments[0])
+			diffs := Compare(base, cur, 0)
+			found := false
+			for _, d := range diffs {
+				if !math.IsInf(d.RelErr, 1) {
+					t.Errorf("%s: RelErr = %v, want +Inf", d.Where, d.RelErr)
+				}
+				found = found || d.Where == tc.where
+			}
+			if !found {
+				t.Fatalf("no diff at %q: %+v", tc.where, diffs)
+			}
+		})
+	}
+}
+
+// TestLoadRejectsMalformedSets checks that decode refuses what Compare
+// could not read safely or pair one to one.
+func TestLoadRejectsMalformedSets(t *testing.T) {
+	series := func(s string) string {
+		return `{"version":1,"experiments":[{"id":"E","groups":[{"title":"g","series":[` + s + `]}]}]}`
+	}
+	for name, data := range map[string]string{
+		"x/y length mismatch": series(`{"name":"s","x":[1,2],"y":[1]}`),
+		"null series":         series(`null`),
+		"repeated series":     series(`{"name":"s","x":[1],"y":[1]},{"name":"s","x":[2],"y":[2]}`),
+		"repeated x":          series(`{"name":"s","x":[0,-0],"y":[1,2]}`),
+		"null group":          `{"version":1,"experiments":[{"id":"E","groups":[null]}]}`,
+		"repeated group":      `{"version":1,"experiments":[{"id":"E","groups":[{"title":"g"},{"title":"g"}]}]}`,
+		"null table":          `{"version":1,"experiments":[{"id":"E","tables":[null]}]}`,
+		"repeated table":      `{"version":1,"experiments":[{"id":"E","tables":[{"title":"t","rows":[["1"]]},{"title":"t","rows":[["2"]]}]}]}`,
+	} {
+		if _, err := decode([]byte(data)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := decode([]byte(series(`{"name":"s","x":[1,2],"y":[1,2]}`))); err != nil {
+		t.Errorf("well-formed set rejected: %v", err)
+	}
+}
+
 func TestRender(t *testing.T) {
 	var b strings.Builder
 	Render(&b, nil, 0.05)
@@ -177,10 +237,12 @@ func TestEncodeMatchesSave(t *testing.T) {
 }
 
 // FuzzResultsRoundTrip checks that no input makes decoding or encoding a
-// result set panic, that an accepted set re-encodes to a fixed point, and
-// that its provenance survives the round trip as the same design point.
-// The corpus starts from the committed quick baseline and from a set whose
-// provenance fills every field, fault plan included.
+// result set panic, that an accepted set re-encodes to a fixed point,
+// that its provenance survives the round trip as the same design point,
+// and that Compare finds no difference between an accepted set and
+// itself. The corpus starts from the committed quick baseline, from a set
+// whose provenance fills every field, fault plan included, and from a
+// series whose x and y columns differ in length.
 func FuzzResultsRoundTrip(f *testing.F) {
 	baseline, err := os.ReadFile(filepath.Join("testdata", "baseline-quick.json"))
 	if err != nil {
@@ -195,13 +257,14 @@ func FuzzResultsRoundTrip(f *testing.F) {
 			Run:   core.RunOverrides{Seed: 3, Iters: 10},
 			Fault: &fault.Plan{Seed: 7, Faults: []fault.Spec{{Kind: fault.KindDropNth, Nth: &nth}}},
 		}, Quick: true},
-		Experiments: []Experiment{{ID: "T1", Title: "t", Tables: []Table{{Title: "c", Headers: []string{"op"}, Rows: [][]string{{"1"}}}}}},
+		Experiments: []Experiment{{ID: "T1", Title: "t", Tables: []*table.Table{{Title: "c", Headers: []string{"op"}, Rows: [][]string{{"1"}}}}}},
 		Metrics:     map[string]float64{"nic0.doorbells": 7},
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(full)
+	f.Add([]byte(`{"version":1,"experiments":[{"id":"E","groups":[{"title":"g","series":[{"name":"s","x":[1,2],"y":[1]}]}]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := decode(data)
 		if err != nil {
@@ -221,6 +284,9 @@ func FuzzResultsRoundTrip(f *testing.F) {
 		}
 		if !s.Scenario.Equal(again.Scenario) {
 			t.Fatalf("provenance changed in the round trip: %+v -> %+v", s.Scenario, again.Scenario)
+		}
+		if diffs := Compare(s, s, 0); len(diffs) != 0 {
+			t.Fatalf("a set differs from itself: %+v", diffs)
 		}
 	})
 }

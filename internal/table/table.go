@@ -1,5 +1,4 @@
-// Package table renders benchmark results as aligned text tables, CSV,
-// and quick ASCII charts for terminal inspection.
+// Package table renders benchmark results as aligned text tables and CSV.
 package table
 
 import (
@@ -9,11 +8,12 @@ import (
 	"strings"
 )
 
-// Table is a simple column-oriented text table.
+// Table is a simple column-oriented text table. Its JSON form is the
+// results-repository table schema.
 type Table struct {
-	Title   string
-	Headers []string
-	Rows    [][]string
+	Title   string     `json:"title"`
+	Headers []string   `json:"headers"`
+	Rows    [][]string `json:"rows"`
 }
 
 // New returns a table with the given title and column headers.
@@ -100,85 +100,4 @@ func (t *Table) String() string {
 	var b strings.Builder
 	t.Render(&b)
 	return b.String()
-}
-
-// Chart draws a crude log-x ASCII chart of one or more named series for
-// terminal inspection of curve shapes.
-type Chart struct {
-	Title  string
-	XLabel string
-	YLabel string
-	series []chartSeries
-}
-
-type chartSeries struct {
-	name string
-	xs   []float64
-	ys   []float64
-}
-
-// NewChart returns an empty chart.
-func NewChart(title, xlabel, ylabel string) *Chart {
-	return &Chart{Title: title, XLabel: xlabel, YLabel: ylabel}
-}
-
-// Add appends a series.
-func (c *Chart) Add(name string, xs, ys []float64) {
-	c.series = append(c.series, chartSeries{name: name, xs: xs, ys: ys})
-}
-
-// Render draws the chart with one mark per series.
-func (c *Chart) Render(w io.Writer, width, height int) {
-	if len(c.series) == 0 {
-		return
-	}
-	marks := "ox+*#@%&"
-	minX, maxX := math.Inf(1), math.Inf(-1)
-	minY, maxY := math.Inf(1), math.Inf(-1)
-	for _, s := range c.series {
-		for i := range s.xs {
-			minX, maxX = math.Min(minX, s.xs[i]), math.Max(maxX, s.xs[i])
-			minY, maxY = math.Min(minY, s.ys[i]), math.Max(maxY, s.ys[i])
-		}
-	}
-	if minY > 0 {
-		minY = 0
-	}
-	if maxX == minX {
-		maxX = minX + 1
-	}
-	if maxY == minY {
-		maxY = minY + 1
-	}
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
-	}
-	xpos := func(x float64) int {
-		// Log scale when the x range spans more than a decade (message
-		// sizes); linear otherwise.
-		if minX > 0 && maxX/minX > 10 {
-			return int(math.Log(x/minX) / math.Log(maxX/minX) * float64(width-1))
-		}
-		return int((x - minX) / (maxX - minX) * float64(width-1))
-	}
-	for si, s := range c.series {
-		m := marks[si%len(marks)]
-		for i := range s.xs {
-			col := xpos(s.xs[i])
-			row := height - 1 - int((s.ys[i]-minY)/(maxY-minY)*float64(height-1))
-			if row >= 0 && row < height && col >= 0 && col < width {
-				grid[row][col] = m
-			}
-		}
-	}
-	fmt.Fprintf(w, "%s (y: %s, max %.4g; x: %s, %.4g..%.4g)\n", c.Title, c.YLabel, maxY, c.XLabel, minX, maxX)
-	for _, row := range grid {
-		fmt.Fprintf(w, "|%s|\n", string(row))
-	}
-	var legend []string
-	for si, s := range c.series {
-		legend = append(legend, fmt.Sprintf("%c=%s", marks[si%len(marks)], s.name))
-	}
-	fmt.Fprintln(w, strings.Join(legend, "  "))
 }

@@ -51,35 +51,3 @@ func TestRenderCSV(t *testing.T) {
 		t.Fatalf("csv = %q, want %q", b.String(), want)
 	}
 }
-
-func TestChartRender(t *testing.T) {
-	c := NewChart("curve", "size", "us")
-	c.Add("one", []float64{4, 64, 1024, 28672}, []float64{10, 12, 40, 300})
-	c.Add("two", []float64{4, 64, 1024, 28672}, []float64{20, 25, 60, 200})
-	var b strings.Builder
-	c.Render(&b, 40, 8)
-	out := b.String()
-	if !strings.Contains(out, "curve") || !strings.Contains(out, "o=one") || !strings.Contains(out, "x=two") {
-		t.Fatalf("chart missing pieces:\n%s", out)
-	}
-	if strings.Count(out, "\n") < 9 {
-		t.Fatalf("chart too short:\n%s", out)
-	}
-	if !strings.Contains(out, "o") || !strings.Contains(out, "x") {
-		t.Fatal("chart has no marks")
-	}
-}
-
-func TestChartEmptyAndDegenerate(t *testing.T) {
-	var b strings.Builder
-	NewChart("e", "x", "y").Render(&b, 10, 4) // no series: no output
-	if b.Len() != 0 {
-		t.Fatalf("empty chart rendered %q", b.String())
-	}
-	c := NewChart("flat", "x", "y")
-	c.Add("s", []float64{5}, []float64{0}) // single point, zero ranges
-	c.Render(&b, 10, 4)                    // must not panic or divide by zero
-	if b.Len() == 0 {
-		t.Fatal("degenerate chart rendered nothing")
-	}
-}
