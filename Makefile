@@ -44,7 +44,8 @@ chaos:
 
 # Failover smoke: rerun the XFAILOVER spine-outage experiment in quick
 # mode, compare it against the committed baseline at -tol 0 (numbers,
-# text cells such as "Conn broken", and table and series shape), then
+# text cells such as "Conn broken", notes, row and point counts, and
+# tables, groups and series missing from or added to either side), then
 # require the saved result set to equal the baseline file byte for byte.
 # The trace and virtual-time profile are written alongside for CI artifact
 # upload. A diff here means failover routing, the element oracle, or the

@@ -140,6 +140,9 @@ func main() {
 			for _, n := range rep.Notes {
 				fmt.Printf("note: %s\n", n)
 			}
+			for _, c := range e.Claims {
+				fmt.Printf("claim: %s -> %s\n", c.Text, c.Verdict(rep))
+			}
 			fmt.Println()
 		}
 

@@ -27,9 +27,3 @@ func ClientServer(cfg Config, reqSize int, replySizes []int) (*bench.Series, err
 	}
 	return s, nil
 }
-
-// Transaction measures one client-server point, returning the full result
-// (RTT, transactions/sec, client CPU).
-func Transaction(cfg Config, reqSize, replySize int) (XferResult, error) {
-	return roundTrip(cfg, reqSize, replySize, true, XferOpts{})
-}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -22,6 +23,11 @@ func TestExperimentRegistry(t *testing.T) {
 		if exps[i].Title == "" || exps[i].PaperClaim == "" || exps[i].Run == nil {
 			t.Errorf("experiment %s incomplete", id)
 		}
+		// The first nine are the paper's own tables and figures, which
+		// state their conclusions as checkable claims.
+		if i < 9 && len(exps[i].Claims) == 0 {
+			t.Errorf("paper experiment %s has no claims", id)
+		}
 	}
 	if _, err := ExperimentByID("T1"); err != nil {
 		t.Error(err)
@@ -31,8 +37,10 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
-// Each experiment must run to completion in quick mode and produce
-// something (a table or a series group with points).
+// Each experiment must run to completion in quick mode, produce
+// something (a table or a series group with points), and every claim it
+// states must hold on the default design point. The full-mode claims are
+// checked where the full registry already runs: results.checkBaseline.
 func TestEveryExperimentRunsQuick(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
@@ -59,7 +67,39 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 					}
 				}
 			}
+			for _, c := range e.Claims {
+				if err := c.Check(rep); err != nil {
+					t.Errorf("%s claim %q: %v", e.ID, c.Text, err)
+				}
+			}
 		})
+	}
+}
+
+// A smaller BVIA translation cache erases Figure 5's size sensitivity: at
+// TLBCapacity=8 every reuse level misses on a 28KB message, so lost reuse
+// no longer costs most there, while the default 32 entries keep the claim.
+func TestSweepFlipsF5Verdict(t *testing.T) {
+	e := ExperimentMust(t, "F5")
+	claim := e.Claims[1]
+	if !strings.HasPrefix(claim.Text, "Lost reuse costs most at the largest message") {
+		t.Fatalf("F5 claim 1 is %q", claim.Text)
+	}
+	for _, tc := range []struct {
+		capacity string
+		holds    bool
+	}{{"8", false}, {"32", true}} {
+		sc, err := NewScenario(ScenarioSpec{Set: map[string]string{"TLBCapacity": tc.capacity}}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := claim.Check(rep); (err == nil) != tc.holds {
+			t.Errorf("TLBCapacity=%s: claim holds = %v, want %v (%v)", tc.capacity, err == nil, tc.holds, err)
+		}
 	}
 }
 

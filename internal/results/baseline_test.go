@@ -31,11 +31,11 @@ func TestFullBaselineUnchanged(t *testing.T) {
 	checkBaseline(t, "testdata/baseline-full.json", false)
 }
 
-// checkBaseline reruns the registry in the given mode and requires every
-// value to match the saved set exactly (tolerance 0), then requires the
-// regenerated set, under the saved set's label and scenario, to encode to
-// the saved file byte for byte: Compare reads numbers only, so this is
-// what pins text cells and the on-disk schema.
+// checkBaseline reruns the registry in the given mode, requires every
+// experiment's paper claims to hold, and requires every value to match the
+// saved set exactly (tolerance 0). It then requires the regenerated set,
+// under the saved set's label and scenario, to encode to the saved file
+// byte for byte, which pins the on-disk schema.
 func checkBaseline(t *testing.T, path string, quick bool) {
 	t.Helper()
 	saved, err := os.ReadFile(path)
@@ -51,6 +51,11 @@ func checkBaseline(t *testing.T, path string, quick bool) {
 		rep, err := e.Run(core.DefaultScenario(quick))
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
+		}
+		for _, c := range e.Claims {
+			if err := c.Check(rep); err != nil {
+				t.Errorf("%s claim %q: %v", e.ID, c.Text, err)
+			}
 		}
 		cur.Experiments = append(cur.Experiments, FromReport(e.ID, rep))
 	}

@@ -151,9 +151,9 @@ type Diff struct {
 
 // Compare diffs two result sets experiment by experiment. It reports
 // every numeric point whose relative difference exceeds tol, and with
-// RelErr = +Inf every text cell that differs, every experiment present in
-// one set but not the other, and every base table, group, series, row or
-// point missing from cur or differing from it in size.
+// RelErr = +Inf every text cell or note that differs, every experiment,
+// table, group or series present in one set but not the other, and every
+// base row or point missing from cur or differing from it in size.
 func Compare(base, cur *Set, tol float64) []Diff {
 	var diffs []Diff
 	baseBy := map[string]Experiment{}
@@ -184,6 +184,7 @@ func Compare(base, cur *Set, tol float64) []Diff {
 		}
 		diffs = append(diffs, compareTables(id, b.Tables, c.Tables, tol)...)
 		diffs = append(diffs, compareGroups(id, b.Groups, c.Groups, tol)...)
+		diffs = append(diffs, compareNotes(id, b.Notes, c.Notes)...)
 	}
 	return diffs
 }
@@ -195,7 +196,7 @@ func mismatch(id, format string, args ...interface{}) Diff {
 }
 
 func compareTables(id string, base, cur []*table.Table, tol float64) []Diff {
-	var diffs []Diff
+	diffs := extra(id, "table ", base, cur, func(t *table.Table) string { return t.Title })
 	curBy := map[string]*table.Table{}
 	for _, t := range cur {
 		curBy[t.Title] = t
@@ -232,7 +233,7 @@ func compareTables(id string, base, cur []*table.Table, tol float64) []Diff {
 }
 
 func compareGroups(id string, base, cur []*bench.Group, tol float64) []Diff {
-	var diffs []Diff
+	diffs := extra(id, "group ", base, cur, func(g *bench.Group) string { return g.Title })
 	curBy := map[string]*bench.Group{}
 	for _, g := range cur {
 		curBy[g.Title] = g
@@ -243,6 +244,7 @@ func compareGroups(id string, base, cur []*bench.Group, tol float64) []Diff {
 			diffs = append(diffs, mismatch(id, "group %s (missing)", bg.Title))
 			continue
 		}
+		diffs = append(diffs, extra(id, "series "+bg.Title+"/", bg.Series, cg.Series, func(s *bench.Series) string { return s.Name })...)
 		for _, bs := range bg.Series {
 			cs := cg.Find(bs.Name)
 			if cs == nil {
@@ -260,6 +262,34 @@ func compareGroups(id string, base, cur []*bench.Group, tol float64) []Diff {
 						Base: bs.Y[i], New: cv, RelErr: re})
 				}
 			}
+		}
+	}
+	return diffs
+}
+
+// extra reports each piece of cur whose name no piece of base has.
+func extra[T any](id, kind string, base, cur []T, name func(T) string) []Diff {
+	have := map[string]bool{}
+	for _, b := range base {
+		have[name(b)] = true
+	}
+	var diffs []Diff
+	for _, c := range cur {
+		if !have[name(c)] {
+			diffs = append(diffs, mismatch(id, "%s%s (extra)", kind, name(c)))
+		}
+	}
+	return diffs
+}
+
+func compareNotes(id string, base, cur []string) []Diff {
+	var diffs []Diff
+	if len(base) != len(cur) {
+		diffs = append(diffs, mismatch(id, "notes: %d -> %d", len(base), len(cur)))
+	}
+	for i := 0; i < len(base) && i < len(cur); i++ {
+		if base[i] != cur[i] {
+			diffs = append(diffs, mismatch(id, "note[%d]: %q -> %q", i, base[i], cur[i]))
 		}
 	}
 	return diffs

@@ -153,6 +153,34 @@ func TestCompareShapeAndText(t *testing.T) {
 	}
 }
 
+// TestCompareReportsNewOutput checks the new side as well as the base: a
+// table, series or group only cur has, and an edited note, each differ.
+func TestCompareReportsNewOutput(t *testing.T) {
+	base, cur := sampleSet(8.9), sampleSet(8.9)
+	e := &cur.Experiments[0]
+	e.Tables = append(e.Tables, table.New("extra table", "op"))
+	e.Groups[0].Add(bench.NewSeries("bvia", "size", "us"))
+	e.Groups = append(e.Groups, bench.NewGroup("extra group"))
+	e.Notes[0] = "edited"
+	got := map[string]bool{}
+	for _, d := range Compare(base, cur, 0) {
+		got[d.Where] = true
+	}
+	for _, where := range []string{
+		"table extra table (extra)",
+		"series latency/bvia (extra)",
+		"group extra group (extra)",
+		`note[0]: "n" -> "edited"`,
+	} {
+		if !got[where] {
+			t.Errorf("no diff at %q: %v", where, got)
+		}
+	}
+	if len(got) != 4 {
+		t.Errorf("got %d diffs, want 4: %v", len(got), got)
+	}
+}
+
 // TestLoadRejectsMalformedSets checks that decode refuses what Compare
 // could not read safely or pair one to one.
 func TestLoadRejectsMalformedSets(t *testing.T) {
