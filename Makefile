@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos failover-smoke vibed-smoke hostbench examples check cover bench-smoke bench-sim fuzz-smoke quick loc clean
+.PHONY: all build vet test race chaos failover-smoke vibed-smoke hostbench examples check cover bench-smoke bench-sim fuzz-smoke prodcover quick loc clean
 
 all: check
 
@@ -142,6 +142,19 @@ fuzz-smoke:
 # Microbenchmarks for the simulation engine hot paths.
 bench-sim:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim/
+
+# Production coverage: build vibe, vibe-report, vibed and the examples/
+# programs with coverage, drive them as a user would (every benchmark on
+# every provider, the report's sinks, sweeps, scenarios and fault plans,
+# the examples, and a vibed job over loopback; scripts/prodcover.sh lists
+# the workload), and print the statement coverage and every internal/
+# function no shipped program reached. Tests are not run: the list is what
+# only tests call, the candidates for deletion. The output is also written
+# to artifacts/prodcover.txt.
+prodcover:
+	mkdir -p artifacts
+	GO=$(GO) bash scripts/prodcover.sh >artifacts/prodcover.txt
+	cat artifacts/prodcover.txt
 
 # Smoke-run the full registry in quick mode.
 quick: build

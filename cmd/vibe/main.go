@@ -265,16 +265,9 @@ func main() {
 			fatal(fmt.Errorf("unknown benchmark %q (have: %s)", *benchSel, benchHelp()))
 		}
 
-		sizes := bench.SizeLadder()
-		if *sizesArg != "" {
-			sizes = nil
-			for _, s := range strings.Split(*sizesArg, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil {
-					fatal(fmt.Errorf("bad size %q: %v", s, err))
-				}
-				sizes = append(sizes, n)
-			}
+		sizes, err := parseSizes(*sizesArg)
+		if err != nil {
+			fatal(err)
 		}
 
 		// Each (benchmark, scenario) cell runs as a synthetic experiment on
@@ -364,6 +357,26 @@ func runBench(plan *runner.Plan, csv bool) (*runner.Output, error) {
 		}
 	}
 	return out, err
+}
+
+// parseSizes parses the -sizes list (empty: the paper's ladder),
+// rejecting a negative size before any cell runs.
+func parseSizes(arg string) ([]int, error) {
+	if arg == "" {
+		return bench.SizeLadder(), nil
+	}
+	var sizes []int
+	for _, s := range strings.Split(arg, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil {
+			return nil, fmt.Errorf("bad size %q: %v", s, err)
+		}
+		if n < 0 {
+			return nil, fmt.Errorf("bad size %d: message sizes are non-negative", n)
+		}
+		sizes = append(sizes, n)
+	}
+	return sizes, nil
 }
 
 // xferFlags holds the flags that shape a transfer benchmark.

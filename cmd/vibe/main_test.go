@@ -7,10 +7,12 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"vibe/internal/bench"
 	"vibe/internal/core"
 	"vibe/internal/provider"
 	"vibe/internal/runner"
@@ -63,6 +65,20 @@ func TestXferOpts(t *testing.T) {
 				t.Fatalf("opts = %+v, want %+v", got, c.want)
 			}
 		})
+	}
+}
+
+func TestParseSizes(t *testing.T) {
+	if got, err := parseSizes(""); err != nil || !slices.Equal(got, bench.SizeLadder()) {
+		t.Errorf(`parseSizes("") = %v, %v; want the paper ladder`, got, err)
+	}
+	if got, err := parseSizes("4, 0,28672"); err != nil || !slices.Equal(got, []int{4, 0, 28672}) {
+		t.Errorf("parseSizes = %v, %v; want [4 0 28672]", got, err)
+	}
+	for arg, want := range map[string]string{"4,-1": "bad size -1", "4,x": `bad size "x"`} {
+		if _, err := parseSizes(arg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("parseSizes(%q) err = %v, want one containing %q", arg, err, want)
+		}
 	}
 }
 

@@ -55,17 +55,6 @@ func (s *Series) MustAt(x float64) float64 {
 	return y
 }
 
-// MaxY returns the largest y value, or 0 for an empty series.
-func (s *Series) MaxY() float64 {
-	max := 0.0
-	for i, y := range s.Y {
-		if i == 0 || y > max {
-			max = y
-		}
-	}
-	return max
-}
-
 // SizeLadder is the paper's message-size x-axis: powers of four from 4 B
 // plus the large sizes its figures label (12288, 20480, 28672).
 func SizeLadder() []int {

@@ -22,9 +22,6 @@ func TestSeriesBasics(t *testing.T) {
 	if s.MustAt(4) != 10 {
 		t.Fatal("MustAt")
 	}
-	if s.MaxY() != 12 {
-		t.Fatalf("MaxY = %v", s.MaxY())
-	}
 }
 
 func TestMustAtPanics(t *testing.T) {
@@ -34,12 +31,6 @@ func TestMustAtPanics(t *testing.T) {
 		}
 	}()
 	NewSeries("s", "x", "y").MustAt(1)
-}
-
-func TestEmptySeriesMaxY(t *testing.T) {
-	if NewSeries("s", "x", "y").MaxY() != 0 {
-		t.Fatal("empty MaxY")
-	}
 }
 
 func TestLadders(t *testing.T) {

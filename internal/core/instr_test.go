@@ -61,7 +61,7 @@ func TestInstrumentationZeroOverhead(t *testing.T) {
 	if profile.Len() == 0 {
 		t.Error("profiler attributed nothing")
 	}
-	if v, ok := col.Snapshot().Get("span.completed"); !ok || v == 0 {
+	if v, ok := col.Snapshot().Map()["span.completed"]; !ok || v == 0 {
 		t.Error("span recording enabled but no spans completed")
 	}
 }
@@ -73,7 +73,7 @@ func TestInstrumentationCoverage(t *testing.T) {
 	col := metrics.NewCollector()
 	instrSweep(t, &Instr{Metrics: col, SpanSample: 1})
 
-	snap := col.Snapshot()
+	snap := col.Snapshot().Map()
 	mustHave := []string{
 		"sim.events_dispatched",
 		"cpu0.busy_ns",
@@ -89,12 +89,12 @@ func TestInstrumentationCoverage(t *testing.T) {
 		"link0.tx_bytes",
 		"fabric.bytes",
 		"span.sampled",
-		"span.send.total_ns",
-		"span.send.wire_ns",
-		"span.recv.total_ns",
+		"span.send.total_ns.count",
+		"span.send.wire_ns.count",
+		"span.recv.total_ns.count",
 	}
 	for _, key := range mustHave {
-		v, ok := snap.Get(key)
+		v, ok := snap[key]
 		if !ok {
 			t.Errorf("metric %q missing from snapshot", key)
 			continue
@@ -104,14 +104,13 @@ func TestInstrumentationCoverage(t *testing.T) {
 		}
 	}
 	// A reliable sweep must actually ack through the window.
-	if v, _ := snap.Get("nic0.window.acked"); v == 0 {
+	if snap["nic0.window.acked"] == 0 {
 		t.Error("reliable sweep produced no window acks")
 	}
 	// The flattened form must expose histogram percentiles.
-	m := snap.Map()
 	for _, k := range []string{"span.send.total_ns.p50", "span.send.total_ns.p99", "span.send.dma_ns.p90"} {
-		if m[k] <= 0 {
-			t.Errorf("flattened percentile %q = %v, want > 0", k, m[k])
+		if snap[k] <= 0 {
+			t.Errorf("flattened percentile %q = %v, want > 0", k, snap[k])
 		}
 	}
 }

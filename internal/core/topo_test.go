@@ -38,9 +38,9 @@ func TestFatTreeIncast128(t *testing.T) {
 		t.Fatalf("max queue %d exceeds buffer bound %d", r.MaxQueue, m.Network.SwitchBufPkts)
 	}
 
-	snap := col.Snapshot()
+	snap := col.Snapshot().Map()
 	get := func(k string) float64 {
-		v, ok := snap.Get(k)
+		v, ok := snap[k]
 		if !ok {
 			t.Fatalf("metric %q missing", k)
 		}

@@ -109,9 +109,3 @@ func (m *Meter) Utilization() float64 {
 	}
 	return u
 }
-
-// BusySince reports busy time accumulated since the meter started.
-func (m *Meter) BusySince() sim.Duration { return m.cpu.busy - m.busyStart }
-
-// Elapsed reports virtual time since the meter started.
-func (m *Meter) Elapsed() sim.Duration { return m.cpu.eng.Now().Sub(m.timeStart) }

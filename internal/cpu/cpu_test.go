@@ -70,11 +70,11 @@ func TestMeterUtilization(t *testing.T) {
 		m2 := c.StartMeter()
 		c.BlockWait(p, s, 10) // mostly idle
 		blockU = m2.Utilization()
-		if m2.BusySince() != 10 {
-			t.Errorf("BusySince = %v", m2.BusySince())
+		if busy := c.busy - m2.busyStart; busy != 10 {
+			t.Errorf("busy since meter start = %v", busy)
 		}
-		if m2.Elapsed() != 1010 {
-			t.Errorf("Elapsed = %v", m2.Elapsed())
+		if elapsed := p.Now().Sub(m2.timeStart); elapsed != 1010 {
+			t.Errorf("elapsed since meter start = %v", elapsed)
 		}
 	})
 	e.Spawn("sig", func(p *sim.Proc) {
@@ -193,13 +193,13 @@ func TestInterleavedWaitersAttribution(t *testing.T) {
 	if c.WakeBusy() != 25 {
 		t.Errorf("WakeBusy = %v, want 25ns", c.WakeBusy())
 	}
-	if got := m.BusySince(); got != 625 {
-		t.Errorf("BusySince = %v, want 625ns", got)
+	if got := c.busy - m.busyStart; got != 625 {
+		t.Errorf("busy since meter start = %v, want 625ns", got)
 	}
 	// The blocker's wake cost (t=200..225) overlaps the spinner's wait, so
 	// the run ends with the spinner at t=600.
-	if got := m.Elapsed(); got != 600 {
-		t.Errorf("Elapsed = %v, want 600ns", got)
+	if got := e.Now().Sub(m.timeStart); got != 600 {
+		t.Errorf("elapsed since meter start = %v, want 600ns", got)
 	}
 }
 

@@ -374,12 +374,6 @@ func New(e *sim.Engine, n int, params Params) *Network {
 	return nw
 }
 
-// Params returns the network's physical parameters.
-func (nw *Network) Params() Params { return nw.params }
-
-// Nodes reports the number of attached nodes.
-func (nw *Network) Nodes() int { return len(nw.ports) }
-
 // Switches reports the number of switches in the topology.
 func (nw *Network) Switches() int { return len(nw.switches) }
 

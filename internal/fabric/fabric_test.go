@@ -217,7 +217,7 @@ func TestSelfSend(t *testing.T) {
 func checkConservation(t *testing.T, nw *Network) {
 	t.Helper()
 	var tx, rx, drops uint64
-	for id := 0; id < nw.Nodes(); id++ {
+	for id := range nw.ports {
 		ls := nw.LinkStats(NodeID(id))
 		tx += ls.TxPackets
 		rx += ls.RxPackets

@@ -73,25 +73,14 @@ func (h *Hist) Observe(v float64) {
 // Count reports the number of observations.
 func (h *Hist) Count() uint64 { return h.count }
 
-// Sum reports the sum of all observations.
-func (h *Hist) Sum() float64 { return h.sum }
-
 // Max reports the largest observation (exact, not bucketed).
 func (h *Hist) Max() float64 { return h.max }
-
-// Mean reports the average observation, 0 when empty.
-func (h *Hist) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
 
 // Quantile estimates the q-th quantile (0 < q <= 1) by linear
 // interpolation inside the covering bucket, clamped to the exact maximum.
 //
 // NaN policy: a histogram never reports NaN. An empty histogram reports 0
-// for every quantile (and Mean/Max/Sum are 0), a single-sample histogram
+// for every quantile (and Max and the exposition sum are 0), a single-sample histogram
 // reports that sample's bucket clamped to the exact max for every
 // quantile, and NaN observations were already clamped to 0 by Observe —
 // so flattened summary keys (Snapshot.Map) and rendered tables stay

@@ -16,8 +16,8 @@ func TestQuantileEmptyHist(t *testing.T) {
 			t.Errorf("empty Quantile(%g) = %v, want 0", q, v)
 		}
 	}
-	if h.Mean() != 0 || h.Max() != 0 || h.Sum() != 0 {
-		t.Errorf("empty summary = mean %g max %g sum %g, want zeros", h.Mean(), h.Max(), h.Sum())
+	if h.Max() != 0 || h.sum != 0 {
+		t.Errorf("empty summary = max %g sum %g, want zeros", h.Max(), h.sum)
 	}
 
 	// The flattened map and exposition formats inherit the policy.
@@ -48,9 +48,9 @@ func TestQuantileSingleSample(t *testing.T) {
 				t.Errorf("obs %g: Quantile(%g) = %g below bucket lo %g", obs, q, v, lo)
 			}
 		}
-		if h.Quantile(1) != obs || h.Max() != obs || h.Mean() != obs {
-			t.Errorf("obs %g: p100/max/mean = %g/%g/%g, want the sample",
-				obs, h.Quantile(1), h.Max(), h.Mean())
+		if h.Quantile(1) != obs || h.Max() != obs || h.sum != obs {
+			t.Errorf("obs %g: p100/max/sum = %g/%g/%g, want the sample",
+				obs, h.Quantile(1), h.Max(), h.sum)
 		}
 	}
 }
@@ -86,7 +86,7 @@ func TestCollectorMergeSemanticsByKind(t *testing.T) {
 		{"only.second", 1}, // singleton counter survives
 		{"below.zero", -3}, // singleton negative gauge survives
 	} {
-		if v, ok := s.Get(tc.key); !ok || v != tc.want {
+		if v, ok := s.Map()[tc.key]; !ok || v != tc.want {
 			t.Errorf("%s = %v (ok=%v), want %v", tc.key, v, ok, tc.want)
 		}
 	}

@@ -147,15 +147,6 @@ func (r *Registry) Snapshot() Snapshot {
 // collector's merged state).
 type Snapshot []Sample
 
-// Get returns the value of key and whether it is present.
-func (s Snapshot) Get(key string) (float64, bool) {
-	i := sort.Search(len(s), func(i int) bool { return s[i].Key >= key })
-	if i < len(s) && s[i].Key == key {
-		return s[i].Value, true
-	}
-	return 0, false
-}
-
 // Map flattens the snapshot to a plain key->value map, the form embedded
 // in saved result sets. Histograms flatten to their summary statistics:
 // key.p50, key.p90, key.p99, key.max and key.count.

@@ -12,17 +12,17 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 	r.Add("nic0.tlb.miss", 2)
 	r.AddUint("nic0.tlb.hit", 7)
 	r.Gauge("sim.heap_high_water", 12)
-	s := r.Snapshot()
-	if v, ok := s.Get("nic0.tlb.miss"); !ok || v != 5 {
+	s := r.Snapshot().Map()
+	if v, ok := s["nic0.tlb.miss"]; !ok || v != 5 {
 		t.Fatalf("miss = %v, %v", v, ok)
 	}
-	if v, _ := s.Get("nic0.tlb.hit"); v != 7 {
+	if v, _ := s["nic0.tlb.hit"]; v != 7 {
 		t.Fatalf("hit = %v", v)
 	}
-	if v, _ := s.Get("sim.heap_high_water"); v != 12 {
+	if v, _ := s["sim.heap_high_water"]; v != 12 {
 		t.Fatalf("high water = %v", v)
 	}
-	if _, ok := s.Get("absent"); ok {
+	if _, ok := s["absent"]; ok {
 		t.Fatal("absent key found")
 	}
 }
@@ -77,11 +77,11 @@ func TestCollectorMerge(t *testing.T) {
 	r2.Gauge("sim.heap_high_water", 21)
 	c.Merge(r1.Snapshot())
 	c.Merge(r2.Snapshot())
-	s := c.Snapshot()
-	if v, _ := s.Get("nic0.dma.bytes_out"); v != 150 {
+	s := c.Snapshot().Map()
+	if v, _ := s["nic0.dma.bytes_out"]; v != 150 {
 		t.Fatalf("merged counter = %v", v)
 	}
-	if v, _ := s.Get("sim.heap_high_water"); v != 21 {
+	if v, _ := s["sim.heap_high_water"]; v != 21 {
 		t.Fatalf("merged gauge = %v", v)
 	}
 	if c.Systems() != 2 {
@@ -109,11 +109,11 @@ func TestCollectorConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s := c.Snapshot()
-	if v, _ := s.Get("x.count"); v != workers*per {
+	s := c.Snapshot().Map()
+	if v, _ := s["x.count"]; v != workers*per {
 		t.Fatalf("count = %v, want %d", v, workers*per)
 	}
-	if v, _ := s.Get("x.peak"); v != per-1 {
+	if v, _ := s["x.peak"]; v != per-1 {
 		t.Fatalf("peak = %v", v)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vibe/internal/via"
-	"vibe/internal/vmem"
 )
 
 // Collectives run over the point-to-point layer using reserved negative
@@ -12,7 +11,6 @@ import (
 const (
 	tagBarrierGather  int32 = -1
 	tagBarrierRelease int32 = -2
-	tagBcast          int32 = -3
 )
 
 // Barrier blocks until every rank has entered it: a gather to rank 0
@@ -37,45 +35,4 @@ func (ep *Endpoint) Barrier(ctx *via.Ctx) error {
 	}
 	_, _, err := ep.recv(ctx, 0, tagBarrierRelease)
 	return err
-}
-
-// Bcast distributes buf[0:n] from root to every rank. Non-root ranks
-// receive into a fresh buffer and return it; the root returns its own
-// buffer.
-func (ep *Endpoint) Bcast(ctx *via.Ctx, root int, buf *vmem.Buffer, n int) (*vmem.Buffer, int, error) {
-	if ep.rank == root {
-		for r := 0; r < ep.world.n; r++ {
-			if r == root {
-				continue
-			}
-			if err := ep.send(ctx, r, tagBcast, buf, n); err != nil {
-				return nil, 0, fmt.Errorf("mp bcast to %d: %w", r, err)
-			}
-		}
-		return buf, n, nil
-	}
-	return ep.recv(ctx, root, tagBcast)
-}
-
-// Gather collects n bytes from every rank at root (rank order). Root
-// passes its own contribution in buf; the result is a slice of per-rank
-// buffers (root's own buffer is aliased, not copied). Non-root ranks get
-// a nil result.
-func (ep *Endpoint) Gather(ctx *via.Ctx, root int, buf *vmem.Buffer, n int) ([]*vmem.Buffer, error) {
-	if ep.rank != root {
-		return nil, ep.send(ctx, root, tagBcast, buf, n)
-	}
-	out := make([]*vmem.Buffer, ep.world.n)
-	out[root] = buf
-	for r := 0; r < ep.world.n; r++ {
-		if r == root {
-			continue
-		}
-		b, _, err := ep.recv(ctx, r, tagBcast)
-		if err != nil {
-			return nil, fmt.Errorf("mp gather from %d: %w", r, err)
-		}
-		out[r] = b
-	}
-	return out, nil
 }

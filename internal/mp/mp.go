@@ -13,7 +13,7 @@
 //     VI per peer.
 //
 // The layer provides tagged, in-order, reliable point-to-point messaging
-// (Send/Recv), plus Barrier and Bcast collectives. Transport is one
+// (Send/Recv), plus a Barrier collective. Transport is one
 // reliable-delivery VI per peer pair with credit-based flow control over a
 // pre-posted receive ring.
 package mp
@@ -108,7 +108,7 @@ func (w *World) init(ctx *via.Ctx, rank int) (*Endpoint, error) {
 		rank:  rank,
 		nic:   nic,
 		peers: make([]*peer, w.n),
-		cache: newRegCache(ctx, nic, w.cfg.RegCache),
+		cache: newRegCache(nic, w.cfg.RegCache),
 	}
 	attrs := via.ViAttributes{
 		Reliability:     via.ReliableDelivery,

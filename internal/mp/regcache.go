@@ -12,7 +12,6 @@ import (
 // a map lookup after first touch. Figure 2 shows deregistration is cheap,
 // so eviction is inexpensive.
 type regCache struct {
-	ctx *via.Ctx
 	nic *via.Nic
 	cap int
 
@@ -24,9 +23,8 @@ type regCache struct {
 	Evictions uint64
 }
 
-func newRegCache(ctx *via.Ctx, nic *via.Nic, capacity int) *regCache {
+func newRegCache(nic *via.Nic, capacity int) *regCache {
 	return &regCache{
-		ctx:     ctx,
 		nic:     nic,
 		cap:     capacity,
 		entries: make(map[vmem.Addr]via.MemHandle),
@@ -75,12 +73,4 @@ func (c *regCache) touch(a vmem.Addr) {
 			return
 		}
 	}
-}
-
-// Len reports live cached registrations.
-func (c *regCache) Len() int { return len(c.entries) }
-
-// Cache exposes the endpoint's registration cache statistics.
-func (ep *Endpoint) CacheStats() (hits, misses, evictions uint64) {
-	return ep.cache.Hits, ep.cache.Misses, ep.cache.Evictions
 }

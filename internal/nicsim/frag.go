@@ -69,22 +69,15 @@ func NumFragments(n, mtu int) int {
 // whose tail fragments were lost is abandoned as soon as the next message
 // starts, instead of poisoning it.
 type Reassembler struct {
-	msgID    uint64
-	total    int // expected message size (from the fragment headers)
-	received int // bytes received so far
-	nextIdx  int // next expected fragment index
-	active   bool
-	broken   bool // a gap was detected; remaining fragments are discarded
+	msgID   uint64
+	total   int // expected message size (from the fragment headers)
+	nextIdx int // next expected fragment index
+	active  bool
+	broken  bool // a gap was detected; remaining fragments are discarded
 
 	// Abandoned counts messages dropped because a fragment was lost.
 	Abandoned uint64
 }
-
-// Active reports whether a message is partially assembled.
-func (r *Reassembler) Active() bool { return r.active }
-
-// Received reports the bytes accepted for the current message.
-func (r *Reassembler) Received() int { return r.received }
 
 // Accept processes one arriving fragment of message msgID, whose total
 // size is msgTotal bytes. It returns done=true when the message is
@@ -107,7 +100,6 @@ func (r *Reassembler) Accept(msgID uint64, f Fragment, msgTotal int) (done, ok b
 			r.broken = false
 			r.msgID = msgID
 			r.total = msgTotal
-			r.received = 0
 			r.nextIdx = 0
 		}
 	}
@@ -127,7 +119,6 @@ func (r *Reassembler) Accept(msgID uint64, f Fragment, msgTotal int) (done, ok b
 		return false, false
 	}
 	r.nextIdx++
-	r.received += f.Size
 	if f.Last {
 		r.reset()
 		return true, true
@@ -142,6 +133,5 @@ func (r *Reassembler) reset() {
 	r.active = false
 	r.broken = false
 	r.total = 0
-	r.received = 0
 	r.nextIdx = 0
 }

@@ -139,7 +139,7 @@ func TestReassemblerHappyPath(t *testing.T) {
 			t.Fatalf("fragment %d done=%v", i, done)
 		}
 	}
-	if r.Active() {
+	if r.active {
 		t.Fatal("still active after completion")
 	}
 }
@@ -191,7 +191,7 @@ func TestReassemblerLostHeadDiscardsRest(t *testing.T) {
 	if r.Abandoned != 1 {
 		t.Fatalf("abandoned = %d", r.Abandoned)
 	}
-	if r.Active() {
+	if r.active {
 		t.Fatal("active after abandoned tail")
 	}
 }
@@ -201,7 +201,7 @@ func TestReassemblerAbort(t *testing.T) {
 	frags := Fragments(10000, 4096)
 	r.Accept(1, frags[0], 10000)
 	r.Abort()
-	if r.Active() || r.Received() != 0 {
+	if r.active || r.nextIdx != 0 {
 		t.Fatal("abort incomplete")
 	}
 }

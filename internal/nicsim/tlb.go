@@ -41,9 +41,6 @@ func NewTLB(capacity int, policy TLBPolicy) *TLB {
 	return &TLB{capacity: capacity, policy: policy, pos: make(map[uint64]int)}
 }
 
-// Len returns the number of cached translations.
-func (t *TLB) Len() int { return len(t.order) }
-
 // Lookup consults the cache for page and reports whether it hit. On a miss
 // the translation is installed (the NIC always fetches it to complete the
 // transfer), evicting per policy if full.
@@ -58,13 +55,6 @@ func (t *TLB) Lookup(page uint64) bool {
 	t.Misses++
 	t.insert(page)
 	return false
-}
-
-// Contains reports whether page is cached, without touching recency or
-// counters.
-func (t *TLB) Contains(page uint64) bool {
-	_, ok := t.pos[page]
-	return ok
 }
 
 func (t *TLB) insert(page uint64) {
@@ -109,20 +99,4 @@ func (t *TLB) InvalidateRange(first, last uint64) {
 	for p := first; p <= last; p++ {
 		t.Invalidate(p)
 	}
-}
-
-// Reset empties the cache and zeroes the counters.
-func (t *TLB) Reset() {
-	t.order = t.order[:0]
-	t.pos = make(map[uint64]int)
-	t.Hits, t.Misses = 0, 0
-}
-
-// HitRate reports the fraction of lookups that hit, or 0 with no lookups.
-func (t *TLB) HitRate() float64 {
-	total := t.Hits + t.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.Hits) / float64(total)
 }

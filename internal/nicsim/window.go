@@ -64,16 +64,6 @@ func (w *Window) Oldest() *Pending {
 	return w.pending[0]
 }
 
-// Unacked returns a copy of every pending packet in sequence order, for
-// go-back-N retransmission. It must not alias the window's internal slice:
-// Ack re-slices that backing array, so a caller holding the internal slice
-// could read acked entries as still pending — or corrupt window state by
-// writing through it. Hot paths that retransmit on every timeout use
-// ForEachUnacked to avoid the copy.
-func (w *Window) Unacked() []*Pending {
-	return append([]*Pending(nil), w.pending...)
-}
-
 // ForEachUnacked calls fn for each pending packet in sequence order until
 // fn returns false. It is the allocation-free iteration the retransmission
 // paths use; fn must not call methods that mutate the window.
@@ -128,6 +118,3 @@ func (r *RecvSeq) CumAck() (seq uint64, ok bool) {
 	}
 	return r.expected - 1, true
 }
-
-// Expected returns the next sequence number the receiver will accept.
-func (r *RecvSeq) Expected() uint64 { return r.expected }

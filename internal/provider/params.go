@@ -412,15 +412,6 @@ func ParamByName(name string) (*Param, error) {
 	return nil, fmt.Errorf("provider: unknown parameter %q (see vibe -params for the catalog)", name)
 }
 
-// Override sets one named parameter on m from its string form.
-func (m *Model) Override(name, value string) error {
-	p, err := ParamByName(name)
-	if err != nil {
-		return err
-	}
-	return p.Set(m, value)
-}
-
 // Override is one pre-validated parameter assignment, compiled once so
 // scenario sweeps can derive many models without re-validating names and
 // values per cell.

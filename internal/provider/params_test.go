@@ -177,14 +177,21 @@ func TestSetRejectsValuesOutsideTheDomain(t *testing.T) {
 		{"DropRate", "-1"},
 		{"DropRate", "Inf"},
 	}
+	set := func(name, value string) error {
+		p, err := ParamByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Set(CLAN(), value)
+	}
 	for _, c := range cases {
-		err := CLAN().Override(c.name, c.value)
+		err := set(c.name, c.value)
 		if err == nil || !strings.Contains(err.Error(), "param "+c.name+":") {
 			t.Errorf("%s=%s: err = %v, want a rejection naming %s", c.name, c.value, err, c.name)
 		}
 	}
 	for _, ok := range []struct{ name, value string }{{"LinkLatency", "0"}, {"DropRate", "0"}, {"FrameOverhead", "0"}, {"BandwidthBps", "1e9"}, {"MaxTransferSize", "2147483647"}} {
-		if err := CLAN().Override(ok.name, ok.value); err != nil {
+		if err := set(ok.name, ok.value); err != nil {
 			t.Errorf("%s=%s rejected: %v", ok.name, ok.value, err)
 		}
 	}
@@ -343,7 +350,8 @@ func FuzzParseSet(f *testing.F) {
 		for _, base := range All() {
 			m := base.Clone()
 			for _, name := range names {
-				if err := m.Override(name, set[name]); err != nil {
+				p, _ := ParamByName(name)
+				if err := p.Set(m, set[name]); err != nil {
 					t.Fatalf("%s: accepted set %v does not apply: %v", base.Name, set, err)
 				}
 			}

@@ -70,15 +70,6 @@ func Encode(s *Set) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// Save writes the set as indented JSON.
-func Save(path string, s *Set) error {
-	data, err := Encode(s)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
 // Load reads a result set, rejecting unknown schema versions.
 func Load(path string) (*Set, error) {
 	data, err := os.ReadFile(path)

@@ -262,11 +262,11 @@ func TestSharedCollectorUnderParallelRun(t *testing.T) {
 		t.Fatalf("collector saw %d systems across %d experiments; every experiment simulates at least one",
 			col.Systems(), len(exps))
 	}
-	snap := col.Snapshot()
-	if v, ok := snap.Get("sim.events_dispatched"); !ok || v == 0 {
+	snap := col.Snapshot().Map()
+	if v, ok := snap["sim.events_dispatched"]; !ok || v == 0 {
 		t.Fatalf("sim.events_dispatched = %v (ok=%v); merged snapshot is empty", v, ok)
 	}
-	if v, ok := snap.Get("fabric.delivered"); !ok || v == 0 {
+	if v, ok := snap["fabric.delivered"]; !ok || v == 0 {
 		t.Fatalf("fabric.delivered = %v (ok=%v); no packets crossed the fabric", v, ok)
 	}
 }

@@ -171,8 +171,8 @@ func TestSignalWaitTimeout(t *testing.T) {
 	if okLate || tLate != 5 {
 		t.Errorf("late: ok=%v at %v, want false at 5ns", okLate, tLate)
 	}
-	if s.Waiters() != 0 {
-		t.Errorf("leftover waiters: %d", s.Waiters())
+	if n := len(s.waiters) - s.head; n != 0 {
+		t.Errorf("leftover waiters: %d", n)
 	}
 }
 
@@ -369,9 +369,6 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 	if Time(150).Sub(t0) != 50 {
 		t.Error("Sub")
-	}
-	if Time(2*Microsecond).Micros() != 2 {
-		t.Error("Micros")
 	}
 }
 

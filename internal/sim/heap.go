@@ -45,8 +45,6 @@ func evBefore(x, y *event) bool {
 	return x.at < y.at || (x.at == y.at && x.seq < y.seq)
 }
 
-func (q *eventQueue) len() int { return len(q.a) }
-
 // push inserts ev, sifting parents down rather than swapping so each level
 // costs one copy instead of three.
 func (q *eventQueue) push(ev event) {

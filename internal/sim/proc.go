@@ -29,9 +29,6 @@ func (p *Proc) SetDaemon(on bool) { p.daemon = on }
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Name returns the process's diagnostic name.
-func (p *Proc) Name() string { return p.name }
-
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 

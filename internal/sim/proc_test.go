@@ -114,8 +114,8 @@ func TestSignalFIFOCapacityBounded(t *testing.T) {
 		s.Signal()
 		e.MustRun()
 	}
-	if s.Waiters() != 3 {
-		t.Fatalf("waiters = %d, want 3", s.Waiters())
+	if n := len(s.waiters) - s.head; n != 3 {
+		t.Fatalf("waiters = %d, want 3", n)
 	}
 	if c := cap(s.waiters); c > 8 {
 		t.Errorf("FIFO capacity grew to %d for 3 waiters", c)

@@ -126,6 +126,3 @@ func (s *Signal) Broadcast() {
 	s.waiters = s.waiters[:0]
 	s.head = 0
 }
-
-// Waiters reports the number of parked processes.
-func (s *Signal) Waiters() int { return len(s.waiters) - s.head }

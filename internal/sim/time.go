@@ -54,10 +54,6 @@ func (d Duration) String() string {
 	}
 }
 
-// Micros reports the instant as a floating-point number of microseconds
-// since simulation start.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
-
 // Add returns the instant d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 

@@ -25,7 +25,7 @@ func TestLargeTransferCloseNoGridlock(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		t.Logf("writer done write, window=%d stalls=%d", c.Window(), c.WindowStalls)
+		t.Logf("writer done write, window=%d stalls=%d", c.dataWindow*c.cfg.Segment, c.WindowStalls)
 		if err := c.Close(ctx); err != nil {
 			t.Error(err)
 			return

@@ -415,7 +415,3 @@ func (c *Conn) Close(ctx *via.Ctx) error {
 	c.closed = true
 	return nil
 }
-
-// Window reports the sender-side view of the peer's receive window in
-// bytes (for tests).
-func (c *Conn) Window() int { return c.dataWindow * c.cfg.Segment }

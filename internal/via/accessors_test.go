@@ -75,7 +75,7 @@ func TestSystemAndHostAccessors(t *testing.T) {
 		if nic.Host() != sys.Host(0) {
 			t.Error("Nic.Host")
 		}
-		if nic.TLB() != nil {
+		if nic.tlb != nil {
 			t.Error("clan has no TLB")
 		}
 		vi, _ := nic.CreateVi(ctx, ViAttributes{EnableRdmaWrite: true}, nil, nil)
@@ -95,8 +95,8 @@ func TestSystemAndHostAccessors(t *testing.T) {
 	sys.MustRun() // exercises MustRun
 	bv := NewSystem(provider.BVIA(), 1, 1)
 	bv.Go(0, "p", func(ctx *Ctx) {
-		if ctx.OpenNic().TLB() == nil {
-			t.Error("bvia must expose its TLB")
+		if ctx.OpenNic().tlb == nil {
+			t.Error("bvia must have a TLB")
 		}
 	})
 	bv.MustRun()

@@ -40,7 +40,7 @@ func runFingerprint(t *testing.T, m *provider.Model, seed int64, plan *fault.Pla
 		events:  sys.Eng.EventsDispatched(),
 		metrics: sys.CollectMetrics().Map(),
 	}
-	fp.opened, fp.closed, fp.doubles = sys.SpanStats()
+	fp.opened, fp.closed, fp.doubles = sys.spans.opened, sys.spans.closedN, sys.spans.doubles
 	if err := sys.Close(); err != nil {
 		t.Errorf("run leaked: %v", err)
 	}

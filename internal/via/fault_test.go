@@ -522,7 +522,7 @@ func runChaosCase(t *testing.T, m *provider.Model, plan *fault.Plan, seed int, r
 	// connection, so still-queued descriptors legitimately hold
 	// open spans — see TestSpanIntegrityUnderFaults for the
 	// balanced-teardown variant.)
-	opened, closed, doubles := sys.SpanStats()
+	opened, closed, doubles := sys.spans.opened, sys.spans.closedN, sys.spans.doubles
 	if doubles != 0 {
 		t.Errorf("plan %d (%s): %d double-closed spans", seed, rel, doubles)
 	}

@@ -88,9 +88,3 @@ func (n *Nic) checkRemote(addr vmem.Addr, length int, h MemHandle) bool {
 	r, ok := n.regions[h]
 	return ok && r.contains(addr, length)
 }
-
-// Registered reports whether handle h is currently registered (for tests).
-func (n *Nic) Registered(h MemHandle) bool {
-	_, ok := n.regions[h]
-	return ok
-}

@@ -221,10 +221,6 @@ func (n *Nic) Attributes() NicAttributes {
 	}
 }
 
-// TLB exposes the NIC translation cache for tests and ablation reports
-// (nil when the provider does not use one).
-func (n *Nic) TLB() *nicsim.TLB { return n.tlb }
-
 // OpenVIs reports the number of live VIs on this NIC.
 func (n *Nic) OpenVIs() int { return n.openVIs }
 

@@ -129,7 +129,7 @@ type spanTracker struct {
 	seen    uint64
 	opened  uint64
 	closedN uint64
-	doubles uint64 // double-close attempts — must stay zero
+	doubles uint64 // double-close attempts — System.Close fails if nonzero
 
 	totals [numPaths]metrics.Hist
 	phaseH [numPaths][numPhases]metrics.Hist
@@ -188,13 +188,4 @@ func (s *System) EnableSpans(n int) {
 		return
 	}
 	s.spans = &spanTracker{sys: s, sample: uint64(n)}
-}
-
-// SpanStats reports span lifecycle totals: spans opened, spans closed, and
-// double-close attempts (always zero unless there is an accounting bug).
-func (s *System) SpanStats() (opened, closed, doubleCloses uint64) {
-	if s.spans == nil {
-		return 0, 0, 0
-	}
-	return s.spans.opened, s.spans.closedN, s.spans.doubles
 }

@@ -2,6 +2,7 @@ package via
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 
 	"vibe/internal/fault"
@@ -92,7 +93,7 @@ func TestSpanLifecycleClean(t *testing.T) {
 	sys.EnableSpans(1)
 	runSpanWorkload(t, sys, 8, 1200)
 
-	opened, closed, doubles := sys.SpanStats()
+	opened, closed, doubles := sys.spans.opened, sys.spans.closedN, sys.spans.doubles
 	if opened == 0 {
 		t.Fatal("no spans sampled")
 	}
@@ -117,6 +118,31 @@ func TestSpanLifecycleClean(t *testing.T) {
 	}
 }
 
+// TestCloseFailsOnSpanDoubleClose checks that span accounting is audited on
+// every run: a span closed twice (a descriptor completed or flushed more
+// than once) makes System.Close fail, as a leaked process does, so a cell
+// that hits the bug fails instead of reporting skewed span histograms.
+func TestCloseFailsOnSpanDoubleClose(t *testing.T) {
+	for _, closes := range []int{1, 2} {
+		sys := NewSystem(provider.CLAN(), 2, 1)
+		sys.EnableSpans(1)
+		if err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		sp := sys.spans.open(pathSend, 0, 64, 0)
+		for i := 0; i < closes; i++ {
+			sys.spans.close(sp, phaseAck, true, 10)
+		}
+		err := sys.Close()
+		switch {
+		case closes == 1 && err != nil:
+			t.Errorf("one close: Close = %v, want nil", err)
+		case closes == 2 && (err == nil || !strings.Contains(err.Error(), "1 message span(s) closed twice")):
+			t.Errorf("double close: Close = %v, want the double close reported", err)
+		}
+	}
+}
+
 // TestSpanSampling checks the -span-sample stride: with sampling 1 in N,
 // roughly 1/N of the messages allocate spans, and the unsampled rest are
 // free (nil span pointers everywhere).
@@ -126,7 +152,7 @@ func TestSpanSampling(t *testing.T) {
 	sys.EnableSpans(4)
 	runSpanWorkload(t, sys, msgs, 1200)
 
-	opened, closed, doubles := sys.SpanStats()
+	opened, closed, doubles := sys.spans.opened, sys.spans.closedN, sys.spans.doubles
 	if doubles != 0 {
 		t.Errorf("%d double-closes", doubles)
 	}
@@ -153,7 +179,7 @@ func TestSpanIntegrityUnderFaults(t *testing.T) {
 			sys.EnableSpans(1)
 			runSpanWorkload(t, sys, 12, 1200)
 
-			opened, closed, doubles := sys.SpanStats()
+			opened, closed, doubles := sys.spans.opened, sys.spans.closedN, sys.spans.doubles
 			if doubles != 0 {
 				t.Errorf("seed %d: %d double-closed spans", seed, doubles)
 			}

@@ -11,6 +11,7 @@
 package via
 
 import (
+	"errors"
 	"fmt"
 
 	"vibe/internal/cpu"
@@ -128,12 +129,16 @@ func NewSystem(model *provider.Model, n int, seed int64) *System {
 
 // Close verifies the simulation wound down without leaking processes
 // (every daemon and callback process parked or finished — see
-// sim.Engine.CheckLeaks) and then tears the engine down so no goroutine
-// outlives the system. It is safe to call while a process panic is
-// unwinding out of Run (a deferred Close). Safe to call more than once; the system must not
-// be used afterwards.
+// sim.Engine.CheckLeaks) and, with spans on, without closing any message
+// span twice (a descriptor completed or flushed more than once), and then
+// tears the engine down so no goroutine outlives the system. It is safe to
+// call while a process panic is unwinding out of Run (a deferred Close).
+// Safe to call more than once; the system must not be used afterwards.
 func (s *System) Close() error {
 	err := s.Eng.CheckLeaks()
+	if s.spans != nil && s.spans.doubles > 0 {
+		err = errors.Join(err, fmt.Errorf("via: %d message span(s) closed twice", s.spans.doubles))
+	}
 	s.Eng.Shutdown()
 	return err
 }

@@ -133,9 +133,9 @@ func TestRdmaRead(t *testing.T) {
 func TestRdmaReadFragmentCounts(t *testing.T) {
 	env := rdmaReadPair(t, 9000)
 	env.run()
-	snap := env.sys.CollectMetrics()
+	snap := env.sys.CollectMetrics().Map()
 	get := func(key string) float64 {
-		v, ok := snap.Get(key)
+		v, ok := snap[key]
 		if !ok {
 			t.Fatalf("no metric %s", key)
 		}

@@ -367,13 +367,13 @@ func TestDeregisterInvalidatesAndRejects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !nic.Registered(h) {
+		if _, ok := nic.regions[h]; !ok {
 			t.Error("not registered")
 		}
 		if err := nic.DeregisterMem(ctx, h); err != nil {
 			t.Errorf("dereg: %v", err)
 		}
-		if nic.Registered(h) {
+		if _, ok := nic.regions[h]; ok {
 			t.Error("still registered")
 		}
 		if err := nic.DeregisterMem(ctx, h); !errors.Is(err, ErrInvalidHandle) {

@@ -1,6 +1,7 @@
 package via
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -138,7 +139,7 @@ func TestZeroRangeClearsLandedRangeOnly(t *testing.T) {
 	n := 2*provider.CLAN().WireMTU + 100
 	for _, op := range zeroOps {
 		t.Run(op.String(), func(t *testing.T) {
-			src, dst := moveRange(t, op, n, pad, n+2*pad, nil, func(b *vmem.Buffer) { b.Fill(stale) })
+			src, dst := moveRange(t, op, n, pad, n+2*pad, nil, func(b *vmem.Buffer) { copy(b.Bytes(), bytes.Repeat([]byte{stale}, b.Len())) })
 			if src.HasStorage() {
 				t.Error("source materialized")
 			}

@@ -37,9 +37,6 @@ type Addr uint64
 // Page returns the virtual page number containing a.
 func (a Addr) Page() uint64 { return uint64(a) >> PageShift }
 
-// PageOffset returns the offset of a within its page.
-func (a Addr) PageOffset() uint64 { return uint64(a) & (PageSize - 1) }
-
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
 
 // NumPages reports how many pages the byte range [addr, addr+length) spans.
@@ -53,9 +50,9 @@ func NumPages(addr Addr, length int) int {
 }
 
 // Buffer is a contiguous allocation in a simulated address space. Its
-// storage is allocated, zeroed, on first touch by Bytes, Slice, Fill,
-// FillPattern, CheckPattern or AddressSpace.Resolve; until then the buffer
-// costs one small struct and reads as zeros. Simulated DMA keeps untouched
+// storage is allocated, zeroed, on first touch by Bytes, FillPattern,
+// CheckPattern or AddressSpace.Resolve; until then the buffer costs one
+// small struct and reads as zeros. Simulated DMA keeps untouched
 // memory untouched: the NIC looks buffers up with AddressSpace.Locate and
 // moves a zero range between untouched buffers as a length, so a buffer
 // the host never touches keeps no storage however much traffic it carries.
@@ -85,24 +82,8 @@ func (b *Buffer) Bytes() []byte {
 	return b.data
 }
 
-// Slice returns the sub-range [off, off+n) of the buffer's storage.
-func (b *Buffer) Slice(off, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > b.n {
-		return nil, fmt.Errorf("%w: slice [%d,%d) of %d-byte buffer", ErrOutOfRange, off, off+n, b.n)
-	}
-	return b.Bytes()[off : off+n], nil
-}
-
 // AddrAt returns the virtual address of byte off within the buffer.
 func (b *Buffer) AddrAt(off int) Addr { return Addr(uint64(b.addr) + uint64(off)) }
-
-// Fill sets every byte of the buffer to v.
-func (b *Buffer) Fill(v byte) {
-	data := b.Bytes()
-	for i := range data {
-		data[i] = v
-	}
-}
 
 // FillPattern writes a position-dependent pattern seeded by seed, for
 // end-to-end integrity checks.
@@ -192,9 +173,6 @@ func (as *AddressSpace) Locate(addr Addr, n int) (*Buffer, int, error) {
 	return b, off, nil
 }
 
-// Owner returns the buffer containing addr, or nil.
-func (as *AddressSpace) Owner(addr Addr) *Buffer { return as.find(addr) }
-
 // find binary-searches the address-sorted buffer list: Alloc appends at a
 // rising address and nothing is ever freed.
 func (as *AddressSpace) find(addr Addr) *Buffer {
@@ -207,6 +185,3 @@ func (as *AddressSpace) find(addr Addr) *Buffer {
 	}
 	return nil
 }
-
-// Buffers returns every live allocation, in address order.
-func (as *AddressSpace) Buffers() []*Buffer { return as.buffers }

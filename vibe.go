@@ -215,7 +215,7 @@ func Bandwidth(providerName string, size int, o XferOpts) (XferResult, error) {
 // --- Programming-model layers (the paper's §3.3/§5 targets) ---
 
 // Message-passing layer types: tagged, reliable Send/Recv with
-// eager/rendezvous protocols, plus Barrier/Bcast/Gather collectives.
+// eager/rendezvous protocols, plus Barrier.
 type (
 	// MPWorld is a fully-meshed set of message-passing ranks, one per
 	// host.
