@@ -208,6 +208,8 @@ func main() {
 	flag.BoolVar(&xf.rdma, "rdma", false, "use RDMA writes with immediate data")
 	flag.BoolVar(&xf.notify, "notify", false, "server handles receives via async handler")
 	flag.IntVar(&xf.window, "window", 0, "sender pipeline bound for bandwidth (0 = unbounded)")
+	flag.IntVar(&xf.req, "req", 16, "request size for clientserver")
+	flag.IntVar(&xf.iters, "iters", 0, "override timed iterations")
 	flag.StringVar(&xf.rel, "reliability", "unreliable", "unreliable, delivery, reception")
 	var (
 		prov         = flag.String("provider", "clan", providerHelp())
@@ -215,8 +217,6 @@ func main() {
 		scenarioPath = flag.String("scenario", "", "JSON scenario file: {\"base\":..., \"set\":{...}, \"run\":{...}}")
 		faultPath    = flag.String("fault", "", "JSON fault plan file installed into every simulated system (wins over the scenario file's plan)")
 		sizesArg     = flag.String("sizes", "", "comma-separated message sizes (default: paper ladder)")
-		req          = flag.Int("req", 16, "request size for clientserver")
-		iters        = flag.Int("iters", 0, "override timed iterations")
 		csv          = flag.Bool("csv", false, "emit CSV")
 		parallel     = flag.Int("parallel", runtime.NumCPU(), "worker count for -bench suite and -sweep cells")
 		quick        = flag.Bool("quick", false, "smaller sweeps for -bench suite")
@@ -278,10 +278,10 @@ func main() {
 			Title: b.name,
 			Run: func(sc *core.Scenario) (*core.Report, error) {
 				cfg := sc.Config(m)
-				if *iters > 0 {
-					cfg.Iters = *iters
+				if xf.iters > 0 {
+					cfg.Iters = xf.iters
 				}
-				return b.run(benchArgs{cfg: cfg, o: o, sizes: sizes, req: *req})
+				return b.run(benchArgs{cfg: cfg, o: o, sizes: sizes, req: xf.req})
 			},
 		}}
 	}
@@ -381,14 +381,26 @@ func parseSizes(arg string) ([]int, error) {
 
 // xferFlags holds the flags that shape a transfer benchmark.
 type xferFlags struct {
-	mode, rel                string
-	reuse, vis, segs, window int
-	cq, rdma, notify         bool
+	mode, rel                            string
+	reuse, vis, segs, window, req, iters int
+	cq, rdma, notify                     bool
 }
 
 // xferOpts maps the transfer flags to the benchmark options, rejecting
-// a mode, reliability level or reuse percentage outside its set.
+// a mode, reliability level or count outside its set before any cell
+// runs.
 func xferOpts(f xferFlags) (core.XferOpts, error) {
+	for _, c := range []struct {
+		name     string
+		val, min int
+	}{
+		{"vis", f.vis, 1}, {"segments", f.segs, 1},
+		{"window", f.window, 0}, {"req", f.req, 0}, {"iters", f.iters, 0},
+	} {
+		if c.val < c.min {
+			return core.XferOpts{}, fmt.Errorf("-%s %d below its minimum %d", c.name, c.val, c.min)
+		}
+	}
 	o := core.XferOpts{
 		RecvViaCQ: f.cq,
 		ActiveVIs: f.vis,

@@ -20,7 +20,7 @@ import (
 )
 
 func TestXferOpts(t *testing.T) {
-	base := xferFlags{mode: "poll", rel: "unreliable", reuse: -1, vis: 1, segs: 1}
+	base := xferFlags{mode: "poll", rel: "unreliable", reuse: -1, vis: 1, segs: 1, req: 16}
 	cases := []struct {
 		name    string
 		edit    func(*xferFlags)
@@ -42,6 +42,13 @@ func TestXferOpts(t *testing.T) {
 		{"reception", func(f *xferFlags) { f.rel = "reception" },
 			core.XferOpts{Reliability: via.ReliableReception, ActiveVIs: 1, Segments: 1}, ""},
 		{"bad reliability", func(f *xferFlags) { f.rel = "bogus" }, core.XferOpts{}, "reliability"},
+		{"vis 0", func(f *xferFlags) { f.vis = 0 }, core.XferOpts{}, "-vis 0"},
+		{"segments 0", func(f *xferFlags) { f.segs = 0 }, core.XferOpts{}, "-segments 0"},
+		{"window -1", func(f *xferFlags) { f.window = -1 }, core.XferOpts{}, "-window -1"},
+		{"req -1", func(f *xferFlags) { f.req = -1 }, core.XferOpts{}, "-req -1"},
+		{"iters -1", func(f *xferFlags) { f.iters = -1 }, core.XferOpts{}, "-iters -1"},
+		{"req 0", func(f *xferFlags) { f.req = 0 },
+			core.XferOpts{ActiveVIs: 1, Segments: 1}, ""},
 		{"passthrough", func(f *xferFlags) {
 			f.cq, f.rdma, f.notify = true, true, true
 			f.vis, f.segs, f.window = 16, 3, 8

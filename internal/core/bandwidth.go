@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"vibe/internal/sim"
 	"vibe/internal/via"
 )
 
@@ -32,10 +31,7 @@ func bandwidth(cfg Config, size int, o XferOpts) (XferResult, error) {
 				fail(err)
 				return
 			}
-			x.cli = nil // sender's pool is never an RDMA target here
-			for !receiverReady {
-				ctx.Sleep(10 * sim.Microsecond)
-			}
+			barrier(ctx, func() bool { return receiverReady })
 
 			sendOne := func(i int, drain bool) error {
 				bi := o.pickBuf(i)
@@ -65,17 +61,12 @@ func bandwidth(cfg Config, size int, o XferOpts) (XferResult, error) {
 				}
 				outstanding++
 				// Opportunistically retire completed sends.
-				for {
-					d, ok := ep.vi.SendDone(ctx)
-					if !ok {
-						break
-					}
-					if d.Status != via.StatusSuccess {
-						fail(fmt.Errorf("vibe bw: send completed with %v", d.Status))
-						return
-					}
-					outstanding--
+				n, err := retireSends(ctx, ep.vi, succeeded)
+				if err != nil {
+					fail(fmt.Errorf("vibe bw: %w", err))
+					return
 				}
+				outstanding -= n
 				for o.Window > 0 && outstanding >= o.Window {
 					if err := checkOK(ep.waitSend()); err != nil {
 						fail(err)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"vibe/internal/bench"
-	"vibe/internal/fabric"
 	"vibe/internal/fault"
 	"vibe/internal/provider"
 	"vibe/internal/sim"
@@ -19,16 +18,11 @@ import (
 // reliability layer had to do about it.
 type FailoverResult struct {
 	TopoResult
-
-	SendOK       uint64 // sends completed StatusSuccess
-	SendFailed   uint64 // sends completed Flushed or TransportError
-	PostRejected uint64 // posts refused (connection no longer usable)
+	SendTally
 
 	Retransmits uint64 // go-back-N retransmissions, all NICs
 	Rerouted    uint64 // packets carried over a non-primary path
 	Unroutable  uint64 // packets dropped with every candidate path dead
-	Callbacks   uint64 // asynchronous error callbacks fired
-	ConnBroken  bool   // any VI escalated to the error state
 
 	// RerouteLatencyUs is how long after the outage began the first
 	// packet was steered onto an alternate path (-1: never rerouted).
@@ -55,112 +49,35 @@ func FailoverRun(cfg Config, senders, msgs, size int, outageStart sim.Time) (Fai
 		TopoResult:       TopoResult{Hosts: senders + 1, Messages: senders * msgs, Size: size},
 		RerouteLatencyUs: -1,
 	}
-	onError := func(*via.Ctx, via.ErrorEvent) {
-		res.Callbacks++
-		res.ConnBroken = true
-	}
-	attrs := via.ViAttributes{Reliability: via.ReliableDelivery, EnableRdmaWrite: true}
-	targets := make([]via.AddressSegment, senders+1)
-	var registered int
 	t0 := sim.Time(0).Add(failoverStreamStart)
 	var t1 sim.Time
 
-	// Recovery from an outage is bounded by the full backoff ladder; a
-	// drain longer than that means the descriptor is stuck.
-	drainBound := 500 * sim.Millisecond
-
 	err := cfg.Simulate(senders+1, func(sys *via.System, fail func(error)) {
-		for s := 1; s <= senders; s++ {
-			s := s
-			disc := fmt.Sprintf("fo-%d", s)
-			sys.Go(0, "fo-sink-"+disc, func(ctx *via.Ctx) {
-				nic := ctx.OpenNic()
-				nic.SetErrorCallback(onError)
-				vi, err := nic.CreateVi(ctx, attrs, nil, nil)
-				if err != nil {
-					fail(err)
-					return
-				}
-				sink, err := nic.AllocReg(ctx, size)
-				if err != nil {
-					fail(err)
-					return
-				}
-				targets[s] = via.AddressSegment{Addr: sink.Buf.Addr(), Handle: sink.H}
-				registered++
-				if err := via.Pair(ctx, vi, fabric.NodeID(s), disc, false, cfg.Timeout); err != nil {
-					fail(err)
-				}
-			})
-			sys.Go(s, "fo-src-"+disc, func(ctx *via.Ctx) {
-				nic := ctx.OpenNic()
-				nic.SetErrorCallback(onError)
-				vi, err := nic.CreateVi(ctx, attrs, nil, nil)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if err := via.Pair(ctx, vi, 0, disc, true, cfg.Timeout); err != nil {
-					fail(err)
-					return
-				}
-				for registered < senders { // address exchange
-					ctx.Sleep(10 * sim.Microsecond)
-				}
-				src, err := nic.AllocReg(ctx, size)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if d := t0.Sub(ctx.Now()); d > 0 {
-					ctx.Sleep(d)
-				}
-				remote := targets[s]
-				classify := func(d *via.Descriptor) {
-					if d.Status == via.StatusSuccess {
-						res.SendOK++
-					} else {
-						res.SendFailed++
-					}
+		incastSetup(sys, cfg, fail, "fo", senders, size, res.onError,
+			func(ctx *via.Ctx, vi *via.Vi, src via.Reg, remote via.AddressSegment, _ string) {
+				sleepUntil(ctx, t0)
+				count := func(d *via.Descriptor) error {
 					if now := ctx.Now(); now > t1 {
 						t1 = now
 					}
+					return res.count(d)
 				}
 				posted, done := 0, 0
 				start := ctx.Now()
 				for i := 0; i < msgs; i++ {
-					if next := start.Add(sim.Duration(i) * failoverGap); next > ctx.Now() {
-						ctx.Sleep(next.Sub(ctx.Now()))
-					}
-					d := &via.Descriptor{
-						Op:     via.OpRdmaWrite,
-						Segs:   []via.DataSegment{{Addr: src.Buf.Addr(), Handle: src.H, Length: size}},
-						Remote: &remote,
-					}
-					if err := vi.PostSend(ctx, d); err != nil {
+					sleepUntil(ctx, start.Add(sim.Duration(i)*failoverGap))
+					if err := vi.PostSend(ctx, rdmaWrite(src, size, &remote)); err != nil {
 						res.PostRejected++
 					} else {
 						posted++
 					}
-					for {
-						d, ok := vi.SendDone(ctx)
-						if !ok {
-							break
-						}
-						classify(d)
-						done++
-					}
+					n, _ := retireSends(ctx, vi, count)
+					done += n
 				}
-				for done < posted {
-					d, err := vi.SendWait(ctx, drainBound)
-					if err != nil {
-						break // timed out or queue flushed empty: stuck sends stay unaccounted
-					}
-					classify(d)
-					done++
-				}
+				// A timed-out or flushed-empty wait ends the drain: stuck
+				// sends stay unaccounted.
+				_ = waitEach(ctx, vi.SendWait, posted-done, drainBound, count)
 			})
-		}
 	}, func(sys *via.System) {
 		res.readFabric(sys)
 		res.Rerouted = sys.Net.Rerouted
@@ -185,20 +102,6 @@ type failoverCase struct {
 	name  string
 	plan  *fault.Plan
 	start sim.Time
-}
-
-// failoverConfig shapes the XFAILOVER fabric: a fat-tree with two spines
-// (degree 2), so host 0's primary spine has exactly one same-cost
-// alternate, and 8-packet switch buffers. A scenario that already
-// selects a topology wins, like the other topology experiments.
-func failoverConfig(sc *Scenario, m *provider.Model) Config {
-	cfg := sc.Config(m)
-	if cfg.Model.Network.Topology == "" {
-		cfg.Model.Network.Topology = "fattree"
-		cfg.Model.Network.TopologyDegree = 2
-		cfg.Model.Network.SwitchBufPkts = 8
-	}
-	return cfg
 }
 
 func expXFAILOVER() *Experiment {
@@ -242,7 +145,9 @@ func expXFAILOVER() *Experiment {
 				s := bench.NewSeries(m.Name, "case (0 clean, 1 spine-down, 2 blackout)", "goodput (MB/s)")
 				var clean float64
 				for ci, fc := range cases {
-					cfg := failoverConfig(sc, m)
+					// Two spines (degree 2), so host 0's primary spine has
+					// exactly one same-cost alternate.
+					cfg := topoConfig(sc, m, "fattree", 2, 8)
 					cfg.Fault = fc.plan
 					r, err := FailoverRun(cfg, senders, msgs, size, fc.start)
 					if err != nil {

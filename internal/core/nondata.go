@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vibe/internal/bench"
-	"vibe/internal/sim"
 	"vibe/internal/via"
 )
 
@@ -127,9 +126,7 @@ func NonData(cfg Config) (NonDataCosts, error) {
 				}
 				// Wait for the client's disconnect to arrive before reusing
 				// state for the next repetition.
-				for vi.State() == via.ViConnected {
-					ctx.Sleep(10 * sim.Microsecond)
-				}
+				barrier(ctx, func() bool { return vi.State() != via.ViConnected })
 				if err := vi.Destroy(ctx); err != nil {
 					fail(err)
 					return

@@ -15,13 +15,9 @@ import (
 // provider rejected after the connection left the connected state, and
 // whether the asynchronous error handler fired.
 type FaultOutcome struct {
-	SendOK       uint64 // sends completed StatusSuccess
-	SendFailed   uint64 // sends completed Flushed or TransportError
-	RecvOK       uint64 // receives completed StatusSuccess
-	RecvFailed   uint64 // receives completed with an error status
-	PostRejected uint64 // PostSend calls refused (connection no longer usable)
-	Callbacks    uint64 // asynchronous error callbacks fired, both sides
-	ConnBroken   bool   // either side's error callback fired
+	SendTally
+	RecvOK     uint64 // receives completed StatusSuccess
+	RecvFailed uint64 // receives completed with an error status
 }
 
 // xfaultStreamStart is the virtual time at which the FaultRun client
@@ -40,14 +36,6 @@ const xfaultGap = 250 * sim.Microsecond
 func FaultRun(cfg Config, size, msgs int, rel via.ReliabilityLevel) (FaultOutcome, error) {
 	o := XferOpts{Reliability: rel}.normalized()
 	var out FaultOutcome
-	onError := func(*via.Ctx, via.ErrorEvent) {
-		out.Callbacks++
-		out.ConnBroken = true
-	}
-
-	// Recovery from a mid-stream fault is bounded by the full backoff
-	// ladder; a drain longer than that means the descriptor is stuck.
-	drainBound := 500 * sim.Millisecond
 	var receiverReady bool
 
 	err := cfg.Simulate(2, func(sys *via.System, fail func(error)) {
@@ -57,20 +45,9 @@ func FaultRun(cfg Config, size, msgs int, rel via.ReliabilityLevel) (FaultOutcom
 				fail(err)
 				return
 			}
-			ep.nic.SetErrorCallback(onError)
-			for !receiverReady {
-				ctx.Sleep(10 * sim.Microsecond)
-			}
-			if d := sim.Time(xfaultStreamStart).Sub(ctx.Now()); d > 0 {
-				ctx.Sleep(d)
-			}
-			classify := func(d *via.Descriptor) {
-				if d.Status == via.StatusSuccess {
-					out.SendOK++
-				} else {
-					out.SendFailed++
-				}
-			}
+			ep.nic.SetErrorCallback(out.onError)
+			barrier(ctx, func() bool { return receiverReady })
+			sleepUntil(ctx, sim.Time(xfaultStreamStart))
 			posted, done := 0, 0
 			for i := 0; i < msgs; i++ {
 				if err := ep.postSend(ep.send[0], size, 0, nil); err != nil {
@@ -78,24 +55,13 @@ func FaultRun(cfg Config, size, msgs int, rel via.ReliabilityLevel) (FaultOutcom
 				} else {
 					posted++
 				}
-				for {
-					d, ok := ep.vi.SendDone(ctx)
-					if !ok {
-						break
-					}
-					classify(d)
-					done++
-				}
+				n, _ := retireSends(ctx, ep.vi, out.count)
+				done += n
 				ctx.Sleep(xfaultGap)
 			}
-			for done < posted {
-				d, err := ep.vi.SendWait(ctx, drainBound)
-				if err != nil {
-					break // timed out or queue flushed empty: stuck sends stay unaccounted
-				}
-				classify(d)
-				done++
-			}
+			// A timed-out or flushed-empty wait ends the drain: stuck sends
+			// stay unaccounted.
+			_ = waitEach(ctx, ep.vi.SendWait, posted-done, drainBound, out.count)
 		})
 
 		sys.Go(1, "fault-server", func(ctx *via.Ctx) {
@@ -104,7 +70,7 @@ func FaultRun(cfg Config, size, msgs int, rel via.ReliabilityLevel) (FaultOutcom
 				fail(err)
 				return
 			}
-			ep.nic.SetErrorCallback(onError)
+			ep.nic.SetErrorCallback(out.onError)
 			for i := 0; i < msgs; i++ {
 				if err := ep.postRecv(ep.recv[0], size); err != nil {
 					fail(err)
@@ -112,17 +78,15 @@ func FaultRun(cfg Config, size, msgs int, rel via.ReliabilityLevel) (FaultOutcom
 				}
 			}
 			receiverReady = true
-			for i := 0; i < msgs; i++ {
-				d, err := ep.vi.RecvWait(ctx, drainBound)
-				if err != nil {
-					break // lost tail (unreliable) or flushed-empty queue
-				}
+			// A lost tail (unreliable) or a flushed-empty queue ends the drain.
+			_ = waitEach(ctx, ep.vi.RecvWait, msgs, drainBound, func(d *via.Descriptor) error {
 				if d.Status == via.StatusSuccess {
 					out.RecvOK++
 				} else {
 					out.RecvFailed++
 				}
-			}
+				return nil
+			})
 		})
 	}, nil)
 	return out, err

@@ -8,13 +8,13 @@ import (
 	"vibe/internal/table"
 )
 
-// topoConfig builds the cLAN-derived configuration the topology
-// experiments run on, defaulting the fabric to the named topology shape.
+// topoConfig builds the configuration a topology experiment runs on model
+// m, defaulting the fabric to the named topology shape.
 // A scenario that already selects a topology (NetTopology override or
 // scenario file) wins, so sweeps over topology parameters work like any
 // other parameter study.
-func topoConfig(sc *Scenario, topo string, degree, bufPkts int) Config {
-	cfg := sc.Config(provider.CLAN())
+func topoConfig(sc *Scenario, m *provider.Model, topo string, degree, bufPkts int) Config {
+	cfg := sc.Config(m)
 	if cfg.Model.Network.Topology == "" {
 		cfg.Model.Network.Topology = topo
 		cfg.Model.Network.TopologyDegree = degree
@@ -45,7 +45,7 @@ func expXINCAST() *Experiment {
 			t := table.New("fat-tree incast (2KB reliable RDMA writes)",
 				"Senders", "Goodput (MB/s)", "Elapsed (us)", "Credit stalls", "Max queue")
 			for _, n := range senders {
-				cfg := topoConfig(sc, "fattree", 4, 8)
+				cfg := topoConfig(sc, provider.CLAN(), "fattree", 4, 8)
 				r, err := IncastRun(cfg, n, msgs, size)
 				if err != nil {
 					return nil, fmt.Errorf("xincast %d senders: %w", n, err)
@@ -88,7 +88,7 @@ func expXALLTOALL() *Experiment {
 			const hosts = 8 // a 2x2x2 cube at one host per switch
 			s := bench.NewSeries("clan 3D torus", "message size (bytes)", "aggregate bandwidth (MB/s)")
 			for _, size := range sizes {
-				cfg := topoConfig(sc, "torus3d", 1, 8)
+				cfg := topoConfig(sc, provider.CLAN(), "torus3d", 1, 8)
 				r, err := AllToAllRun(cfg, hosts, msgs, size)
 				if err != nil {
 					return nil, fmt.Errorf("xalltoall %dB: %w", size, err)
@@ -131,7 +131,7 @@ func expXHOTSPOT() *Experiment {
 			good := bench.NewSeries("clan dragonfly", "offered load (fraction of link bw)", "goodput (MB/s)")
 			stalls := bench.NewSeries("clan dragonfly", "offered load (fraction of link bw)", "credit stalls")
 			for _, x := range offered {
-				cfg := topoConfig(sc, "dragonfly", 1, 8)
+				cfg := topoConfig(sc, provider.CLAN(), "dragonfly", 1, 8)
 				r, err := HotspotRun(cfg, senders, msgs, size, x)
 				if err != nil {
 					return nil, fmt.Errorf("xhotspot load %.2f: %w", x, err)

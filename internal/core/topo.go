@@ -45,87 +45,26 @@ func (r *TopoResult) finish(t0, t1 sim.Time) {
 // downlink — the canonical congestion benchmark for a routed fabric.
 func IncastRun(cfg Config, senders, msgs, size int) (TopoResult, error) {
 	res := TopoResult{Hosts: senders + 1, Messages: senders * msgs, Size: size}
-	attrs := via.ViAttributes{Reliability: via.ReliableDelivery, EnableRdmaWrite: true}
-	targets := make([]via.AddressSegment, senders+1)
-	var registered int
 	var started bool
 	var t0, t1 sim.Time
 
 	err := cfg.Simulate(senders+1, func(sys *via.System, fail func(error)) {
-		for s := 1; s <= senders; s++ {
-			s := s
-			disc := fmt.Sprintf("inc-%d", s)
-			sys.Go(0, "sink-"+disc, func(ctx *via.Ctx) {
-				nic := ctx.OpenNic()
-				vi, err := nic.CreateVi(ctx, attrs, nil, nil)
-				if err != nil {
-					fail(err)
-					return
-				}
-				sink, err := nic.AllocReg(ctx, size)
-				if err != nil {
-					fail(err)
-					return
-				}
-				targets[s] = via.AddressSegment{Addr: sink.Buf.Addr(), Handle: sink.H}
-				registered++
-				if err := via.Pair(ctx, vi, fabric.NodeID(s), disc, false, cfg.Timeout); err != nil {
-					fail(err)
-				}
-			})
-			sys.Go(s, "src-"+disc, func(ctx *via.Ctx) {
-				nic := ctx.OpenNic()
-				vi, err := nic.CreateVi(ctx, attrs, nil, nil)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if err := via.Pair(ctx, vi, 0, disc, true, cfg.Timeout); err != nil {
-					fail(err)
-					return
-				}
-				for registered < senders { // address exchange
-					ctx.Sleep(10 * sim.Microsecond)
-				}
-				src, err := nic.AllocReg(ctx, size)
-				if err != nil {
-					fail(err)
-					return
-				}
+		incastSetup(sys, cfg, fail, "inc", senders, size, nil,
+			func(ctx *via.Ctx, vi *via.Vi, src via.Reg, remote via.AddressSegment, disc string) {
 				// The first sender to reach the post loop opens the timed
 				// region; the burst is simultaneous within one sleep quantum.
 				if !started {
 					started = true
 					t0 = ctx.Now()
 				}
-				remote := targets[s]
-				for i := 0; i < msgs; i++ {
-					d := &via.Descriptor{
-						Op:     via.OpRdmaWrite,
-						Segs:   []via.DataSegment{{Addr: src.Buf.Addr(), Handle: src.H, Length: size}},
-						Remote: &remote,
-					}
-					if err := vi.PostSend(ctx, d); err != nil {
-						fail(fmt.Errorf("%s post %d: %w", disc, i, err))
-						return
-					}
-				}
-				for i := 0; i < msgs; i++ {
-					d, err := vi.SendWait(ctx, cfg.Timeout)
-					if err != nil {
-						fail(fmt.Errorf("%s reap %d: %w", disc, i, err))
-						return
-					}
-					if d.Status != via.StatusSuccess {
-						fail(fmt.Errorf("%s write %d completed %v", disc, i, d.Status))
-						return
-					}
+				if err := writeBurst(ctx, vi, src, remote, msgs, size, cfg.Timeout); err != nil {
+					fail(fmt.Errorf("%s: %w", disc, err))
+					return
 				}
 				if now := ctx.Now(); now > t1 {
 					t1 = now
 				}
 			})
-		}
 	}, res.readFabric)
 	res.finish(t0, t1)
 	return res, err
@@ -186,9 +125,7 @@ func AllToAllRun(cfg Config, hosts, msgs, size int) (TopoResult, error) {
 					targets[i][j] = via.AddressSegment{Addr: sink.Buf.Addr(), Handle: sink.H}
 				}
 				ready++
-				for ready < hosts { // barrier: all windows published
-					ctx.Sleep(10 * sim.Microsecond)
-				}
+				barrier(ctx, func() bool { return ready >= hosts }) // all windows published
 				src, err := nic.AllocReg(ctx, size)
 				if err != nil {
 					fail(err)
@@ -201,28 +138,9 @@ func AllToAllRun(cfg Config, hosts, msgs, size int) (TopoResult, error) {
 				// Staggered destination walk: round k sends to (i+k) mod hosts.
 				for k := 1; k < hosts; k++ {
 					j := (i + k) % hosts
-					remote := targets[j][i]
-					for n := 0; n < msgs; n++ {
-						d := &via.Descriptor{
-							Op:     via.OpRdmaWrite,
-							Segs:   []via.DataSegment{{Addr: src.Buf.Addr(), Handle: src.H, Length: size}},
-							Remote: &remote,
-						}
-						if err := vis[j].PostSend(ctx, d); err != nil {
-							fail(fmt.Errorf("a2a %d->%d post %d: %w", i, j, n, err))
-							return
-						}
-					}
-					for n := 0; n < msgs; n++ {
-						d, err := vis[j].SendWait(ctx, cfg.Timeout)
-						if err != nil {
-							fail(fmt.Errorf("a2a %d->%d reap %d: %w", i, j, n, err))
-							return
-						}
-						if d.Status != via.StatusSuccess {
-							fail(fmt.Errorf("a2a %d->%d write %d completed %v", i, j, n, d.Status))
-							return
-						}
+					if err := writeBurst(ctx, vis[j], src, targets[j][i], msgs, size, cfg.Timeout); err != nil {
+						fail(fmt.Errorf("a2a %d->%d: %w", i, j, err))
+						return
 					}
 				}
 				if now := ctx.Now(); now > t1 {
@@ -286,19 +204,18 @@ func HotspotRun(cfg Config, senders, msgs, size int, offered float64) (TopoResul
 				}
 				connected++
 				// Unreliable tail loss is legitimate: bound each wait and stop
-				// reaping when the stream has clearly ended.
-				for i := 0; i < msgs; i++ {
-					d, err := vi.RecvWait(ctx, 100*sim.Millisecond)
-					if err != nil {
-						break
-					}
+				// reaping when the stream has clearly ended. The bound is
+				// shorter than drainBound, as no recovery ladder runs here; a
+				// lost tail is visible in the hosts' idle time.
+				_ = waitEach(ctx, vi.RecvWait, msgs, 100*sim.Millisecond, func(d *via.Descriptor) error {
 					if d.Status == via.StatusSuccess {
 						recvOK++
 					}
 					if now := ctx.Now(); now > t1 {
 						t1 = now
 					}
-				}
+					return nil
+				})
 			})
 			sys.Go(s, "hot-src-"+disc, func(ctx *via.Ctx) {
 				nic := ctx.OpenNic()
@@ -316,9 +233,7 @@ func HotspotRun(cfg Config, senders, msgs, size int, offered float64) (TopoResul
 					fail(err)
 					return
 				}
-				for connected < senders { // all streams armed before load starts
-					ctx.Sleep(10 * sim.Microsecond)
-				}
+				barrier(ctx, func() bool { return connected >= senders }) // all streams armed before load starts
 				if !started {
 					started = true
 					t0 = ctx.Now()
@@ -330,31 +245,21 @@ func HotspotRun(cfg Config, senders, msgs, size int, offered float64) (TopoResul
 				start := ctx.Now()
 				reaped := 0
 				for i := 0; i < msgs; i++ {
-					if next := start.Add(sim.Duration(i) * gap); next > ctx.Now() {
-						ctx.Sleep(next.Sub(ctx.Now()))
-					}
+					sleepUntil(ctx, start.Add(sim.Duration(i)*gap))
 					d := &via.Descriptor{Segs: []via.DataSegment{{Addr: src.Buf.Addr(), Handle: src.H, Length: size}}}
 					if err := vi.PostSend(ctx, d); err != nil {
 						fail(fmt.Errorf("%s post %d: %w", disc, i, err))
 						return
 					}
-					for {
-						d, ok := vi.SendDone(ctx)
-						if !ok {
-							break
-						}
-						if d.Status != via.StatusSuccess {
-							fail(fmt.Errorf("%s send completed %v", disc, d.Status))
-							return
-						}
-						reaped++
-					}
-				}
-				for ; reaped < msgs; reaped++ {
-					if err := checkOK(vi.SendWait(ctx, cfg.Timeout)); err != nil {
-						fail(fmt.Errorf("%s reap: %w", disc, err))
+					n, err := retireSends(ctx, vi, succeeded)
+					if err != nil {
+						fail(fmt.Errorf("%s: %w", disc, err))
 						return
 					}
+					reaped += n
+				}
+				if err := waitEach(ctx, vi.SendWait, msgs-reaped, cfg.Timeout, succeeded); err != nil {
+					fail(fmt.Errorf("%s reap: %w", disc, err))
 				}
 			})
 		}

@@ -104,7 +104,7 @@ func TestTopologyOverrideWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := topoConfig(sc, "fattree", 4, 8)
+	cfg := topoConfig(sc, provider.CLAN(), "fattree", 4, 8)
 	if cfg.Model.Network.Topology != "torus3d" || cfg.Model.Network.TopologyDegree != 2 || cfg.Model.Network.SwitchBufPkts != 4 {
 		t.Fatalf("override lost: %+v", cfg.Model.Network)
 	}

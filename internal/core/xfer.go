@@ -192,13 +192,6 @@ func (ep *endpoint) waitRecv() (*via.Descriptor, error) {
 	return ep.vi.RecvWaitPoll(ep.ctx)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // checkOK fails on transport-level descriptor errors so miscalibrated
 // benchmarks surface loudly.
 func checkOK(d *via.Descriptor, err error) error {
@@ -238,9 +231,7 @@ func roundTrip(cfg Config, reqSize, replySize int, separateBufs bool, o XferOpts
 			if o.RDMA {
 				x.cli = addressSegments(ep.recv)
 				cliReady = true
-				for !srvReady {
-					ctx.Sleep(10 * sim.Microsecond)
-				}
+				barrier(ctx, func() bool { return srvReady })
 			}
 			var t0 sim.Time
 			var meter *cpu.Meter
@@ -285,9 +276,7 @@ func roundTrip(cfg Config, reqSize, replySize int, separateBufs bool, o XferOpts
 			if o.RDMA {
 				x.srv = addressSegments(ep.recv)
 				srvReady = true
-				for !cliReady {
-					ctx.Sleep(10 * sim.Microsecond)
-				}
+				barrier(ctx, func() bool { return cliReady })
 			}
 			if o.Notify {
 				ep.serveNotify(total, reqSize, replySize, &x, fail)

@@ -3,7 +3,6 @@ package via
 import (
 	"fmt"
 
-	"vibe/internal/fabric"
 	"vibe/internal/nicsim"
 	"vibe/internal/sim"
 	"vibe/internal/vmem"
@@ -110,5 +109,3 @@ func (p *wirePacket) wireSize(ackBytes int) int {
 		return connPktBytes
 	}
 }
-
-var _ = fabric.NodeID(0) // fabric types appear in signatures elsewhere
