@@ -105,12 +105,14 @@ cover:
 # allocate either; nicsim.FragmentAt must not allocate; deregistering the
 # Fig 2 sweep must not materialize simulated memory; one cLAN 64 KiB
 # bandwidth and latency point must stay under their heap-byte bounds
-# (TestXferHeapBytes); and the NIC must move never-written memory as a
-# length, clearing only the landed range of a materialized destination
-# (the TestZeroRange tests). Wall times are machine-dependent and are reported,
+# (TestXferHeapBytes); recording a finished 2-host system's metrics into
+# a collector that holds its keys must stay under 8 KiB
+# (TestRecordMetricsHeapBytes); and the NIC must move never-written
+# memory as a length, clearing only the landed range of a materialized
+# destination (the TestZeroRange tests). Wall times are machine-dependent and are reported,
 # not gated; end-to-end host timings come from `bash hostbench/run.sh`.
 bench-smoke: build
-	$(GO) test -count=1 -run 'ZeroAlloc|TestMemDeregisterDoesNotMaterializeBuffers|TestXferHeapBytes|TestZeroRange|TestFragmentAt' ./internal/sim/ ./internal/core/ ./internal/trace/ ./internal/via/ ./internal/nicsim/
+	$(GO) test -count=1 -run 'ZeroAlloc|TestMemDeregisterDoesNotMaterializeBuffers|TestXferHeapBytes|TestRecordMetricsHeapBytes|TestZeroRange|TestFragmentAt' ./internal/sim/ ./internal/core/ ./internal/trace/ ./internal/via/ ./internal/nicsim/
 	$(GO) test -bench . -benchmem -benchtime 1000x -run '^$$' ./internal/sim/ ./internal/vmem/ | tee bench_sim.txt
 
 # Fuzz smoke: run each input-parser fuzzer for 10 s. FuzzParseDuration

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"vibe/internal/bench"
 	"vibe/internal/fault"
@@ -85,11 +84,7 @@ func FailoverRun(cfg Config, senders, msgs, size int, outageStart sim.Time) (Fai
 		if at, ok := sys.Net.FirstRerouteAt(); ok {
 			res.RerouteLatencyUs = at.Sub(outageStart).Micros()
 		}
-		for k, v := range sys.CollectMetrics().Map() {
-			if strings.HasSuffix(k, "window.retransmits") {
-				res.Retransmits += uint64(v)
-			}
-		}
+		res.Retransmits = sys.Retransmits()
 	})
 	res.Messages = int(res.SendOK)
 	res.finish(t0, t1)

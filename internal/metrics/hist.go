@@ -47,7 +47,7 @@ func histBounds(idx int) (lo, hi float64) {
 // Hist is a fixed-bucket log-spaced histogram of virtual-time
 // nanoseconds. The zero value is ready to use. Like Registry, a Hist is
 // single-writer: one simulation records into it; cross-worker aggregation
-// merges snapshots through Collector.
+// folds it into a Collector's registry (Registry.MergeHist).
 type Hist struct {
 	counts [HistBuckets]uint64
 	count  uint64
@@ -119,8 +119,8 @@ func (h *Hist) Clone() *Hist {
 }
 
 // MergeFrom folds o's observations into h (bucket-wise sums; the max is
-// the max of the two). This is the across-workers combination Collector
-// applies.
+// the max of the two). This is the across-workers combination
+// Registry.MergeHist applies.
 func (h *Hist) MergeFrom(o *Hist) {
 	for i := range h.counts {
 		h.counts[i] += o.counts[i]

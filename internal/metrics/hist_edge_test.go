@@ -22,7 +22,7 @@ func TestQuantileEmptyHist(t *testing.T) {
 
 	// The flattened map and exposition formats inherit the policy.
 	r := New()
-	r.SetHist("lat", &h)
+	r.MergeHist("lat", &h)
 	for k, v := range r.Snapshot().Map() {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Errorf("flattened key %s = %v, want finite", k, v)
@@ -114,7 +114,7 @@ func TestCollectorMergeSemanticsByKind(t *testing.T) {
 func TestCollectorMergeEmptyHist(t *testing.T) {
 	mk := func() Snapshot {
 		r := New()
-		r.SetHist("lat", &Hist{})
+		r.MergeHist("lat", &Hist{})
 		return r.Snapshot()
 	}
 	c := NewCollector()

@@ -20,15 +20,17 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// MergedSnapshot folds the snapshots of every non-nil collector into one:
-// the cross-scenario roll-up the CLIs write for -metrics-out. Counters sum,
-// gauges take the max, histograms merge bucket-wise — the same semantics a
-// single collector applies across workers.
+// MergedSnapshot merges every non-nil collector into one snapshot: the
+// cross-scenario roll-up written as metrics.json and served on vibed's
+// /metrics. Each collector's samples are replayed, under its lock, through
+// the same registry writes a single collector applies across workers.
 func MergedSnapshot(cols ...*Collector) Snapshot {
 	agg := NewCollector()
 	for _, c := range cols {
 		if c != nil {
-			agg.Merge(c.Snapshot())
+			c.mu.Lock()
+			agg.Merge(c.reg.s)
+			c.mu.Unlock()
 		}
 	}
 	return agg.Snapshot()

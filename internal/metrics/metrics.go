@@ -7,10 +7,10 @@
 // Keys are hierarchical, dot-separated names like "nic0.tlb.miss",
 // "cpu1.busy_ns" or "link0.tx_bytes"; the first segment identifies the
 // component instance, so snapshots render naturally as per-component
-// tables. A Registry is deliberately lock-free: it lives inside one
-// single-threaded discrete-event simulation. Cross-simulation aggregation
-// (the parallel experiment runner merges many systems' snapshots) goes
-// through Collector, which is mutex-guarded.
+// tables. A Registry is deliberately lock-free; a Collector guards one so
+// parallel workers can record finished systems straight into it. The
+// registry's writes are the merge rule: counters sum, a gauge keeps its
+// highest value, histograms fold bucket-wise.
 package metrics
 
 import (
@@ -22,9 +22,8 @@ import (
 )
 
 // Kind distinguishes monotonically accumulating counters from level-valued
-// gauges. The distinction matters when snapshots are diffed (counters
-// subtract, gauges don't) and merged (counters sum, gauges take the max —
-// the natural combination for high-water marks).
+// gauges. The distinction matters when values merge: counters sum, gauges
+// keep the highest (the natural combination for high-water marks).
 type Kind uint8
 
 const (
@@ -103,9 +102,13 @@ func (r *Registry) AddUint(key string, delta uint64) {
 	r.slot(key, Counter).Value += float64(delta)
 }
 
-// Gauge sets the gauge named key to v.
+// Gauge records v into the gauge named key: the first value is taken
+// as-is, and after that the gauge keeps the highest value written.
 func (r *Registry) Gauge(key string, v float64) {
-	r.slot(key, Gauge).Value = v
+	n := len(r.s)
+	if s := r.slot(key, Gauge); len(r.s) > n || v > s.Value {
+		s.Value = v
+	}
 }
 
 // Observe records one observation into the histogram named key, creating
@@ -119,13 +122,17 @@ func (r *Registry) Observe(key string, v float64) {
 	s.Value = float64(s.Hist.Count())
 }
 
-// SetHist installs a copy of h as the histogram named key. Components that
-// maintain their own Hist values (e.g. the span tracker) publish them into
-// a collection registry this way.
-func (r *Registry) SetHist(key string, h *Hist) {
+// MergeHist folds h into the histogram named key: a copy of h on first
+// use, bucket-wise sums after that. Components that keep their own Hist
+// values (e.g. the span tracker) publish them this way.
+func (r *Registry) MergeHist(key string, h *Hist) {
 	s := r.slot(key, Histogram)
-	s.Hist = h.Clone()
-	s.Value = float64(h.Count())
+	if s.Hist == nil {
+		s.Hist = h.Clone()
+	} else {
+		s.Hist.MergeFrom(h)
+	}
+	s.Value = float64(s.Hist.Count())
 }
 
 // Snapshot returns a copy of the registry's current state, sorted by key.
@@ -206,9 +213,9 @@ func formatValue(v float64) string {
 	return fmt.Sprintf("%.4g", v)
 }
 
-// Collector aggregates snapshots from many independent simulations. It is
-// safe for concurrent use: the parallel experiment runner merges cell
-// results from its worker goroutines.
+// Collector aggregates the metrics of many independent simulations. It
+// is safe for concurrent use: the parallel experiment runner's workers
+// record their finished systems into one collector per scenario.
 type Collector struct {
 	mu      sync.Mutex
 	systems int
@@ -218,48 +225,33 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Merge folds one system's snapshot into the aggregate: a key seen for the
-// first time takes the sample as-is; after that counters sum, gauges keep
-// the maximum observed (high-water semantics), and histograms merge
-// bucket-wise so percentiles aggregate across workers.
-func (c *Collector) Merge(snap Snapshot) {
+// Record counts one system and lets fn write its metrics into the
+// aggregate under the collector's lock; the registry's writes merge them.
+func (c *Collector) Record(fn func(*Registry)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.systems++
-	for _, x := range snap {
-		n := len(c.reg.s)
-		s := c.reg.slot(x.Key, x.Kind)
-		if len(c.reg.s) > n {
-			*s = x
-			if x.Hist != nil {
-				// Own a private copy: later merges mutate it, and the
-				// caller's snapshot must stay immutable.
-				s.Hist = x.Hist.Clone()
-			}
-			continue
-		}
-		switch x.Kind {
-		case Counter:
-			s.Value += x.Value
-		case Histogram:
-			if x.Hist == nil {
-				break
-			}
-			if s.Hist == nil {
-				s.Hist = x.Hist.Clone()
-			} else {
-				s.Hist.MergeFrom(x.Hist)
-			}
-			s.Value = float64(s.Hist.Count())
-		default:
-			if x.Value > s.Value {
-				s.Value = x.Value
-			}
-		}
-	}
+	fn(&c.reg)
 }
 
-// Systems reports how many snapshots have been merged.
+// Merge records one system's snapshot, replaying each sample through the
+// registry write of its kind.
+func (c *Collector) Merge(snap Snapshot) {
+	c.Record(func(r *Registry) {
+		for _, x := range snap {
+			switch x.Kind {
+			case Counter:
+				r.Add(x.Key, x.Value)
+			case Gauge:
+				r.Gauge(x.Key, x.Value)
+			case Histogram:
+				r.MergeHist(x.Key, x.Hist)
+			}
+		}
+	})
+}
+
+// Systems reports how many systems have been recorded.
 func (c *Collector) Systems() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -27,6 +27,54 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 	}
 }
 
+// TestRegistryWritesAreTheMergeRule checks the write methods a finished
+// system and a merge share: a gauge takes its first value as-is (even a
+// negative one) and then keeps the highest, and MergeHist folds
+// bucket-wise without retaining its argument.
+func TestRegistryWritesAreTheMergeRule(t *testing.T) {
+	r := New()
+	r.Gauge("q.depth", 9)
+	r.Gauge("q.depth", 4)
+	r.Gauge("q.level", -3)
+	r.Gauge("q.level", -5)
+	var a, b Hist
+	a.Observe(10)
+	b.Observe(1000)
+	b.Observe(2000)
+	r.MergeHist("lat", &a)
+	r.MergeHist("lat", &b)
+	a.Observe(5) // the registry holds its own copy
+	s := r.Snapshot().Map()
+	if v := s["q.depth"]; v != 9 {
+		t.Errorf("gauge after 9, 4 = %v, want 9", v)
+	}
+	if v := s["q.level"]; v != -3 {
+		t.Errorf("gauge after -3, -5 = %v, want -3", v)
+	}
+	if v := s["lat.count"]; v != 3 {
+		t.Errorf("merged hist count = %v, want 3", v)
+	}
+	if v := s["lat.max"]; v != 2000 {
+		t.Errorf("merged hist max = %v, want 2000", v)
+	}
+}
+
+// TestCollectorRecord checks that Record writes into the aggregate under
+// the registry's rules and counts one system per call.
+func TestCollectorRecord(t *testing.T) {
+	c := NewCollector()
+	for _, v := range []float64{8, 21, 5} {
+		c.Record(func(r *Registry) {
+			r.Add("x.count", 1)
+			r.Gauge("x.peak", v)
+		})
+	}
+	s := c.Snapshot().Map()
+	if s["x.count"] != 3 || s["x.peak"] != 21 || c.Systems() != 3 {
+		t.Errorf("after 3 records: count %v, peak %v, systems %d; want 3, 21, 3", s["x.count"], s["x.peak"], c.Systems())
+	}
+}
+
 func TestSnapshotSorted(t *testing.T) {
 	r := New()
 	r.Add("b.x", 10)

@@ -102,7 +102,7 @@ func TestWritePrometheusBucketBounds(t *testing.T) {
 	h.Observe(3) // unit bucket [3,4)
 	h.Observe(1000)
 	r := New()
-	r.SetHist("lat", &h)
+	r.MergeHist("lat", &h)
 
 	var b bytes.Buffer
 	if err := r.Snapshot().WritePrometheus(&b, ""); err != nil {

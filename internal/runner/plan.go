@@ -262,8 +262,8 @@ func CellName(name string, i, n int) string {
 func (p *Plan) Run(progress func(ProgressEvent)) (*Output, error) {
 	grid := RunGrid(p.Experiments, p.Scenarios, Options{Workers: p.Workers, Progress: progress})
 	out := &Output{Grid: grid}
-	// One snapshot per collector feeds the result sets, metrics.txt and
-	// metrics.json alike.
+	// One snapshot per collector feeds the result sets and metrics.txt;
+	// metrics.json merges the collectors themselves.
 	snaps := make([]metrics.Snapshot, len(p.Collectors))
 	for i, c := range p.Collectors {
 		if c != nil {
@@ -317,12 +317,8 @@ func (p *Plan) encodeSinks(out *Output, snaps []metrics.Snapshot) error {
 		out.add(MetricsTextArtifact, bytes.Join(out.CellMetrics, nil))
 	}
 	if p.req.MetricsJSON {
-		agg := metrics.NewCollector()
-		for _, s := range snaps {
-			agg.Merge(s)
-		}
 		var b bytes.Buffer
-		if err := agg.Snapshot().WriteJSON(&b); err != nil {
+		if err := metrics.MergedSnapshot(p.Collectors...).WriteJSON(&b); err != nil {
 			return err
 		}
 		out.add(MetricsJSONArtifact, b.Bytes())

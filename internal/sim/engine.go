@@ -160,7 +160,8 @@ func (e *Engine) Run() error {
 		}
 	}
 	if !e.stopped && e.blocked > 0 {
-		return fmt.Errorf("sim: deadlock at %v: %d process(es) blocked with no pending events", e.now, e.blocked)
+		stuck := e.procNames(func(p *Proc) bool { return p.parked && !p.daemon })
+		return fmt.Errorf("sim: deadlock at %v: %d process(es) blocked with no pending events: %v", e.now, e.blocked, stuck)
 	}
 	return nil
 }
@@ -196,11 +197,17 @@ func (e *Engine) CheckLeaks() error {
 	if e.live == e.parked {
 		return nil
 	}
-	var stray []string
+	stray := e.procNames(func(p *Proc) bool { return !p.parked })
+	return fmt.Errorf("sim: %d live process(es) not parked after Run: %v", e.live-e.parked, stray)
+}
+
+// procNames names the live processes that match, in spawn order.
+func (e *Engine) procNames(match func(*Proc) bool) []string {
+	var names []string
 	for _, p := range e.procs {
-		if p != nil && !p.dead && !p.parked {
-			stray = append(stray, p.name)
+		if p != nil && !p.dead && match(p) {
+			names = append(names, p.name)
 		}
 	}
-	return fmt.Errorf("sim: %d live process(es) not parked after Run: %v", e.live-e.parked, stray)
+	return names
 }

@@ -266,6 +266,30 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestDeadlockNamesBlockedProcesses checks that a deadlock report names
+// the non-daemon processes left waiting, in spawn order, and leaves out
+// blocked daemons and finished processes.
+func TestDeadlockNamesBlockedProcesses(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Shutdown()
+	a, b := NewSignal(e), NewSignal(e)
+	e.Spawn("h0/client", func(p *Proc) { a.Wait(p) })
+	e.Spawn("done", func(p *Proc) { p.Sleep(5) })
+	e.Spawn("nic", func(p *Proc) {
+		p.SetDaemon(true)
+		NewSignal(e).Wait(p)
+	})
+	e.Spawn("h1/server", func(p *Proc) {
+		p.Sleep(10)
+		b.Wait(p)
+	})
+	err := e.Run()
+	want := "sim: deadlock at 10ns: 2 process(es) blocked with no pending events: [h0/client h1/server]"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run() = %v, want %q", err, want)
+	}
+}
+
 func TestDaemonDoesNotDeadlock(t *testing.T) {
 	e := NewEngine(1)
 	q := NewQueue[int](e)

@@ -184,12 +184,7 @@ func (v *Vi) teardown(st ViState) {
 		// Absorb the connection's reliability counters into the NIC (then
 		// zero them) so metrics collection after teardown still sees them,
 		// and collection of a live connection never double counts.
-		n := v.nic
-		n.winAcked += v.conn.window.Acked
-		n.winRetransmits += v.conn.window.Retransmits
-		n.recvDups += v.conn.recvSeq.Duplicates
-		n.recvGaps += v.conn.recvSeq.Gaps
-		n.rtoBackoffs += v.conn.rto.Backoffs
+		v.nic.absorbed.add(v.conn)
 		v.conn.window.Acked, v.conn.window.Retransmits = 0, 0
 		v.conn.recvSeq.Duplicates, v.conn.recvSeq.Gaps = 0, 0
 		v.conn.rto.Backoffs = 0

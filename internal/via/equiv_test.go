@@ -38,7 +38,7 @@ func runFingerprint(t *testing.T, m *provider.Model, seed int64, plan *fault.Pla
 	fp := fingerprint{
 		end:     sys.Eng.Now(),
 		events:  sys.Eng.EventsDispatched(),
-		metrics: sys.CollectMetrics().Map(),
+		metrics: metricsMap(sys),
 	}
 	fp.opened, fp.closed, fp.doubles = sys.spans.opened, sys.spans.closedN, sys.spans.doubles
 	if err := sys.Close(); err != nil {

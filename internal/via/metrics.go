@@ -8,20 +8,19 @@ import (
 	"vibe/internal/prof"
 )
 
-// SetCollector arranges for the system's metrics snapshot to be merged into
-// c when Run finishes. Counters always accumulate (they are cheap integer
+// SetCollector arranges for the system's metrics to be recorded into c
+// when Run finishes. Counters always accumulate (they are cheap integer
 // increments that never touch virtual time); the collector only controls
 // whether anyone reads them, so simulations without one behave — and time —
 // identically.
 func (s *System) SetCollector(c *metrics.Collector) { s.collector = c }
 
-// CollectMetrics snapshots every component counter of the system under
-// hierarchical keys: sim.* (engine), cpu{i}.* (host processors), nic{i}.*
-// (NIC engines, TLB, reliability window), via{i}.* (VIPL-level operations),
-// link{i}.* (per-host fabric links), fabric.* (whole interconnect).
-func (s *System) CollectMetrics() metrics.Snapshot {
-	r := metrics.New()
-
+// writeMetrics writes every component counter into r, the registry of
+// the run's collector (see Run), under hierarchical keys: sim.* (engine),
+// cpu{i}.* (host processors), nic{i}.* (NIC engines, TLB, reliability
+// window), via{i}.* (VIPL-level operations), link{i}.* (per-host fabric
+// links), fabric.* (whole interconnect).
+func (s *System) writeMetrics(r *metrics.Registry) {
 	r.AddUint("sim.events_dispatched", s.Eng.EventsDispatched())
 	r.Gauge("sim.heap_high_water", float64(s.Eng.HeapHighWater()))
 
@@ -30,11 +29,7 @@ func (s *System) CollectMetrics() metrics.Snapshot {
 		cpuK := "cpu" + strconv.Itoa(i)
 		busy := h.CPU.Busy()
 		r.Add(metrics.Join(cpuK, "busy_ns"), float64(busy))
-		if idle := elapsed - busy; idle > 0 {
-			r.Add(metrics.Join(cpuK, "idle_ns"), float64(idle))
-		} else {
-			r.Add(metrics.Join(cpuK, "idle_ns"), 0)
-		}
+		r.Add(metrics.Join(cpuK, "idle_ns"), float64(max(elapsed-busy, 0)))
 		r.Add(metrics.Join(cpuK, "spin_ns"), float64(h.CPU.SpinBusy()))
 		r.Add(metrics.Join(cpuK, "wake_ns"), float64(h.CPU.WakeBusy()))
 		r.AddUint(metrics.Join(cpuK, "spin_waits"), h.CPU.SpinWaits())
@@ -58,26 +53,12 @@ func (s *System) CollectMetrics() metrics.Snapshot {
 		r.AddUint(metrics.Join(nicK, "acks", "recv"), n.AcksRecv)
 		r.AddUint(metrics.Join(nicK, "drops", "no_desc"), n.DroppedNoDesc)
 
-		// Window/sequence counters: what live connections hold now, plus
-		// what teardown absorbed into the NIC (teardown zeroes the
-		// connection's counters, so the sum never double counts).
-		acked, retx := n.winAcked, n.winRetransmits
-		dups, gaps := n.recvDups, n.recvGaps
-		backoffs := n.rtoBackoffs
-		for _, vi := range n.vis {
-			if vi.conn != nil {
-				acked += vi.conn.window.Acked
-				retx += vi.conn.window.Retransmits
-				dups += vi.conn.recvSeq.Duplicates
-				gaps += vi.conn.recvSeq.Gaps
-				backoffs += vi.conn.rto.Backoffs
-			}
-		}
-		r.AddUint(metrics.Join(nicK, "window", "acked"), acked)
-		r.AddUint(metrics.Join(nicK, "window", "retransmits"), retx)
-		r.AddUint(metrics.Join(nicK, "window", "recv_duplicates"), dups)
-		r.AddUint(metrics.Join(nicK, "window", "recv_gaps"), gaps)
-		r.AddUint(metrics.Join(nicK, "window", "backoffs"), backoffs)
+		w := n.windowTotals()
+		r.AddUint(metrics.Join(nicK, "window", "acked"), w.acked)
+		r.AddUint(metrics.Join(nicK, "window", "retransmits"), w.retransmits)
+		r.AddUint(metrics.Join(nicK, "window", "recv_duplicates"), w.dups)
+		r.AddUint(metrics.Join(nicK, "window", "recv_gaps"), w.gaps)
+		r.AddUint(metrics.Join(nicK, "window", "backoffs"), w.backoffs)
 
 		// Error-semantics counters.
 		r.AddUint(metrics.Join(nicK, "drops", "corrupt"), n.CorruptDrops)
@@ -162,16 +143,50 @@ func (s *System) CollectMetrics() metrics.Snapshot {
 			if t.totals[pi].Count() == 0 {
 				continue
 			}
-			r.SetHist(metrics.Join("span", pathNames[pi], "total_ns"), &t.totals[pi])
+			r.MergeHist(metrics.Join("span", pathNames[pi], "total_ns"), &t.totals[pi])
 			for ph := spanPhase(0); ph < numPhases; ph++ {
 				if t.phaseH[pi][ph].Count() > 0 {
-					r.SetHist(metrics.Join("span", pathNames[pi], phaseNames[ph]+"_ns"), &t.phaseH[pi][ph])
+					r.MergeHist(metrics.Join("span", pathNames[pi], phaseNames[ph]+"_ns"), &t.phaseH[pi][ph])
 				}
 			}
 		}
 	}
+}
 
-	return r.Snapshot()
+// windowTotals are reliability-window counters. A NIC's totals are what
+// teardown absorbed into it plus what live connections hold now (teardown
+// zeroes the connection's counters, so the sum never double counts).
+type windowTotals struct {
+	acked, retransmits, dups, gaps, backoffs uint64
+}
+
+// add folds connection c's window counters into w.
+func (w *windowTotals) add(c *connState) {
+	w.acked += c.window.Acked
+	w.retransmits += c.window.Retransmits
+	w.dups += c.recvSeq.Duplicates
+	w.gaps += c.recvSeq.Gaps
+	w.backoffs += c.rto.Backoffs
+}
+
+func (n *Nic) windowTotals() windowTotals {
+	w := n.absorbed
+	for _, vi := range n.vis {
+		if vi.conn != nil {
+			w.add(vi.conn)
+		}
+	}
+	return w
+}
+
+// Retransmits reports the go-back-N retransmissions of every NIC in the
+// system: the sum of the nic{i}.window.retransmits metrics.
+func (s *System) Retransmits() uint64 {
+	var n uint64
+	for _, h := range s.hosts {
+		n += h.nic.windowTotals().retransmits
+	}
+	return n
 }
 
 // SetProfile arranges for the system's virtual-time attribution to be

@@ -78,9 +78,7 @@ type Nic struct {
 
 	// Window/sequence counters absorbed from connections at teardown;
 	// live connections are added on top at collection time.
-	winAcked, winRetransmits uint64
-	recvDups, recvGaps       uint64
-	rtoBackoffs              uint64
+	absorbed windowTotals
 
 	// Busy-time attribution: virtual time the NIC engines spent in each
 	// cost-component phase, accumulated alongside the Sleeps that model

@@ -40,10 +40,12 @@ type System struct {
 	bufs    *nicsim.BufPool
 	pktFree []*wirePacket
 
-	// collector, when set, receives the system's metrics snapshot once,
-	// after the first Run completes (see SetCollector in metrics.go).
+	// collector and profile, when set, receive the system's metrics and
+	// per-component virtual-time attribution once, after the first Run
+	// completes (see SetCollector and SetProfile in metrics.go).
 	collector *metrics.Collector
-	collected bool
+	profile   *prof.Scope
+	reported  bool
 
 	// faults is the system's compiled fault plan, nil when none is
 	// installed (see InstallFaults).
@@ -52,11 +54,6 @@ type System struct {
 	// spans, when set, samples message lifecycles into per-phase latency
 	// histograms (see span.go / EnableSpans).
 	spans *spanTracker
-
-	// profile, when set, receives per-component virtual-time attribution
-	// after the first Run (see SetProfile in metrics.go).
-	profile  *prof.Scope
-	profiled bool
 }
 
 // InstallFaults compiles a fault plan into this system: the injector
@@ -160,17 +157,18 @@ func (s *System) Go(node int, name string, fn func(ctx *Ctx)) {
 
 // Run drives the simulation until every user process finishes. It returns
 // an error on deadlock (a protocol bug in the simulated code). If a metrics
-// collector is installed, the system's snapshot is merged into it when the
-// first Run completes.
+// collector or profile is installed, the first Run to complete records
+// the system into it.
 func (s *System) Run() error {
 	err := s.Eng.Run()
-	if s.collector != nil && !s.collected {
-		s.collected = true
-		s.collector.Merge(s.CollectMetrics())
-	}
-	if s.profile != nil && !s.profiled {
-		s.profiled = true
-		s.CollectProfile(s.profile)
+	if !s.reported {
+		s.reported = true
+		if s.collector != nil {
+			s.collector.Record(s.writeMetrics)
+		}
+		if s.profile != nil {
+			s.CollectProfile(s.profile)
+		}
 	}
 	return err
 }

@@ -133,7 +133,7 @@ func TestRdmaRead(t *testing.T) {
 func TestRdmaReadFragmentCounts(t *testing.T) {
 	env := rdmaReadPair(t, 9000)
 	env.run()
-	snap := env.sys.CollectMetrics().Map()
+	snap := metricsMap(env.sys)
 	get := func(key string) float64 {
 		v, ok := snap[key]
 		if !ok {
