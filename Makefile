@@ -14,11 +14,18 @@ all: check
 build:
 	$(GO) build ./...
 
-# Vet, then fail if gofmt would change any Go file.
+# Vet, then fail if gofmt would change any Go file, or if a non-test file
+# of the mp, stream, dsm or getput layer names via.StatusSuccess. Those
+# layers check completions only through via.CheckOK (directly, or inside
+# Vi.PostSendPoll and the Ring), so the status check keeps one copy and
+# every layer's errors carry the status the same way.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 	  echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+	@status=$$(find internal/mp internal/stream internal/dsm internal/getput -name '*.go' ! -name '*_test.go' \
+	  | xargs grep -l 'via\.StatusSuccess'); if [ -n "$$status" ]; then \
+	  echo "check completions with via.CheckOK, not via.StatusSuccess, in:"; echo "$$status"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -39,7 +39,7 @@ func bandwidth(cfg Config, size int, o XferOpts) (XferResult, error) {
 					return err
 				}
 				if !drain {
-					return checkOK(ep.waitSend())
+					return via.CheckOK(ep.waitSend())
 				}
 				return nil
 			}
@@ -68,7 +68,7 @@ func bandwidth(cfg Config, size int, o XferOpts) (XferResult, error) {
 				}
 				outstanding -= n
 				for o.Window > 0 && outstanding >= o.Window {
-					if err := checkOK(ep.waitSend()); err != nil {
+					if err := via.CheckOK(ep.waitSend()); err != nil {
 						fail(err)
 						return
 					}
@@ -77,7 +77,7 @@ func bandwidth(cfg Config, size int, o XferOpts) (XferResult, error) {
 			}
 			// The clock stops when the receiver's ack lands (the paper's
 			// protocol), which covers all in-flight messages.
-			if err := checkOK(ep.waitRecv()); err != nil {
+			if err := via.CheckOK(ep.waitRecv()); err != nil {
 				fail(fmt.Errorf("vibe bw: final ack: %w", err))
 				return
 			}
@@ -106,7 +106,7 @@ func bandwidth(cfg Config, size int, o XferOpts) (XferResult, error) {
 			}
 			receiverReady = true
 			for i := 0; i < warm+total; i++ {
-				if err := checkOK(ep.waitRecv()); err != nil {
+				if err := via.CheckOK(ep.waitRecv()); err != nil {
 					fail(fmt.Errorf("vibe bw: recv %d: %w", i, err))
 					return
 				}
@@ -116,7 +116,7 @@ func bandwidth(cfg Config, size int, o XferOpts) (XferResult, error) {
 				fail(err)
 				return
 			}
-			if err := checkOK(ep.waitSend()); err != nil {
+			if err := via.CheckOK(ep.waitSend()); err != nil {
 				fail(err)
 			}
 		})

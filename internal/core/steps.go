@@ -39,7 +39,7 @@ func barrier(ctx *via.Ctx, ready func() bool) {
 
 // succeeded is the completion check for streams that must not lose a
 // message: it fails a descriptor that completed unsuccessfully.
-func succeeded(d *via.Descriptor) error { return checkOK(d, nil) }
+func succeeded(d *via.Descriptor) error { return via.CheckOK(d, nil) }
 
 // retireSends dequeues each send on vi that has already completed and
 // passes it to done, stopping at the first error done returns. It returns

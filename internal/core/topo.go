@@ -196,8 +196,7 @@ func HotspotRun(cfg Config, senders, msgs, size int, offered float64) (TopoResul
 				// Pre-post the whole stream so no frame dies for lack of a
 				// descriptor — losses, if any, are the fabric's doing.
 				for i := 0; i < msgs; i++ {
-					d := &via.Descriptor{Segs: []via.DataSegment{{Addr: sink.Buf.Addr(), Handle: sink.H, Length: size}}}
-					if err := vi.PostRecv(ctx, d); err != nil {
+					if err := vi.PostRecv(ctx, via.SimpleRecv(sink.Buf, sink.H, size)); err != nil {
 						fail(err)
 						return
 					}
@@ -246,8 +245,7 @@ func HotspotRun(cfg Config, senders, msgs, size int, offered float64) (TopoResul
 				reaped := 0
 				for i := 0; i < msgs; i++ {
 					sleepUntil(ctx, start.Add(sim.Duration(i)*gap))
-					d := &via.Descriptor{Segs: []via.DataSegment{{Addr: src.Buf.Addr(), Handle: src.H, Length: size}}}
-					if err := vi.PostSend(ctx, d); err != nil {
+					if err := vi.PostSend(ctx, via.SimpleSend(src.Buf, src.H, size)); err != nil {
 						fail(fmt.Errorf("%s post %d: %w", disc, i, err))
 						return
 					}

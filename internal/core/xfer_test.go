@@ -221,3 +221,25 @@ func TestMTULadderShape(t *testing.T) {
 		t.Errorf("MTU crossing step too small: %.1f -> %.1f", at.LatencyUs, over.LatencyUs)
 	}
 }
+
+// TestRDMALatencyAtShortOneWayTrips: with RDMA, the latency server posts
+// its first receive before it publishes its buffer addresses. If it
+// posted after, a short enough one-way trip let the client's first RDMA
+// write with immediate data reach an empty receive queue, where the
+// unreliable VI dropped it and both sides waited forever. The cLAN 4 B
+// point at a faster wire or a shorter link is such a trip.
+func TestRDMALatencyAtShortOneWayTrips(t *testing.T) {
+	for _, set := range [][2]string{{"BandwidthBps", "1.9e9"}, {"LinkLatency", "0.05us"}} {
+		m := provider.CLAN()
+		p, err := provider.ParamByName(set[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Set(m, set[1]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Latency(quickCfg(m), 4, XferOpts{RDMA: true}); err != nil {
+			t.Errorf("%s=%s: %v", set[0], set[1], err)
+		}
+	}
+}

@@ -40,10 +40,8 @@ type manager struct {
 	barrierSig   *sim.Signal
 
 	// Node-0 transport: one VI per remote node, indexed by node id.
-	srvVis  []*via.Vi
-	srvRing [][]via.Reg
-	srvAt   []int
-	bounce  []via.Reg
+	srvVis []*via.Vi
+	bounce []via.Reg
 }
 
 type lockState struct {
@@ -60,8 +58,7 @@ type lockWaiter struct {
 // nodeLink is a remote node's connection to the manager.
 type nodeLink struct {
 	vi   *via.Vi
-	ring []via.Reg
-	at   int
+	ring *via.Ring
 	out  via.Reg
 }
 
@@ -78,9 +75,8 @@ func (m *manager) register(ctx *via.Ctx, d *Node) error {
 	if d.me == 0 {
 		m.barrierSig = sim.NewSignal(ctx.P.Engine())
 		m.srvVis = make([]*via.Vi, m.w.n)
-		m.srvRing = make([][]via.Reg, m.w.n)
-		m.srvAt = make([]int, m.w.n)
 		m.bounce = make([]via.Reg, m.w.n)
+		rings := make([]*via.Ring, m.w.n)
 		cq, err := nic.CreateCQ(ctx, 1024)
 		if err != nil {
 			return err
@@ -90,7 +86,7 @@ func (m *manager) register(ctx *via.Ctx, d *Node) error {
 			if err != nil {
 				return err
 			}
-			if m.srvRing[p], err = vi.PostRing(ctx, mgrRing, mgrMsgBytes); err != nil {
+			if rings[p], err = vi.PostRing(ctx, mgrRing, mgrMsgBytes); err != nil {
 				return err
 			}
 			if m.bounce[p], err = nic.AllocReg(ctx, mgrMsgBytes); err != nil {
@@ -108,7 +104,7 @@ func (m *manager) register(ctx *via.Ctx, d *Node) error {
 		}
 		m.w.sys.Go(0, "dsm-mgr", func(dctx *via.Ctx) {
 			dctx.P.SetDaemon(true)
-			m.daemon(dctx, cq, byVi)
+			m.daemon(dctx, cq, byVi, rings)
 		})
 		return nil
 	}
@@ -131,58 +127,40 @@ func (m *manager) register(ctx *via.Ctx, d *Node) error {
 	return nil
 }
 
-// --- wire helpers ---
+// --- wire format: [kind:1][pad:3][id:4][node:4] ---
 
-func encodeMgr(dst []byte, kind byte, id, node int) {
-	dst[0] = kind
-	binary.LittleEndian.PutUint32(dst[4:], uint32(id))
-	binary.LittleEndian.PutUint32(dst[8:], uint32(node))
-}
-
-func decodeMgr(src []byte) (kind byte, id, node int) {
-	return src[0], int(binary.LittleEndian.Uint32(src[4:])), int(binary.LittleEndian.Uint32(src[8:]))
-}
-
-// sendOn stages and sends one manager message on a VI whose out buffer is
-// given; the caller is the VI's only sender.
-func sendOn(ctx *via.Ctx, vi *via.Vi, out via.Reg, kind byte, id, node int) error {
-	encodeMgr(out.Buf.Bytes(), kind, id, node)
-	d := &via.Descriptor{Op: via.OpSend, Segs: []via.DataSegment{{
-		Addr: out.Buf.Addr(), Handle: out.H, Length: mgrMsgBytes}}}
-	if err := vi.PostSend(ctx, d); err != nil {
-		return err
-	}
-	done, err := vi.SendWaitPoll(ctx)
-	if err != nil {
-		return err
-	}
-	if done.Status != via.StatusSuccess {
-		return fmt.Errorf("dsm manager: send failed: %v", done.Status)
+// sendMgr encodes one manager message into out and sends it on vi, whose
+// only sender the caller is.
+func sendMgr(ctx *via.Ctx, vi *via.Vi, out via.Reg, kind byte, id, node int) error {
+	b := out.Buf.Bytes()
+	b[0] = kind
+	binary.LittleEndian.PutUint32(b[4:], uint32(id))
+	binary.LittleEndian.PutUint32(b[8:], uint32(node))
+	if err := vi.PostSendPoll(ctx, via.SimpleSend(out.Buf, out.H, mgrMsgBytes)); err != nil {
+		return fmt.Errorf("dsm manager: send: %w", err)
 	}
 	return nil
 }
 
-// recvOn blocks for one manager message on a remote node's link.
+// decodeMgr returns a manager message's kind and id; the receiver knows
+// the sending node from the VI.
+func decodeMgr(src []byte) (kind byte, id int) {
+	return src[0], int(binary.LittleEndian.Uint32(src[4:]))
+}
+
+// recv blocks for one manager message on a remote node's link.
 func (l *nodeLink) recv(ctx *via.Ctx) (kind byte, id int, err error) {
-	d, err := l.vi.RecvWaitPoll(ctx)
+	slot, err := l.ring.Next(ctx)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("dsm manager: recv: %w", err)
 	}
-	if d.Status != via.StatusSuccess {
-		return 0, 0, fmt.Errorf("dsm manager: recv failed: %v", d.Status)
-	}
-	rb := l.ring[l.at%mgrRing]
-	l.at++
-	kind, id, _ = decodeMgr(rb.Buf.Bytes())
-	if err := l.vi.PostRecv(ctx, via.SimpleRecv(rb.Buf, rb.H, mgrMsgBytes)); err != nil {
-		return 0, 0, err
-	}
-	return kind, id, nil
+	kind, id = decodeMgr(l.ring.Slot(slot).Buf.Bytes())
+	return kind, id, l.ring.Repost(ctx, slot)
 }
 
 // --- manager daemon (node 0) ---
 
-func (m *manager) daemon(ctx *via.Ctx, cq *via.CQ, byVi map[int]int) {
+func (m *manager) daemon(ctx *via.Ctx, cq *via.CQ, byVi map[int]int, rings []*via.Ring) {
 	for {
 		comp, err := cq.WaitBlockForever(ctx)
 		if err != nil {
@@ -193,13 +171,15 @@ func (m *manager) daemon(ctx *via.Ctx, cq *via.CQ, byVi map[int]int) {
 			continue
 		}
 		d, got := comp.Vi.RecvDone(ctx)
-		if !got || d.Status != via.StatusSuccess {
+		if !got {
 			continue
 		}
-		rb := m.srvRing[node][m.srvAt[node]%mgrRing]
-		m.srvAt[node]++
-		kind, id, _ := decodeMgr(rb.Buf.Bytes())
-		if err := comp.Vi.PostRecv(ctx, via.SimpleRecv(rb.Buf, rb.H, mgrMsgBytes)); err != nil {
+		slot, err := rings[node].Landed(d)
+		if err != nil {
+			continue
+		}
+		kind, id := decodeMgr(rings[node].Slot(slot).Buf.Bytes())
+		if err := rings[node].Repost(ctx, slot); err != nil {
 			return
 		}
 		switch kind {
@@ -248,7 +228,7 @@ func (m *manager) grant(ctx *via.Ctx, id int, w lockWaiter) {
 		w.local.Broadcast()
 		return
 	}
-	if err := sendOn(ctx, m.srvVis[w.node], m.bounce[w.node], mgrLockGrant, id, 0); err != nil {
+	if err := sendMgr(ctx, m.srvVis[w.node], m.bounce[w.node], mgrLockGrant, id, 0); err != nil {
 		m.fail(fmt.Errorf("dsm manager grant: %w", err))
 	}
 }
@@ -261,7 +241,7 @@ func (m *manager) barrierArrive(ctx *via.Ctx) {
 	}
 	m.barrierCount = 0
 	for p := 1; p < m.w.n; p++ {
-		if err := sendOn(ctx, m.srvVis[p], m.bounce[p], mgrBarrierGo, 0, 0); err != nil {
+		if err := sendMgr(ctx, m.srvVis[p], m.bounce[p], mgrBarrierGo, 0, 0); err != nil {
 			m.fail(fmt.Errorf("dsm manager barrier: %w", err))
 			return
 		}
@@ -287,7 +267,7 @@ func (m *manager) acquire(ctx *via.Ctx, d *Node, lock int) error {
 		sig.Wait(ctx.P)
 		return nil
 	}
-	if err := sendOn(ctx, d.link.vi, d.link.out, mgrLockReq, lock, d.me); err != nil {
+	if err := sendMgr(ctx, d.link.vi, d.link.out, mgrLockReq, lock, d.me); err != nil {
 		return err
 	}
 	for {
@@ -307,7 +287,7 @@ func (m *manager) release(ctx *via.Ctx, d *Node, lock int) error {
 		m.unlockOp(ctx, lock)
 		return nil
 	}
-	return sendOn(ctx, d.link.vi, d.link.out, mgrUnlock, lock, d.me)
+	return sendMgr(ctx, d.link.vi, d.link.out, mgrUnlock, lock, d.me)
 }
 
 func (m *manager) barrier(ctx *via.Ctx, d *Node) error {
@@ -322,7 +302,7 @@ func (m *manager) barrier(ctx *via.Ctx, d *Node) error {
 		m.barrierArrive(ctx)
 		return nil
 	}
-	if err := sendOn(ctx, d.link.vi, d.link.out, mgrBarrierReq, 0, d.me); err != nil {
+	if err := sendMgr(ctx, d.link.vi, d.link.out, mgrBarrierReq, 0, d.me); err != nil {
 		return err
 	}
 	kind, _, err := d.link.recv(ctx)

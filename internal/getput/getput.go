@@ -170,10 +170,8 @@ func (f *Fabric) initNode(ctx *via.Ctx, me int) (*Node, error) {
 type gpPeer struct {
 	req       *via.Vi // this node requests / puts / reads
 	srv       *via.Vi // the peer requests; our daemon responds
-	reqRing   []via.Reg
-	srvRing   []via.Reg
-	reqRingAt int
-	srvRingAt int
+	reqRing   *via.Ring
+	srvRing   *via.Ring
 	reqBounce via.Reg // user-proc staging (requests)
 	srvBounce via.Reg // daemon staging (responses)
 

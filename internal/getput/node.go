@@ -101,15 +101,8 @@ func (nd *Node) Put(ctx *via.Ctx, peer int, name string, off int, src *vmem.Buff
 		Segs:   []via.DataSegment{{Addr: src.Addr(), Handle: srcHandle, Length: n}},
 		Remote: &via.AddressSegment{Addr: r.addr.Advance(off), Handle: r.handle},
 	}
-	if err := gp.req.PostSend(ctx, d); err != nil {
-		return err
-	}
-	done, err := gp.req.SendWaitPoll(ctx)
-	if err != nil {
-		return err
-	}
-	if done.Status != via.StatusSuccess {
-		return fmt.Errorf("getput: put failed: %v", done.Status)
+	if err := gp.req.PostSendPoll(ctx, d); err != nil {
+		return fmt.Errorf("getput: put: %w", err)
 	}
 	nd.Puts++
 	return nil
@@ -146,26 +139,17 @@ func (nd *Node) Get(ctx *via.Ctx, peer int, name string, off, n int, dst *vmem.B
 			Segs:   []via.DataSegment{{Addr: dst.Addr(), Handle: dstHandle, Length: n}},
 			Remote: &via.AddressSegment{Addr: r.addr.Advance(off), Handle: r.handle},
 		}
-		if err := gp.req.PostSend(ctx, d); err != nil {
-			return err
-		}
-		done, err := gp.req.SendWaitPoll(ctx)
-		if err != nil {
-			return err
-		}
-		if done.Status != via.StatusSuccess {
-			return fmt.Errorf("getput: rdma-read get failed: %v", done.Status)
+		if err := gp.req.PostSendPoll(ctx, d); err != nil {
+			return fmt.Errorf("getput: rdma-read get: %w", err)
 		}
 		nd.HardwareGets++
 		return nil
 	}
 	// Fallback: ask the owner's daemon to RDMA-write the range to us.
-	st, id := nd.newOp()
-	c := ctl{kind: opGetReq, req: id, off: off, n: n, addr: dst.Addr(), handle: dstHandle, name: name}
-	if err := nd.sendReq(ctx, gp, &c); err != nil {
+	st, err := nd.request(ctx, gp, ctl{kind: opGetReq, off: off, n: n, addr: dst.Addr(), handle: dstHandle, name: name})
+	if err != nil {
 		return err
 	}
-	nd.await(ctx, st)
 	if st.status != stOK {
 		return fmt.Errorf("getput: get %q failed with status %d", name, st.status)
 	}
@@ -179,13 +163,8 @@ func (nd *Node) Fence(ctx *via.Ctx, peer int) error {
 	if peer == nd.me {
 		return nil
 	}
-	st, id := nd.newOp()
-	c := ctl{kind: opFenceReq, req: id}
-	if err := nd.sendReq(ctx, nd.peers[peer], &c); err != nil {
-		return err
-	}
-	nd.await(ctx, st)
-	return nil
+	_, err := nd.request(ctx, nd.peers[peer], ctl{kind: opFenceReq})
+	return err
 }
 
 // resolve returns the cached or freshly looked-up descriptor of a remote
@@ -196,12 +175,10 @@ func (nd *Node) resolve(ctx *via.Ctx, peer int, name string) (remoteRegion, erro
 		return r, nil
 	}
 	nd.Lookups++
-	st, id := nd.newOp()
-	c := ctl{kind: opLookupReq, req: id, name: name}
-	if err := nd.sendReq(ctx, gp, &c); err != nil {
+	st, err := nd.request(ctx, gp, ctl{kind: opLookupReq, name: name})
+	if err != nil {
 		return remoteRegion{}, err
 	}
-	nd.await(ctx, st)
 	if st.status != stOK {
 		return remoteRegion{}, fmt.Errorf("getput: region %q not found on node %d", name, peer)
 	}
@@ -209,38 +186,22 @@ func (nd *Node) resolve(ctx *via.Ctx, peer int, name string) (remoteRegion, erro
 	return st.region, nil
 }
 
-func (nd *Node) newOp() (*opState, uint32) {
+// request sends c, numbered as a new operation, to peer's daemon on the
+// request VI (the application process is its only sender) and parks
+// until the daemon routes back the response.
+func (nd *Node) request(ctx *via.Ctx, gp *gpPeer, c ctl) (*opState, error) {
 	nd.nextReq++
+	c.req = nd.nextReq
 	st := &opState{}
-	nd.pending[nd.nextReq] = st
-	return st, nd.nextReq
-}
-
-// await parks the application process until the daemon completes the
-// operation.
-func (nd *Node) await(ctx *via.Ctx, st *opState) {
+	nd.pending[c.req] = st
+	n := c.encode(gp.reqBounce.Buf.Bytes())
+	if err := gp.req.PostSendPoll(ctx, via.SimpleSend(gp.reqBounce.Buf, gp.reqBounce.H, n)); err != nil {
+		return nil, fmt.Errorf("getput: control send: %w", err)
+	}
 	for !st.done {
 		nd.wake.Wait(ctx.P)
 	}
-}
-
-// sendReq stages and sends a control message on the request VI (the
-// application process is its only sender).
-func (nd *Node) sendReq(ctx *via.Ctx, gp *gpPeer, c *ctl) error {
-	n := c.encode(gp.reqBounce.Buf.Bytes())
-	d := &via.Descriptor{Op: via.OpSend, Segs: []via.DataSegment{{
-		Addr: gp.reqBounce.Buf.Addr(), Handle: gp.reqBounce.H, Length: n}}}
-	if err := gp.req.PostSend(ctx, d); err != nil {
-		return err
-	}
-	done, err := gp.req.SendWaitPoll(ctx)
-	if err != nil {
-		return err
-	}
-	if done.Status != via.StatusSuccess {
-		return fmt.Errorf("getput: control send failed: %v", done.Status)
-	}
-	return nil
+	return st, nil
 }
 
 // --- daemon ---
@@ -269,20 +230,20 @@ func (nd *Node) daemon(ctx *via.Ctx) {
 		}
 		gp := nd.peers[ref.peer]
 		d, got := comp.Vi.RecvDone(ctx)
-		if !got || d.Status != via.StatusSuccess {
+		if !got {
 			continue
 		}
-		var rb via.Reg
+		ring := gp.reqRing
 		if ref.isSrv {
-			rb = gp.srvRing[gp.srvRingAt%ringSlots]
-			gp.srvRingAt++
-		} else {
-			rb = gp.reqRing[gp.reqRingAt%ringSlots]
-			gp.reqRingAt++
+			ring = gp.srvRing
 		}
-		c := decode(rb.Buf.Bytes())
+		slot, err := ring.Landed(d)
+		if err != nil {
+			continue
+		}
+		c := decode(ring.Slot(slot).Buf.Bytes())
 		// Repost the slot before servicing.
-		if err := comp.Vi.PostRecv(ctx, via.SimpleRecv(rb.Buf, rb.H, rb.Buf.Len())); err != nil {
+		if err := ring.Repost(ctx, slot); err != nil {
 			return
 		}
 		if ref.isSrv {
@@ -317,13 +278,11 @@ func (nd *Node) serve(ctx *via.Ctx, gp *gpPeer, c ctl) {
 					Segs:   []via.DataSegment{{Addr: r.Buf.AddrAt(c.off), Handle: r.H, Length: c.n}},
 					Remote: &via.AddressSegment{Addr: c.addr, Handle: c.handle},
 				}
-				if err := gp.srv.PostSend(ctx, wr); err == nil {
-					if done, err := gp.srv.SendWaitPoll(ctx); err == nil && done.Status == via.StatusSuccess {
-						resp.status = stOK
-						nd.ServicedGets++
-					} else {
-						resp.status = stRange
-					}
+				if err := gp.srv.PostSendPoll(ctx, wr); err != nil {
+					resp.status = stRange
+				} else {
+					resp.status = stOK
+					nd.ServicedGets++
 				}
 			}
 		}
@@ -333,14 +292,11 @@ func (nd *Node) serve(ctx *via.Ctx, gp *gpPeer, c ctl) {
 	}
 }
 
+// respond sends a response on the srv VI. It ignores a failed send: the
+// daemon has no caller to report it to.
 func (nd *Node) respond(ctx *via.Ctx, gp *gpPeer, c *ctl) {
 	n := c.encode(gp.srvBounce.Buf.Bytes())
-	d := &via.Descriptor{Op: via.OpSend, Segs: []via.DataSegment{{
-		Addr: gp.srvBounce.Buf.Addr(), Handle: gp.srvBounce.H, Length: n}}}
-	if err := gp.srv.PostSend(ctx, d); err != nil {
-		return
-	}
-	gp.srv.SendWaitPoll(ctx)
+	_ = gp.srv.PostSendPoll(ctx, via.SimpleSend(gp.srvBounce.Buf, gp.srvBounce.H, n))
 }
 
 // completeOp routes a response to the waiting application process.

@@ -137,27 +137,23 @@ func overheads(cfg core.Config) (osUs, orUs, rttUs float64, err error) {
 				fail(e)
 				return
 			}
-			buf, h := ring[0].Buf, ring[0].H
+			slot := ring.Slot(0)
 			if e := via.Pair(ctx, vi, 0, "logp", false, tmo); e != nil {
 				fail(e)
 				return
 			}
 			for i := 0; i < iters; i++ {
-				if _, e := vi.RecvWaitPoll(ctx); e != nil {
+				if _, e := ring.Next(ctx); e != nil {
 					fail(e)
 					return
 				}
 				if i+1 < iters {
-					if e := vi.PostRecv(ctx, via.SimpleRecv(buf, h, MessageSize)); e != nil {
+					if e := ring.Repost(ctx, 0); e != nil {
 						fail(e)
 						return
 					}
 				}
-				if e := vi.PostSend(ctx, via.SimpleSend(buf, h, MessageSize)); e != nil {
-					fail(e)
-					return
-				}
-				if _, e := vi.SendWaitPoll(ctx); e != nil {
+				if e := vi.PostSendPoll(ctx, via.SimpleSend(slot.Buf, slot.H, MessageSize)); e != nil {
 					fail(e)
 					return
 				}

@@ -63,7 +63,10 @@ func (ep *Endpoint) send(ctx *via.Ctx, dst int, tag int32, buf *vmem.Buffer, n i
 		putHeader(hdr, kindEager, tag, 0, n)
 		copy(hdr[headerBytes:], buf.Bytes()[:n])
 		ctx.Compute(sim.Duration(n) * memcpyPerByte)
-		return ep.postBounce(ctx, p, headerBytes+n)
+		if err := p.vi.PostSendPoll(ctx, via.SimpleSend(p.bounce.Buf, p.bounce.H, headerBytes+n)); err != nil {
+			return fmt.Errorf("mp: eager send: %w", err)
+		}
+		return nil
 	}
 
 	// Rendezvous: RTS -> CTS -> RDMA write -> FIN.
@@ -80,8 +83,8 @@ func (ep *Endpoint) send(ctx *via.Ctx, dst int, tag int32, buf *vmem.Buffer, n i
 	hdr := p.bounce.Buf.Bytes()
 	putHeader(hdr, kindRTS, tag, req, n)
 	putAddr(hdr, buf.Addr(), h)
-	if err := ep.postBounce(ctx, p, headerBytes+addrBytes); err != nil {
-		return err
+	if err := p.vi.PostSendPoll(ctx, via.SimpleSend(p.bounce.Buf, p.bounce.H, headerBytes+addrBytes)); err != nil {
+		return fmt.Errorf("mp: RTS send: %w", err)
 	}
 	// Wait for the receiver's clear-to-send.
 	var cts ctsInfo
@@ -108,18 +111,18 @@ func (ep *Endpoint) send(ctx *via.Ctx, dst int, tag int32, buf *vmem.Buffer, n i
 			Segs:   []via.DataSegment{{Addr: buf.AddrAt(off), Handle: h, Length: chunk}},
 			Remote: &via.AddressSegment{Addr: cts.addr.Advance(off), Handle: cts.handle},
 		}
-		if err := p.vi.PostSend(ctx, wr); err != nil {
-			return err
-		}
-		if err := ep.waitSend(ctx, p); err != nil {
-			return err
+		if err := p.vi.PostSendPoll(ctx, wr); err != nil {
+			return fmt.Errorf("mp: rendezvous write: %w", err)
 		}
 	}
 	if err := ep.waitCredit(ctx, p); err != nil {
 		return err
 	}
 	putHeader(p.bounce.Buf.Bytes(), kindFin, tag, req, 0)
-	return ep.postBounce(ctx, p, headerBytes)
+	if err := p.vi.PostSendPoll(ctx, via.SimpleSend(p.bounce.Buf, p.bounce.H, headerBytes)); err != nil {
+		return fmt.Errorf("mp: FIN send: %w", err)
+	}
+	return nil
 }
 
 // Recv returns the next message from rank src with the given tag. The
@@ -170,8 +173,8 @@ func (ep *Endpoint) complete(ctx *via.Ctx, p *peer, m inbound) (*vmem.Buffer, in
 	hdr := p.bounce.Buf.Bytes()
 	putHeader(hdr, kindCTS, m.tag, m.req, m.n)
 	putAddr(hdr, dst.Addr(), h)
-	if err := ep.postBounce(ctx, p, headerBytes+addrBytes); err != nil {
-		return nil, 0, err
+	if err := p.vi.PostSendPoll(ctx, via.SimpleSend(p.bounce.Buf, p.bounce.H, headerBytes+addrBytes)); err != nil {
+		return nil, 0, fmt.Errorf("mp: CTS send: %w", err)
 	}
 	for !p.fin[m.req] {
 		if err := ep.poll(ctx, p); err != nil {
@@ -185,16 +188,11 @@ func (ep *Endpoint) complete(ctx *via.Ctx, p *peer, m inbound) (*vmem.Buffer, in
 // poll consumes exactly one inbound message on the peer VI, reposts its
 // ring buffer, and dispatches it.
 func (ep *Endpoint) poll(ctx *via.Ctx, p *peer) error {
-	d, err := p.vi.RecvWaitPoll(ctx)
+	idx, err := p.ring.Next(ctx)
 	if err != nil {
-		return err
+		return fmt.Errorf("mp: transport receive: %w", err)
 	}
-	if d.Status != via.StatusSuccess {
-		return fmt.Errorf("mp: transport receive failed: %v", d.Status)
-	}
-	idx := p.posted[0]
-	p.posted = p.posted[1:]
-	rb := p.ring[idx]
+	rb := p.ring.Slot(idx)
 	kind, tag, req, n := parseHeader(rb.Buf.Bytes())
 
 	switch kind {
@@ -219,11 +217,9 @@ func (ep *Endpoint) poll(ctx *via.Ctx, p *peer) error {
 	// Repost the ring slot, then return credit in batches. Credit
 	// messages themselves consume the reserve slot (waitCredit keeps one
 	// in hand), so this cannot deadlock the ring.
-	bufSize := headerBytes + ep.world.cfg.EagerLimit
-	if err := p.vi.PostRecv(ctx, via.SimpleRecv(rb.Buf, rb.H, bufSize)); err != nil {
+	if err := p.ring.Repost(ctx, idx); err != nil {
 		return err
 	}
-	p.posted = append(p.posted, idx)
 	if kind != kindCredit {
 		p.consumed++
 	}
@@ -232,8 +228,8 @@ func (ep *Endpoint) poll(ctx *via.Ctx, p *peer) error {
 		p.consumed = 0
 		ep.CreditMsgs++
 		putHeader(p.bounce.Buf.Bytes(), kindCredit, 0, 0, freed)
-		if err := ep.postBounce(ctx, p, headerBytes); err != nil {
-			return err
+		if err := p.vi.PostSendPoll(ctx, via.SimpleSend(p.bounce.Buf, p.bounce.H, headerBytes)); err != nil {
+			return fmt.Errorf("mp: credit return: %w", err)
 		}
 	}
 	return nil
@@ -248,28 +244,5 @@ func (ep *Endpoint) waitCredit(ctx *via.Ctx, p *peer) error {
 		}
 	}
 	p.credits--
-	return nil
-}
-
-// postBounce sends the staged control/eager message and waits for the
-// completion so the bounce buffer can be reused.
-func (ep *Endpoint) postBounce(ctx *via.Ctx, p *peer, n int) error {
-	d := &via.Descriptor{Op: via.OpSend, Segs: []via.DataSegment{{
-		Addr: p.bounce.Buf.Addr(), Handle: p.bounce.H, Length: n}}}
-	if err := p.vi.PostSend(ctx, d); err != nil {
-		return err
-	}
-	return ep.waitSend(ctx, p)
-}
-
-// waitSend retires the head send descriptor.
-func (ep *Endpoint) waitSend(ctx *via.Ctx, p *peer) error {
-	d, err := p.vi.SendWaitPoll(ctx)
-	if err != nil {
-		return err
-	}
-	if d.Status != via.StatusSuccess {
-		return fmt.Errorf("mp: transport send failed: %v", d.Status)
-	}
 	return nil
 }

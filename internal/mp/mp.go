@@ -128,9 +128,6 @@ func (w *World) init(ctx *via.Ctx, rank int) (*Endpoint, error) {
 		if pr.ring, err = vi.PostRing(ctx, w.cfg.RingSize, bufSize); err != nil {
 			return nil, err
 		}
-		for i := range pr.ring {
-			pr.posted = append(pr.posted, i)
-		}
 		if pr.bounce, err = nic.AllocReg(ctx, bufSize); err != nil {
 			return nil, err
 		}
@@ -155,8 +152,7 @@ func (w *World) init(ctx *via.Ctx, rank int) (*Endpoint, error) {
 // peer is the per-neighbour transport state.
 type peer struct {
 	vi     *via.Vi
-	ring   []via.Reg // pre-posted receive buffers
-	posted []int     // ring indices in posting order (completion order)
+	ring   *via.Ring // pre-posted receive buffers
 	bounce via.Reg   // send-side staging buffer
 
 	credits  int // sends allowed before the remote ring might overflow

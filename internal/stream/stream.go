@@ -130,8 +130,9 @@ type Conn struct {
 	vi  *via.Vi
 	cfg Config
 
-	ring   []via.Reg
-	posted []int // ring indices in posting order
+	// ring holds data slots until Read drains them; control slots are
+	// re-posted as soon as they are processed.
+	ring *via.Ring
 
 	// unread holds arrived-but-unconsumed data as (slot, from, to) spans.
 	unread []span
@@ -175,9 +176,6 @@ func newConn(ctx *via.Ctx, nic *via.Nic, vi *via.Vi, cfg Config) (*Conn, error) 
 	var err error
 	if c.ring, err = vi.PostRing(ctx, cfg.RingSlots, slot); err != nil {
 		return nil, err
-	}
-	for i := range c.ring {
-		c.posted = append(c.posted, i)
 	}
 	for i := range c.bounce {
 		if c.bounce[i], err = nic.AllocReg(ctx, slot); err != nil {
@@ -233,9 +231,7 @@ func (c *Conn) Write(ctx *via.Ctx, p []byte) (int, error) {
 		binary.LittleEndian.PutUint32(hdr[4:], uint32(n))
 		copy(hdr[headerBytes:], p[written:written+n])
 		ctx.Compute(sim.Duration(n) * memcpyPerByte)
-		d := &via.Descriptor{Op: via.OpSend, Segs: []via.DataSegment{{
-			Addr: b.Buf.Addr(), Handle: b.H, Length: headerBytes + n}}}
-		if err := c.vi.PostSend(ctx, d); err != nil {
+		if err := c.vi.PostSend(ctx, via.SimpleSend(b.Buf, b.H, headerBytes+n)); err != nil {
 			return written, err
 		}
 		c.inFlight++
@@ -267,7 +263,7 @@ func (c *Conn) Read(ctx *via.Ctx, p []byte) (int, error) {
 	read := 0
 	for read < len(p) && len(c.unread) > 0 {
 		s := &c.unread[0]
-		data := c.ring[s.slot].Buf.Bytes()[s.from:s.to]
+		data := c.ring.Slot(s.slot).Buf.Bytes()[s.from:s.to]
 		n := copy(p[read:], data)
 		ctx.Compute(sim.Duration(n) * memcpyPerByte)
 		read += n
@@ -275,11 +271,9 @@ func (c *Conn) Read(ctx *via.Ctx, p []byte) (int, error) {
 		if s.from == s.to {
 			// Slot drained: repost it and owe the sender a window update.
 			c.unread = c.unread[1:]
-			rb := c.ring[s.slot]
-			if err := c.vi.PostRecv(ctx, via.SimpleRecv(rb.Buf, rb.H, headerBytes+c.cfg.Segment)); err != nil {
+			if err := c.ring.Repost(ctx, s.slot); err != nil {
 				return read, err
 			}
-			c.posted = append(c.posted, s.slot)
 			c.freedData++
 			if err := c.flushUpdates(ctx); err != nil {
 				return read, err
@@ -323,9 +317,7 @@ func (c *Conn) sendCtl(ctx *via.Ctx, kind byte, n int) error {
 	hdr := b.Buf.Bytes()
 	hdr[0] = kind
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(n))
-	d := &via.Descriptor{Op: via.OpSend, Segs: []via.DataSegment{{
-		Addr: b.Buf.Addr(), Handle: b.H, Length: headerBytes}}}
-	if err := c.vi.PostSend(ctx, d); err != nil {
+	if err := c.vi.PostSend(ctx, via.SimpleSend(b.Buf, b.H, headerBytes)); err != nil {
 		return err
 	}
 	c.inFlight++
@@ -334,12 +326,8 @@ func (c *Conn) sendCtl(ctx *via.Ctx, kind byte, n int) error {
 
 // retireSend completes the oldest staged send.
 func (c *Conn) retireSend(ctx *via.Ctx) error {
-	d, err := c.vi.SendWaitPoll(ctx)
-	if err != nil {
-		return err
-	}
-	if d.Status != via.StatusSuccess {
-		return fmt.Errorf("stream: send failed: %v", d.Status)
+	if err := via.CheckOK(c.vi.SendWaitPoll(ctx)); err != nil {
+		return fmt.Errorf("stream: send: %w", err)
 	}
 	c.inFlight--
 	return nil
@@ -347,11 +335,11 @@ func (c *Conn) retireSend(ctx *via.Ctx) error {
 
 // pump blocks for one inbound message and processes it.
 func (c *Conn) pump(ctx *via.Ctx) error {
-	d, err := c.vi.RecvWaitPoll(ctx)
+	slot, err := c.ring.Next(ctx)
 	if err != nil {
-		return err
+		return fmt.Errorf("stream: receive: %w", err)
 	}
-	return c.process(ctx, d)
+	return c.process(ctx, slot)
 }
 
 // drain processes any already-completed inbound messages without
@@ -362,19 +350,19 @@ func (c *Conn) drain(ctx *via.Ctx) error {
 		if !ok {
 			return nil
 		}
-		if err := c.process(ctx, d); err != nil {
+		slot, err := c.ring.Landed(d)
+		if err != nil {
+			return fmt.Errorf("stream: receive: %w", err)
+		}
+		if err := c.process(ctx, slot); err != nil {
 			return err
 		}
 	}
 }
 
-func (c *Conn) process(ctx *via.Ctx, d *via.Descriptor) error {
-	if d.Status != via.StatusSuccess {
-		return fmt.Errorf("stream: receive failed: %v", d.Status)
-	}
-	slot := c.posted[0]
-	c.posted = c.posted[1:]
-	hdr := c.ring[slot].Buf.Bytes()
+// process handles the message that landed in ring slot slot.
+func (c *Conn) process(ctx *via.Ctx, slot int) error {
+	hdr := c.ring.Slot(slot).Buf.Bytes()
 	kind := hdr[0]
 	n := int(binary.LittleEndian.Uint32(hdr[4:]))
 	switch kind {
@@ -390,12 +378,7 @@ func (c *Conn) process(ctx *via.Ctx, d *via.Descriptor) error {
 	}
 	// Control messages free their slot immediately; they are not part of
 	// the data window, so nothing is reported.
-	rb := c.ring[slot]
-	if err := c.vi.PostRecv(ctx, via.SimpleRecv(rb.Buf, rb.H, headerBytes+c.cfg.Segment)); err != nil {
-		return err
-	}
-	c.posted = append(c.posted, slot)
-	return nil
+	return c.ring.Repost(ctx, slot)
 }
 
 // Close sends an orderly FIN and retires outstanding sends. Reads on the

@@ -65,13 +65,14 @@ func (q *CQ) Done(ctx *Ctx) (Completion, bool) {
 // it. The check cost is paid at detection: it is the reaction time between
 // the completion landing and the polling loop observing it, which is what
 // makes CQ-based completion measurably slower than direct work-queue
-// polling on providers with expensive CQ checks.
+// polling on providers with expensive CQ checks. The entry is dequeued
+// before the cost is charged, so a second waiter on the CQ cannot take
+// it while this one pays (Wait and WaitBlockForever likewise).
 func (q *CQ) WaitPoll(ctx *Ctx) (Completion, error) {
 	m := q.nic.model
 	for {
-		if len(q.entries) > 0 {
+		if c, ok := q.take(); ok {
 			ctx.use(m.CheckCost + m.CqCheckExtra)
-			c, _ := q.take()
 			return c, nil
 		}
 		if q.destroyed {
@@ -88,9 +89,8 @@ func (q *CQ) Wait(ctx *Ctx, timeout sim.Duration) (Completion, error) {
 	m := q.nic.model
 	deadline := ctx.Now().Add(timeout)
 	for {
-		if len(q.entries) > 0 {
+		if c, ok := q.take(); ok {
 			ctx.use(m.CheckCost + m.CqCheckExtra)
-			c, _ := q.take()
 			return c, nil
 		}
 		if q.destroyed {
@@ -113,9 +113,8 @@ func (q *CQ) Wait(ctx *Ctx, timeout sim.Duration) (Completion, error) {
 func (q *CQ) WaitBlockForever(ctx *Ctx) (Completion, error) {
 	m := q.nic.model
 	for {
-		if len(q.entries) > 0 {
+		if c, ok := q.take(); ok {
 			ctx.use(m.CheckCost + m.CqCheckExtra)
-			c, _ := q.take()
 			return c, nil
 		}
 		if q.destroyed {

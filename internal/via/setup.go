@@ -9,9 +9,10 @@ import (
 )
 
 // Session setup: the steps every program above VIA pays before it moves
-// data — register memory, pre-post a receive ring, connect a VI pair —
-// as three helpers over the VIPL-style calls. Each helper makes the same
-// calls, in the same order, as the code it replaces.
+// data — register memory, pre-post a receive ring (Vi.PostRing, in
+// channel.go), connect a VI pair — as helpers over the VIPL-style calls.
+// Each helper makes the same calls, in the same order, as the code it
+// replaces.
 
 // Reg is a buffer together with its memory handle.
 type Reg struct {
@@ -28,24 +29,6 @@ func (n *Nic) AllocReg(ctx *Ctx, size int) (Reg, error) {
 		return Reg{}, err
 	}
 	return Reg{Buf: buf, H: h}, nil
-}
-
-// PostRing allocates slots size-byte buffers and pre-posts each as a
-// whole-buffer receive on v, slot by slot (allocate, register, post), so
-// the k-th message to arrive lands in slot k.
-func (v *Vi) PostRing(ctx *Ctx, slots, size int) ([]Reg, error) {
-	ring := make([]Reg, slots)
-	for i := range ring {
-		r, err := v.nic.AllocReg(ctx, size)
-		if err != nil {
-			return nil, err
-		}
-		if err := v.PostRecv(ctx, SimpleRecv(r.Buf, r.H, size)); err != nil {
-			return nil, err
-		}
-		ring[i] = r
-	}
-	return ring, nil
 }
 
 // Pair connects vi to its counterpart under discriminator disc: when dial

@@ -2,6 +2,7 @@ package via
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestPairBothRoles(t *testing.T) {
 			t.Errorf("recv: %v %v", d, err)
 			return
 		}
-		got = string(ring[0].Buf.Bytes()[:d.Length])
+		got = string(ring.Slot(0).Buf.Bytes()[:d.Length])
 	})
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
@@ -121,7 +122,7 @@ func TestLoopbackPair(t *testing.T) {
 						t.Errorf("recv %d B: %v %v", n, d, err)
 						return
 					}
-					if err := ring[i].Buf.CheckPattern(byte(i+1), n); err != nil {
+					if err := ring.Slot(i).Buf.CheckPattern(byte(i+1), n); err != nil {
 						t.Errorf("recv %d B: %v", n, err)
 					}
 				}
@@ -197,30 +198,39 @@ func TestPairTimesOutWithoutPeer(t *testing.T) {
 }
 
 // TestPostRingFillsSlotsInOrder: the ring is posted slot by slot, so the
-// first message to arrive lands in slot 0 and the next in slot 1.
+// first message to arrive lands in slot 0 and the next in slot 1. The
+// receiver then holds slot 0 and re-posts slot 1 first, so the next three
+// messages land in slots 2, 3 and 1, and the one after the late re-post
+// of slot 0 lands there. Next names each slot, and the slot it names
+// holds that message. The sender's PostSendPoll checks each send; last,
+// its RDMA write to a bogus remote handle completes with
+// RDMA_PROTECTION_ERROR, which PostSendPoll returns as a *StatusError.
 func TestPostRingFillsSlotsInOrder(t *testing.T) {
-	const slots, size = 4, 64
-	var ring []Reg
+	const slots, size, msgs = 4, 64, 6
+	var ring *Ring
 	var landed []int
-	env := newPair(t, provider.CLAN(), ViAttributes{},
+	var badWrite error
+	attrs := ViAttributes{EnableRdmaWrite: true, Reliability: ReliableDelivery}
+	env := newPair(t, provider.CLAN(), attrs,
 		func(ctx *Ctx, vi *Vi, nic *Nic) {
-			ctx.Sleep(sim.Millisecond) // let the server post its ring
 			r, err := nic.AllocReg(ctx, size)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			for i := 0; i < 2; i++ {
+			for i := 0; i < msgs; i++ {
+				ctx.Sleep(sim.Millisecond) // let the server post or re-post
 				r.Buf.Bytes()[0] = byte(10 + i)
-				if err := vi.PostSend(ctx, SimpleSend(r.Buf, r.H, 1)); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := vi.SendWait(ctx, tmo); err != nil {
+				if err := vi.PostSendPoll(ctx, SimpleSend(r.Buf, r.H, 1)); err != nil {
 					t.Error(err)
 					return
 				}
 			}
+			badWrite = vi.PostSendPoll(ctx, &Descriptor{
+				Op:     OpRdmaWrite,
+				Segs:   []DataSegment{{Addr: r.Buf.Addr(), Handle: r.H, Length: size}},
+				Remote: &AddressSegment{Addr: 0xF0000000, Handle: 999},
+			})
 		},
 		func(ctx *Ctx, vi *Vi, nic *Nic) {
 			var err error
@@ -231,27 +241,35 @@ func TestPostRingFillsSlotsInOrder(t *testing.T) {
 			if vi.RecvQueueDepth() != slots {
 				t.Errorf("posted %d receives, want %d", vi.RecvQueueDepth(), slots)
 			}
-			for i := 0; i < 2; i++ {
-				d, err := vi.RecvWait(ctx, tmo)
+			for i := 0; i < msgs; i++ {
+				s, err := ring.Next(ctx)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				for s, r := range ring {
-					if d.Segs[0].Addr == r.Buf.Addr() {
-						landed = append(landed, s)
-					}
+				if got := ring.Slot(s).Buf.Bytes()[0]; got != byte(10+i) {
+					t.Errorf("message %d: slot %d holds %d, want %d", i, s, got, 10+i)
+				}
+				landed = append(landed, s)
+				switch i {
+				case 1:
+					err = ring.Repost(ctx, 1)
+				case 4:
+					err = ring.Repost(ctx, 0)
+				}
+				if err != nil {
+					t.Error(err)
+					return
 				}
 			}
 		})
 	env.run()
-	if len(landed) != 2 || landed[0] != 0 || landed[1] != 1 {
-		t.Fatalf("messages landed in slots %v, want [0 1]", landed)
+	if want := []int{0, 1, 2, 3, 1, 0}; fmt.Sprint(landed) != fmt.Sprint(want) {
+		t.Errorf("messages landed in slots %v, want %v", landed, want)
 	}
-	for i := 0; i < 2; i++ {
-		if got := ring[i].Buf.Bytes()[0]; got != byte(10+i) {
-			t.Errorf("slot %d holds %d, want %d", i, got, 10+i)
-		}
+	var se *StatusError
+	if !errors.As(badWrite, &se) || se.Status != StatusRdmaProtError {
+		t.Errorf("bogus RDMA write: PostSendPoll = %v, want a *StatusError with RDMA_PROTECTION_ERROR", badWrite)
 	}
 }
 

@@ -366,11 +366,12 @@ func (v *Vi) RecvWait(ctx *Ctx, timeout sim.Duration) (*Descriptor, error) {
 
 func (v *Vi) waitPoll(ctx *Ctx, wq *workQueue) (*Descriptor, error) {
 	// The check cost is paid at detection (see CQ.WaitPoll): it is the
-	// reaction time of the polling loop once the completion lands.
+	// reaction time of the polling loop once the completion lands. The
+	// head is taken before the cost is charged, so a second waiter on the
+	// queue cannot take it while this one pays.
 	for {
-		if len(wq.pending) > 0 && wq.pending[0].done {
+		if d, ok := wq.takeHead(); ok {
 			ctx.use(v.nic.model.CheckCost)
-			d, _ := wq.takeHead()
 			return d, nil
 		}
 		if len(wq.pending) == 0 {
@@ -384,9 +385,8 @@ func (v *Vi) waitBlock(ctx *Ctx, wq *workQueue, timeout sim.Duration) (*Descript
 	m := v.nic.model
 	deadline := ctx.Now().Add(timeout)
 	for {
-		if len(wq.pending) > 0 && wq.pending[0].done {
+		if d, ok := wq.takeHead(); ok {
 			ctx.use(m.CheckCost)
-			d, _ := wq.takeHead()
 			return d, nil
 		}
 		if len(wq.pending) == 0 {

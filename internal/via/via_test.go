@@ -539,3 +539,101 @@ func TestUnsupportedReliabilityViCreation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTwoWaitersOnOneSendQueue: two processes wait on one VI's send
+// queue, directly or through its send CQ, while a short send and then a
+// long one complete. Both wake when the short one completes; the head is
+// taken before the completion check is charged, so neither wait returns
+// a nil descriptor (or an empty CQ entry) with a nil error, and between
+// them they return both sends.
+func TestTwoWaitersOnOneSendQueue(t *testing.T) {
+	const long = 32 * 1024
+	// viaCQ turns a CQ wait into a send wait: an entry, then SendDone.
+	viaCQ := func(wait func(*CQ, *Ctx) (Completion, error)) func(*Vi, *CQ, *Ctx) (*Descriptor, error) {
+		return func(vi *Vi, cq *CQ, ctx *Ctx) (*Descriptor, error) {
+			c, err := wait(cq, ctx)
+			if err != nil || c.Vi == nil {
+				return nil, err
+			}
+			d, _ := c.Vi.SendDone(ctx)
+			return d, nil
+		}
+	}
+	waits := map[string]func(*Vi, *CQ, *Ctx) (*Descriptor, error){
+		"poll":        func(vi *Vi, _ *CQ, ctx *Ctx) (*Descriptor, error) { return vi.SendWaitPoll(ctx) },
+		"block":       func(vi *Vi, _ *CQ, ctx *Ctx) (*Descriptor, error) { return vi.SendWait(ctx, tmo) },
+		"cq-poll":     viaCQ(func(cq *CQ, ctx *Ctx) (Completion, error) { return cq.WaitPoll(ctx) }),
+		"cq-block":    viaCQ(func(cq *CQ, ctx *Ctx) (Completion, error) { return cq.Wait(ctx, tmo) }),
+		"cq-blockall": viaCQ(func(cq *CQ, ctx *Ctx) (Completion, error) { return cq.WaitBlockForever(ctx) }),
+	}
+	for name, wait := range waits {
+		t.Run(name, func(t *testing.T) {
+			sys := NewSystem(provider.CLAN(), 2, 1)
+			var posted, got []*Descriptor
+			check := func(who string, d *Descriptor, err error) {
+				if d == nil && err == nil {
+					t.Errorf("%s waiter: nil descriptor with a nil error", who)
+				}
+				if err != nil {
+					t.Errorf("%s waiter: %v", who, err)
+				}
+				got = append(got, d)
+			}
+			sys.Go(0, "client", func(ctx *Ctx) {
+				nic := ctx.OpenNic()
+				cq, err := nic.CreateCQ(ctx, 16)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				vi, err := nic.CreateVi(ctx, ViAttributes{}, cq, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := Pair(ctx, vi, 1, "two", true, tmo); err != nil {
+					t.Error(err)
+					return
+				}
+				r, err := nic.AllocReg(ctx, long)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				posted = []*Descriptor{SimpleSend(r.Buf, r.H, 4), SimpleSend(r.Buf, r.H, long)}
+				for _, d := range posted {
+					if err := vi.PostSend(ctx, d); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				sys.Go(0, "second", func(wctx *Ctx) {
+					d, err := wait(vi, cq, wctx)
+					check("second", d, err)
+				})
+				d, err := wait(vi, cq, ctx)
+				check("first", d, err)
+			})
+			sys.Go(1, "server", func(ctx *Ctx) {
+				vi, err := ctx.OpenNic().CreateVi(ctx, ViAttributes{}, nil, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := vi.PostRing(ctx, 2, long); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := Pair(ctx, vi, 0, "two", false, tmo); err != nil {
+					t.Error(err)
+				}
+			})
+			if err := sys.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 2 || !(got[0] == posted[0] && got[1] == posted[1] || got[0] == posted[1] && got[1] == posted[0]) {
+				t.Errorf("waiters returned %v, want the two posted sends %v", got, posted)
+			}
+		})
+	}
+}
